@@ -5,9 +5,9 @@ catalog over one or more scenarios, ``tune`` the friction coefficient of
 one battery, ``fixtures`` to (re)generate the bundled synthetic cases.
 
 Exit codes: 0 success, 1 usage/config/parse problems, 2 when a dispatch
-cannot be solved (peak target infeasible or the solver's certificate
-fails). Output files are byte-identical across reruns with the same
-inputs; each embeds a config hash plus the conventions in force.
+cannot be solved (the peak target is unreachable). Output files are
+byte-identical across reruns with the same inputs; each embeds a config
+hash plus the conventions in force.
 """
 
 from __future__ import annotations
@@ -219,45 +219,33 @@ def cmd_evaluate(args) -> int:
 def _sweep_scenario(config: SweepConfig, path: str) -> str:
     scenario = _load(config, path)
     base = baseline_metrics(scenario)
-    reports: dict[str, ProfitabilityReport] = {}
-    failures: dict[str, str] = {}
 
     def run(spec: BatterySpec):
-        return _evaluate_one(config, scenario, spec)[0]
+        try:
+            return _evaluate_one(config, scenario, spec)[0], None
+        except (InfeasibleDispatchError, SolverError) as exc:
+            return None, (spec.name, str(exc))
 
-    if config.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(run, spec): spec.name for spec in config.catalog}
-            for fut in concurrent.futures.as_completed(futures):
-                name = futures[fut]
-                try:
-                    reports[name] = fut.result()
-                except (InfeasibleDispatchError, SolverError) as exc:
-                    failures[name] = str(exc)
-    else:
-        for spec in config.catalog:
-            try:
-                reports[spec.name] = run(spec)
-            except (InfeasibleDispatchError, SolverError) as exc:
-                failures[spec.name] = str(exc)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        outcomes = list(pool.map(run, config.catalog))
 
     header = ReportHeader(
         scenario=scenario.name,
         config_hash=_config_hash(config, "sweep", path),
         conventions=config.conventions.lines(),
     )
-    ordered = [reports[s.name] for s in config.catalog if s.name in reports]
+    ordered = [report for report, _ in outcomes if report is not None]
+    failures = sorted(failure for _, failure in outcomes if failure is not None)
     text = render_table(header, base, ordered)
-    if failures:
-        text += "".join(
-            f"# failed: {name}: {msg}\n" for name, msg in sorted(failures.items())
-        )
+    text += "".join(f"# failed: {name}: {msg}\n" for name, msg in failures)
     write_report(config.out_dir / f"{scenario.name}-sweep.csv", header, base, ordered)
     (config.out_dir / f"{scenario.name}-sweep.txt").write_text(text, newline="")
     return text
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
     config = _build_config(args, tuple(args.scenarios))
     for path in config.scenario_paths:
         print(_sweep_scenario(config, path), end="")

@@ -22,8 +22,9 @@ class DegenerateScenarioError(ScenarioError):
 class InfeasibleDispatchError(RuntimeError):
     """The dispatch problem has no feasible solution.
 
-    ``step`` is the index of a step whose peak cap cannot be met even at
-    maximum discharge, when one can be identified; None otherwise.
+    ``step`` is the index of the first step after which no state-of-charge
+    path meets the peak cap, when the failure is one of a dispatch; None
+    otherwise.
     """
 
     def __init__(self, message: str, step: int | None = None):

@@ -9,23 +9,27 @@ under the contracted cap. Exports earn nothing. A friction coefficient
 eta_fric in (0, 1] worsens the efficiencies *inside the billing
 constraint only*, which suppresses low-margin transactions; the physical
 SoC dynamics and the peak constraint always use the true efficiencies.
+A tiny epsilon penalty on total battery movement breaks the degeneracy
+that would otherwise allow cost-free simultaneous charge+discharge
+whenever z_i + s_i < 0.
 
-The LP uses variables (x_plus_i, x_minus_i, theta_i, b_i) per step; the
-SoC variables b_i carry the recursion b_i = b_{i−1} + x_plus_i − x_minus_i
-as banded equality rows, algebraically equivalent to cumulative-sum
-bounds. A tiny epsilon penalty on total battery movement breaks the
-degeneracy that would otherwise allow cost-free simultaneous
-charge+discharge whenever z_i + s_i < 0.
+``solve_dispatch`` solves the problem exactly with a forward dynamic
+program over convex piecewise-linear value functions of the state of
+charge, one per step, and recovers the dispatch in a backward pass of
+O(1) work per step; the SoC is the only state, so no LP is needed.
 
-``validate_dispatch`` re-derives every constraint from the returned
-arrays with plain numpy and never touches the LP machinery, and
-``dp_oracle`` solves small instances exactly by backward dynamic
-programming over an SoC grid; together they are the independent checks
-of the LP path.
+``build_lp`` states the same problem as a linear program with variables
+(x_plus_i, x_minus_i, theta_i, b_i) per step for ``lp.solve``; it is the
+reference the tests hold the dynamic program to. ``validate_dispatch``
+re-derives every constraint from the returned arrays with plain numpy,
+and ``dp_oracle`` solves small instances by backward dynamic programming
+over an SoC grid; together they are the independent checks of the
+solver.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +37,7 @@ import scipy.sparse as sp
 
 from . import lp as lp_mod
 from .battery import BatterySpec
-from .errors import InfeasibleDispatchError, SolverError
+from .errors import InfeasibleDispatchError
 from .timeseries import PpcLevel, PpcSchedule, ScenarioSeries
 
 __all__ = [
@@ -76,9 +80,8 @@ class DispatchSolution:
     x_plus/x_minus are per-step charge/discharge energies (kWh), s the
     grid-side storage energy, b the end-of-step SoC, theta the billed
     energy max(0, z + s), and energy_cost = Σ price·theta in €.
-    lp_objective retains the raw LP objective (h-scaled billing under
-    friction plus the epsilon tie-break) for oracle comparisons;
-    billed_cost is that objective with the tie-break removed.
+    billed_cost is the objective the dispatch minimized without the
+    epsilon tie-break: the billing under friction, in €.
     """
 
     x_plus: np.ndarray
@@ -88,9 +91,7 @@ class DispatchSolution:
     theta: np.ndarray
     energy_cost: float
     status: str
-    lp_objective: float = np.nan
     billed_cost: float = np.nan
-    duality_gap_bound: float = np.nan
     eta_fric: float = 1.0
 
     @property
@@ -217,55 +218,133 @@ def build_lp(
     return lp_mod.LinearProgram(c=c, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds)
 
 
-def _infeasible_step(prob: DispatchProblem) -> int | None:
-    """Step whose peak cap cannot be met even at full discharge, if any."""
-    if not np.isfinite(prob.p_max_set):
-        return None
-    scenario, spec = prob.scenario, prob.spec
-    z = scenario.load - scenario.pv
-    s_lo = spec.delta_min_kw * scenario.h * spec.eta_dis
-    bad = np.flatnonzero(z + s_lo > prob.p_max_set * scenario.h + 1e-9)
-    return int(bad[0]) if bad.size else None
-
-
 def solve_dispatch(
     prob: DispatchProblem,
     epsilon: float = DEFAULT_EPSILON,
     terminal_soc: bool = False,
-    tol_feas: float = 1e-9,
-    tol_gap: float | None = None,
 ) -> DispatchSolution:
-    """Solve the dispatch LP and re-express the solution with true efficiencies.
+    """Solve the dispatch exactly and re-express it with true efficiencies.
 
-    Raises InfeasibleDispatchError (with the violating step index when one
-    exists) if the peak cap is unreachable, and SolverError on a backend
-    failure. The returned energy_cost uses the true billing
-    Σ price·max(0, z + s); it never exceeds the no-battery baseline cost.
+    With epsilon > 0 an optimum never charges and discharges in the same
+    step, so step i costs f_i(x) = price_i·max(0, z_i + s_fric(x)) +
+    epsilon·|x| for a stored-energy change x in [l, u_i]: the discharge
+    ramp below, the charge ramp and the peak cap above. f_i is convex and
+    piecewise linear with at most 3 pieces. The minimal cost of reaching
+    SoC b after step i, V_i, is V_{i-1} infimally convolved with f_i and
+    clipped to [b_min, b_max]; the convolution merges sorted slope lists.
+    For every piece j of f_i the forward pass records where it sits in the
+    merged list, q_j = beta_j + p_j, where p_j is the piece's start and
+    beta_j the SoC at which V_{i-1}'s slope reaches the piece's slope, so
+    the backward pass recovers x_i = l + Σ_j clip(b_i − q_j, 0, len_j).
+
+    Tie rule: the final SoC is the smallest minimiser of V_n on
+    [b_0 if terminal_soc else b_min, b_max], and going backward each
+    b_{i-1} is the smallest SoC from which reaching b_i stays optimal, so
+    where a step's own move and an earlier one cost the same, the
+    step's own move is taken.
+
+    Raises ValueError for epsilon < 0, where f_i is not convex, and
+    InfeasibleDispatchError naming the first step after which no SoC path
+    meets the peak cap. The returned energy_cost uses the true billing
+    Σ price·max(0, z + s) and billed_cost the frictioned billing without
+    the epsilon term. energy_cost never exceeds the no-battery baseline
+    cost when the no-battery plan meets the peak cap, since that plan is
+    then feasible; a cap below the baseline peak can force a dearer bill.
     """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     scenario, spec = prob.scenario, prob.spec
-    program = build_lp(prob, epsilon=epsilon, terminal_soc=terminal_soc)
-    sol = lp_mod.solve(program, tol_feas=tol_feas, tol_gap=tol_gap)
-    if sol.status == lp_mod.INFEASIBLE:
-        step = _infeasible_step(prob)
-        detail = f" at step {step}" if step is not None else ""
-        raise InfeasibleDispatchError(
-            f"peak cap {prob.p_max_set} kW unreachable{detail}", step=step
-        )
-    if sol.status != lp_mod.OPTIMAL:
-        raise SolverError(f"dispatch solve ended with status {sol.status}")
+    n, h = scenario.n, scenario.h
+    z = scenario.load - scenario.pv
+    a_ch = 1.0 / (spec.eta_ch * prob.eta_fric)
+    a_dis = spec.eta_dis * prob.eta_fric
 
-    n = scenario.n
-    x_plus = np.clip(sol.v[0:n], 0.0, None)
-    x_minus = np.clip(sol.v[n : 2 * n], 0.0, None)
+    lo_x = spec.delta_min_kw * h
+    # peak cap on the true grid side: z + s(x) <= p_max_set·h
+    head = prob.p_max_set * h - z
+    hi_x = np.minimum(
+        spec.delta_max_kw * h, np.where(head >= 0, head * spec.eta_ch, head / spec.eta_dis)
+    )
+
+    # V_i as its domain start `lo` plus segments sorted by slope
+    lo = spec.b_0
+    slopes: list[float] = []
+    lens: list[float] = []
+    plan: list[list[tuple[float, float]]] = []
+    eps = float(epsilon)
+    for i, (zi, pi, ui) in enumerate(zip(z.tolist(), scenario.price.tolist(), hi_x.tolist())):
+        if ui < lo_x - _DUST:
+            raise _unreachable(prob, i)
+        # pieces of f_i, highest slope first, so a piece inserted into V
+        # never shifts the crossing point of a lower-sloped piece of the
+        # same step; the kinks sit at x = 0 and where z_i + s_fric(x) = 0
+        if zi > 0.0:
+            kink = -zi / a_dis
+            pieces = ((0.0, ui, pi * a_ch + eps), (kink, 0.0, pi * a_dis - eps), (lo_x, kink, -eps))
+        else:
+            kink = -zi / a_ch
+            pieces = ((kink, ui, pi * a_ch + eps), (0.0, kink, eps), (lo_x, 0.0, -eps))
+        step = []
+        for start, end, slope in pieces:
+            if start < lo_x:
+                start = lo_x
+            if end > ui:
+                end = ui
+            if end <= start:
+                continue
+            length = end - start
+            k = bisect_left(slopes, slope)
+            step.append((lo + sum(lens[:k]) + start, length))
+            if k < len(slopes) and slopes[k] == slope:
+                lens[k] += length
+            else:
+                slopes.insert(k, slope)
+                lens.insert(k, length)
+        plan.append(step)
+
+        lo += lo_x
+        hi = lo + sum(lens)
+        b_floor = spec.b_0 if terminal_soc and i == n - 1 else spec.b_min
+        if hi < b_floor - _DUST or lo > spec.b_max + _DUST:
+            raise _unreachable(prob, i)
+        if lo < b_floor:
+            cut = b_floor - lo
+            while lens and lens[0] <= cut:
+                cut -= lens.pop(0)
+                slopes.pop(0)
+            if lens:
+                lens[0] -= cut
+            lo = b_floor
+        if hi > spec.b_max:
+            cut = hi - spec.b_max
+            while lens and lens[-1] <= cut:
+                cut -= lens.pop()
+                slopes.pop()
+            if lens:
+                lens[-1] -= cut
+            lo = min(lo, spec.b_max)  # a domain within _DUST above the box
+
+    b_i = lo + sum(lens[: bisect_left(slopes, 0.0)])
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        x_i = lo_x
+        for q, length in plan[i]:
+            d = b_i - q
+            x_i += length if d >= length else (d if d > 0.0 else 0.0)
+        x[i] = x_i
+        b_i -= x_i
+
+    x_arr = np.asarray(x)
+    x_plus = np.maximum(x_arr, 0.0)
+    x_minus = np.maximum(-x_arr, 0.0)
     x_plus[x_plus < _DUST] = 0.0
     x_minus[x_minus < _DUST] = 0.0
 
-    z = scenario.load - scenario.pv
     s = x_plus / spec.eta_ch - spec.eta_dis * x_minus
     b = spec.b_0 + np.cumsum(x_plus - x_minus)
     theta = np.maximum(0.0, z + s)
     energy_cost = float(np.sum(scenario.price * theta))
-    tie_break = epsilon * float(np.sum(sol.v[0:n]) + np.sum(sol.v[n : 2 * n]))
+    billed_cost = float(np.sum(scenario.price * np.maximum(0.0, z + a_ch * x_plus - a_dis * x_minus)))
 
     return DispatchSolution(
         x_plus=x_plus,
@@ -274,11 +353,15 @@ def solve_dispatch(
         b=b,
         theta=theta,
         energy_cost=energy_cost,
-        status=sol.status,
-        lp_objective=sol.objective,
-        billed_cost=sol.objective - tie_break,
-        duality_gap_bound=sol.duality_gap_bound,
+        status="optimal",
+        billed_cost=billed_cost,
         eta_fric=prob.eta_fric,
+    )
+
+
+def _unreachable(prob: DispatchProblem, step: int) -> InfeasibleDispatchError:
+    return InfeasibleDispatchError(
+        f"peak cap {prob.p_max_set} kW unreachable at step {step}", step=step
     )
 
 
@@ -388,9 +471,8 @@ def select_ppc(
     threshold = peak_kw + spec.delta_min_kw
     candidates = [lv for lv in ppc.levels if lv.kva >= threshold and lv.kva < old.kva]
 
-    chosen: PpcLevel | None = None
-    dispatch: DispatchSolution | None = None
-    for level in candidates:
+    # the old level's dispatch is the fallback, and its infeasibility is final
+    for level in candidates + [old]:
         try:
             dispatch = solve_dispatch(
                 DispatchProblem(scenario, spec, p_max_set=level.kva, eta_fric=eta_fric),
@@ -398,22 +480,16 @@ def select_ppc(
                 terminal_soc=terminal_soc,
             )
         except InfeasibleDispatchError:
-            continue
-        chosen = level
-        break
-    if chosen is None:
-        chosen = old
-        dispatch = solve_dispatch(
-            DispatchProblem(scenario, spec, p_max_set=old.kva, eta_fric=eta_fric),
-            epsilon=epsilon,
-            terminal_soc=terminal_soc,
-        )
+            if level is old:
+                raise
+        else:
+            break
 
-    g_pd = max(0.0, (old.eur_per_day - chosen.eur_per_day) * scenario.day_count)
+    g_pd = max(0.0, (old.eur_per_day - level.eur_per_day) * scenario.day_count)
     return PpcSelection(
-        level=chosen,
+        level=level,
         old_level=old,
-        p_max_set=chosen.kva,
+        p_max_set=level.kva,
         g_pd=g_pd,
         dispatch=dispatch,
     )
@@ -433,14 +509,16 @@ def dp_oracle(
     soc_grid_step: float,
     max_steps: int = 50,
     max_grid_points: int = 801,
+    terminal_soc: bool = False,
 ) -> DpDispatch:
     """Exact optimum of the SoC-grid-restricted dispatch, for tests only.
 
     Backward induction over a uniform SoC grid anchored at b_min. Stage
-    cost mirrors the LP billing objective (price·max(0, z + s_fric))
+    cost mirrors the billing objective (price·max(0, z + s_fric))
     without the tie-break term; the peak cap uses the true grid-side
-    energy, like the LP. Refuses instances that are too long or grids
-    that are too fine, and requires b_0 and b_max on the grid.
+    energy. With terminal_soc the final SoC may not end below b_0.
+    Refuses instances that are too long or grids that are too fine, and
+    requires b_0 and b_max on the grid.
     """
     scenario, spec = prob.scenario, prob.spec
     n, h = scenario.n, scenario.h
@@ -471,6 +549,8 @@ def dp_oracle(
     s_fric = xp / (spec.eta_ch * prob.eta_fric) - spec.eta_dis * prob.eta_fric * xm
 
     value = np.zeros(n_points)
+    if terminal_soc:
+        value[:start] = np.inf
     choice = np.empty((n, n_points), dtype=np.int32)
     for i in range(n - 1, -1, -1):
         stage = price[i] * np.maximum(0.0, z[i] + s_fric)
@@ -482,8 +562,7 @@ def dp_oracle(
         value = total[np.arange(n_points), choice[i]]
 
     if not np.isfinite(value[start]):
-        step = _infeasible_step(prob)
-        raise InfeasibleDispatchError("dp_oracle: no feasible SoC path", step=step)
+        raise InfeasibleDispatchError("dp_oracle: no feasible SoC path")
 
     x = np.empty(n)
     b = np.empty(n)

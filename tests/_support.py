@@ -3,22 +3,26 @@
 Everything here is deterministic: fixture-backed scenarios priced by the
 shipped tariff, a seeded noisy-price series used by the friction-tuning
 tests, a seeded generator of small dispatch instances for
-cross-validating the LP against the dynamic-programming oracle, and the
-environment for running the CLI as a subprocess.
+cross-validating the solver against the LP and the grid
+dynamic-programming oracle, the LP reference solve, and the environment
+for running the CLI as a subprocess.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 import bessprofit
+from bessprofit import lp
 from bessprofit.battery import make_spec
+from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.fixtures import fixture_arrays
-from bessprofit.optimizer import DispatchProblem
+from bessprofit.optimizer import DEFAULT_EPSILON, DispatchProblem, DispatchSolution, build_lp
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries
 
 H = 1.0 / 12.0  # fixture sample spacing, hours
@@ -132,3 +136,37 @@ def dp_gap_bound(prob: DispatchProblem, grid: float = DP_GRID) -> float:
     """
     a_ch = 1.0 / (prob.spec.eta_ch * prob.eta_fric)
     return grid * float(np.sum(prob.scenario.price)) * a_ch
+
+
+@dataclass(frozen=True)
+class LpReference:
+    """The dispatch LP's certified optimum: objective and SoC trajectory."""
+
+    objective: float  # frictioned bill plus the epsilon movement term, in €
+    soc: np.ndarray  # SoC including the initial state, length n + 1
+
+
+def lp_reference(
+    prob: DispatchProblem,
+    epsilon: float = DEFAULT_EPSILON,
+    terminal_soc: bool = False,
+) -> LpReference | None:
+    """Solve the dispatch as the LP of build_lp via lp.solve; None if infeasible."""
+    sol = lp.solve(build_lp(prob, epsilon=epsilon, terminal_soc=terminal_soc))
+    if sol.status == lp.INFEASIBLE:
+        return None
+    assert sol.status == lp.OPTIMAL, sol.status
+    n = prob.scenario.n
+    x = sol.v[:n] - sol.v[n : 2 * n]
+    b_0 = prob.spec.b_0
+    return LpReference(sol.objective, np.concatenate(([b_0], b_0 + np.cumsum(x))))
+
+
+def dispatch_objective(dispatch: DispatchSolution, epsilon: float = DEFAULT_EPSILON) -> float:
+    """The solver's objective: frictioned bill plus epsilon times the movement."""
+    return dispatch.billed_cost + epsilon * float(np.sum(dispatch.x_plus + dispatch.x_minus))
+
+
+def linear_cycles(soc: np.ndarray, b_rated: float) -> float:
+    """Equivalent full cycles at damage exponent 1 (half the throughput)."""
+    return count_cycles(soc, b_rated, DamageModel(kp=1.0)).n_cyc_100

@@ -257,4 +257,20 @@ class TestFailureModes:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: dispatch infeasible: ")
-        assert "peak cap" in proc.stderr
+        assert "peak cap 3.45 kW unreachable at step " in proc.stderr
+
+    def test_negative_epsilon_is_rejected(self, tmp_path, fixture_dir):
+        # a negative movement weight would pay the battery to charge and
+        # discharge in the same step
+        proc = run_cli(
+            "evaluate", fixture_dir / "c1.csv", "--battery", "1kwh-1c",
+            "--epsilon", "-0.5", "--out", tmp_path / "out", cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
+        assert not (tmp_path / "out" / "c1-1kwh-1c-report.csv").exists()
+
+    def test_non_positive_jobs_is_a_usage_error(self, tmp_path, fixture_dir):
+        proc = run_cli("sweep", fixture_dir / "c1.csv", "--jobs", "0", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "error: --jobs must be >= 1" in proc.stderr.splitlines()[-1]

@@ -1,9 +1,11 @@
-"""Dispatch optimization: LP construction, the DP cross-check, the
-independent dispatch validator, and peak-contract selection.
+"""Dispatch optimization: the exact solver, its LP and grid-DP cross-checks,
+the independent dispatch validator, and peak-contract selection.
 
-The central guarantee is dual-route: every billed cost the LP reports is
-reproduced by a grid-search dynamic program on randomized instances, and
-every dispatch is re-audited with plain array arithmetic.
+The central guarantee is three-route: on randomized instances the
+solver's optimum is reproduced by the certified LP and, within its
+discretization error, by a grid-search dynamic program; on the fixture
+panel it matches the LP at every selected cap; and every dispatch is
+re-audited with plain array arithmetic.
 """
 
 from __future__ import annotations
@@ -28,28 +30,79 @@ from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE
 from _support import (
     DP_GRID,
     H,
+    dispatch_objective,
     dp_gap_bound,
+    linear_cycles,
+    lp_reference,
     mini_scenario,
     random_dispatch_instance,
 )
 
 
-# ----------------------------------------------------------- LP vs DP
+# --------------------------------------------------- solver vs LP vs grid DP
+
+
+def assert_routes_agree(prob: DispatchProblem, terminal_soc: bool, label: str) -> None:
+    """Solve one instance by the exact solver, the LP and the grid oracle.
+
+    They agree on feasibility; the solver's objective equals the LP's to
+    1e-9 relative with the same linear cycle count; the grid optimum is
+    no better than the solver's and within five discretization bounds of
+    it; the dispatch passes the validator; and it never bills more than
+    the no-battery plan when that plan meets the peak cap.
+    """
+    ref = lp_reference(prob, terminal_soc=terminal_soc)
+    try:
+        sol = solve_dispatch(prob, terminal_soc=terminal_soc)
+    except InfeasibleDispatchError:
+        assert ref is None, f"{label}: the LP is feasible"
+        with pytest.raises(InfeasibleDispatchError):
+            dp_oracle(prob, DP_GRID, terminal_soc=terminal_soc)
+        return
+    assert ref is not None, f"{label}: the LP is infeasible"
+    assert dispatch_objective(sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), label
+    b_rated = prob.spec.b_rated
+    assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
+        linear_cycles(ref.soc, b_rated), abs=1e-9
+    ), label
+
+    dp = dp_oracle(prob, DP_GRID, terminal_soc=terminal_soc)
+    bound = dp_gap_bound(prob)
+    diff = dp.cost - sol.billed_cost
+    # the grid policy is a feasible policy, so it can never beat the solver...
+    assert diff >= -1e-7 * (1.0 + abs(dp.cost)), label
+    # ...and must come within the discretization error of it
+    assert abs(diff) <= 5.0 * bound, f"{label}: {diff} vs {bound}"
+
+    assert not validate_dispatch(prob, sol), label
+    if terminal_soc:
+        assert sol.b[-1] >= prob.spec.b_0 - 1e-9, label
+    z = prob.scenario.load - prob.scenario.pv
+    if np.max(z) / prob.scenario.h <= prob.p_max_set:
+        baseline = float(np.sum(prob.scenario.price * np.maximum(0.0, z)))
+        assert sol.energy_cost <= baseline + 1e-9 * (1.0 + baseline), label
 
 
 def test_lp_matches_dp_oracle_on_random_instances():
     rng = np.random.default_rng(424242)
     for k in range(24):
         prob = random_dispatch_instance(rng)
-        sol = solve_dispatch(prob)
-        dp = dp_oracle(prob, DP_GRID)
-        bound = dp_gap_bound(prob)
-        diff = dp.cost - sol.billed_cost
-        # the grid policy is a feasible policy, so it can never beat the LP...
-        assert diff >= -1e-7 * (1.0 + abs(dp.cost)), f"instance {k}"
-        # ...and must come within the discretization error of it
-        assert abs(diff) <= 5.0 * bound, f"instance {k}: {diff} vs {bound}"
-        assert not validate_dispatch(prob, sol), f"instance {k}"
+        for terminal_soc in (False, True):
+            assert_routes_agree(prob, terminal_soc, f"instance {k}, terminal_soc={terminal_soc}")
+
+
+def test_panel_dispatches_match_the_lp_at_the_selected_caps(panel):
+    for (case, name), entry in panel.items():
+        prob = DispatchProblem(entry.scenario, entry.spec, p_max_set=entry.selection.p_max_set)
+        ref = lp_reference(prob)
+        assert ref is not None, (case, name)
+        assert dispatch_objective(entry.dispatch) == pytest.approx(
+            ref.objective, rel=1e-9, abs=1e-12
+        ), (case, name)
+        b_rated = entry.spec.b_rated
+        assert linear_cycles(entry.dispatch.soc_trajectory(entry.spec.b_0), b_rated) == (
+            pytest.approx(linear_cycles(ref.soc, b_rated), abs=1e-9)
+        ), (case, name)
 
 
 def test_dp_policy_is_feasible_for_the_lp():
@@ -143,6 +196,31 @@ def test_infeasible_peak_reports_first_bad_step():
         solve_dispatch(DispatchProblem(scenario, spec, p_max_set=3.0))
     assert exc_info.value.step == 7
     assert "step 7" in str(exc_info.value)
+
+
+def test_infeasible_when_the_charge_runs_out_reports_that_step():
+    # every step alone can meet the 1 kW cap, but steps 4-9 each need
+    # 0.2 kWh from a battery holding 0.2 kWh above its floor that the
+    # capped steps 0-3 leave no room to recharge
+    z = np.array([1.0] * 4 + [1.2] * 6 + [1.0] * 2)
+    scenario = mini_scenario(z, np.full(12, 0.2), h=1.0, name="drain")
+    spec = make_spec("0.5kwh-1c", 0.5, 1.0, 1.0)
+    prob = DispatchProblem(scenario, spec, p_max_set=1.0)
+    with pytest.raises(InfeasibleDispatchError) as exc_info:
+        solve_dispatch(prob)
+    assert exc_info.value.step == 4
+    assert "unreachable at step 4" in str(exc_info.value)
+    assert lp_reference(prob) is None
+
+
+def test_negative_epsilon_is_rejected():
+    # a negative movement weight pays the battery to charge and discharge
+    # at once, so the per-step cost is no longer convex
+    scenario = mini_scenario([0.5, -0.8, 0.6], [0.1, 0.1, 0.5])
+    prob = DispatchProblem(scenario, make_spec("1kwh-1c", 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_dispatch(prob, epsilon=-0.5)
+    assert solve_dispatch(prob, epsilon=0.0).billed_cost == pytest.approx(0.012, abs=1e-6)
 
 
 def test_value_of_storage_is_monotone_in_the_box():
