@@ -9,21 +9,16 @@ friction mechanism that throttles low-margin cycling to a cycle budget.
 from .battery import (
     BatteryCost,
     BatterySpec,
-    StorageStep,
     battery_cost,
     default_catalog,
-    grid_side_energy,
     load_catalog,
     make_spec,
-    ramp_cost_formula,
-    s_bounds,
 )
 from .cycles import CycleCount, DamageModel, break_even_cycles, count_cycles
 from .errors import (
     ConfigError,
     DegenerateScenarioError,
     InfeasibleDispatchError,
-    RampLimitError,
     ScenarioError,
     SolverError,
 )
@@ -46,11 +41,9 @@ from .profitability import (
     tune_friction,
 )
 from .timeseries import (
-    DEFAULT_FLAT_PRICE,
     DEFAULT_PPC_SCHEDULE,
     DEFAULT_TOU_TARIFF,
     BaselineMetrics,
-    NetLoad,
     PpcLevel,
     PpcSchedule,
     ScenarioSeries,
@@ -60,7 +53,6 @@ from .timeseries import (
     load_ppc,
     load_scenario,
     load_tariff,
-    net_load,
     peak_import_kw,
 )
 

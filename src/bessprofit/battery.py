@@ -13,16 +13,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, RampLimitError
+from .errors import ConfigError
 
 __all__ = [
     "BatterySpec",
-    "StorageStep",
     "BatteryCost",
-    "grid_side_energy",
-    "s_bounds",
     "battery_cost",
-    "ramp_cost_formula",
     "make_spec",
     "default_catalog",
     "load_catalog",
@@ -90,45 +86,12 @@ class BatterySpec:
 
 
 @dataclass(frozen=True)
-class StorageStep:
-    """One step of battery activity: stored-energy change x and grid-side energy s."""
-
-    x: float
-    s: float
-
-    @classmethod
-    def from_energy_change(cls, x: float, spec: BatterySpec) -> "StorageStep":
-        return cls(x=x, s=grid_side_energy(x, spec))
-
-
-@dataclass(frozen=True)
 class BatteryCost:
     """Per-kWh purchase cost, per-cycle cost, and total candidate cost."""
 
     total_per_kwh: float
     c_cyc: float
     b_cost: float
-
-
-def grid_side_energy(x: float, spec: BatterySpec, h: float | None = None) -> float:
-    """Grid-side energy of a stored-energy change x.
-
-    Charging (x > 0) draws x/eta_ch from the grid side; discharging
-    (x < 0) delivers eta_dis·|x|. When h is given, x is checked against
-    the ramp limits delta_min·h <= x <= delta_max·h.
-    """
-    if h is not None:
-        lo, hi = spec.delta_min_kw * h, spec.delta_max_kw * h
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
-            raise RampLimitError(f"x={x} kWh outside ramp bounds [{lo}, {hi}] for h={h}")
-    if x >= 0:
-        return x / spec.eta_ch
-    return spec.eta_dis * x
-
-
-def s_bounds(spec: BatterySpec, h: float) -> tuple[float, float]:
-    """Range of the grid-side storage energy per step implied by the ramp limits."""
-    return spec.delta_min_kw * h * spec.eta_dis, spec.delta_max_kw * h / spec.eta_ch
 
 
 def battery_cost(spec: BatterySpec) -> BatteryCost:
@@ -139,16 +102,6 @@ def battery_cost(spec: BatterySpec) -> BatteryCost:
         c_cyc=total / spec.cycle_life_100dod,
         b_cost=total * spec.b_rated,
     )
-
-
-def ramp_cost_formula(charge_rate_c: float, discharge_rate_c: float) -> float:
-    """Alternative closed-form cost in €/kWh: 300 + 0.25·max(x, y)·100.
-
-    Documented alternative only; it does not reproduce the default catalog
-    costs (e.g. it yields 306.25 €/kWh for a 0.25C-0.25C unit versus the
-    default 425 €/kWh) and is never used unless explicitly requested.
-    """
-    return 300.0 + 0.25 * max(charge_rate_c, discharge_rate_c) * 100.0
 
 
 def make_spec(

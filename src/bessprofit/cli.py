@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .battery import BatterySpec, catalog_by_name, default_catalog, load_catalog
 from .cycles import DamageModel
-from .errors import ConfigError, InfeasibleDispatchError, ScenarioError, SolverError
+from .errors import ConfigError, InfeasibleDispatchError, ScenarioError
 from .fixtures import DEFAULT_SEED, gen_fixtures
 from .optimizer import DEFAULT_EPSILON, DispatchSolution, PpcSelection
 from .profitability import ProfitabilityReport, evaluate_candidate, tune_friction
@@ -164,7 +164,7 @@ def _write_dispatch_csv(
     spec: BatterySpec,
     dispatch: DispatchSolution,
 ) -> None:
-    z = scenario.load - scenario.pv
+    z = scenario.z
     b = dispatch.soc_trajectory(spec.b_0)
     lines = header.lines()
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
@@ -223,7 +223,7 @@ def _sweep_scenario(config: SweepConfig, path: str) -> str:
     def run(spec: BatterySpec):
         try:
             return _evaluate_one(config, scenario, spec)[0], None
-        except (InfeasibleDispatchError, SolverError) as exc:
+        except InfeasibleDispatchError as exc:
             return None, (spec.name, str(exc))
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -269,6 +269,7 @@ def cmd_tune(args) -> int:
         model=DamageModel(kp=conv.damage_exp),
         months_12=conv.months_12,
         epsilon=conv.epsilon,
+        terminal_soc=conv.terminal_soc,
     )
 
     header = ReportHeader(
@@ -329,7 +330,7 @@ def _add_common(sub: argparse.ArgumentParser, *, jobs: bool = False, eta: bool =
     sub.add_argument("--contracted-kva", type=float, default=None,
                      help="current contract level; default: smallest level covering the baseline peak")
     sub.add_argument("--terminal-soc", action="store_true",
-                     help="require the final state of charge to return to the initial one")
+                     help="require the final state of charge to end at or above the initial one")
     sub.add_argument("--out", default=".", help="output directory (default: current)")
     if eta:
         sub.add_argument("--eta-fric", type=float, default=1.0,
@@ -385,9 +386,6 @@ def main(argv=None) -> int:
         return 1
     except InfeasibleDispatchError as exc:
         print(f"error: dispatch infeasible: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"error: solver: {exc}", file=sys.stderr)
         return 2
 
 

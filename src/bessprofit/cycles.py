@@ -20,7 +20,6 @@ __all__ = [
     "CycleCount",
     "count_cycles",
     "break_even_cycles",
-    "write_cycles_csv",
 ]
 
 
@@ -135,9 +134,3 @@ def break_even_cycles(
         raise ValueError("horizon_days must be > 0")
     return cycle_life * horizon_days / (calendar_life_years * 365.25)
 
-
-def write_cycles_csv(count: CycleCount, stream) -> None:
-    """Audit export: one row per extracted cycle (DoD fraction, weight)."""
-    stream.write("dod_fraction,weight\n")
-    for dod, weight in count.half_cycles:
-        stream.write(f"{dod:.9f},{weight:.1f}\n")

@@ -11,10 +11,6 @@ class ScenarioError(ValueError):
     """A scenario CSV is malformed or violates measurement preconditions."""
 
 
-class RampLimitError(ValueError):
-    """A stored-energy change exceeds the battery's per-step ramp bounds."""
-
-
 class DegenerateScenarioError(ScenarioError):
     """The scenario has zero total load, so self-sufficiency is undefined."""
 

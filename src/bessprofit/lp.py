@@ -32,7 +32,6 @@ __all__ = [
     "CheckReport",
     "solve",
     "check_solution",
-    "dump",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -295,28 +294,3 @@ def check_solution(
         ok=not violations,
     )
 
-
-def dump(lp: LinearProgram, stream) -> None:
-    """Write the LP in a plain-text format for external cross-checking.
-
-    Format: a comment header, one ``min:`` objective line, one line per
-    inequality row (``r<k>: <coef> v<j> ... <= <rhs>``, nonzero
-    coefficients only), then one ``<lo> <= v<j> <= <hi>`` line per
-    variable. Numbers are repr-exact floats.
-    """
-    stream.write(f"# lp n_vars={lp.n_vars} n_rows={lp.n_rows}\n")
-    terms = " + ".join(f"{float(lp.c[j])!r} v{j}" for j in range(lp.n_vars) if lp.c[j] != 0.0) or "0"
-    stream.write(f"min: {terms}\n")
-    a = lp.A_ub
-    if sp.issparse(a):
-        a = a.tocsr()
-        for i in range(lp.n_rows):
-            sl = slice(a.indptr[i], a.indptr[i + 1])
-            row_terms = " + ".join(f"{float(val)!r} v{j}" for j, val in zip(a.indices[sl], a.data[sl]) if val != 0.0) or "0"
-            stream.write(f"r{i}: {row_terms} <= {float(lp.b_ub[i])!r}\n")
-    else:
-        for i in range(lp.n_rows):
-            row_terms = " + ".join(f"{float(a[i, j])!r} v{j}" for j in range(lp.n_vars) if a[i, j] != 0.0) or "0"
-            stream.write(f"r{i}: {row_terms} <= {float(lp.b_ub[i])!r}\n")
-    for j in range(lp.n_vars):
-        stream.write(f"{float(lp.bounds[j, 0])!r} <= v{j} <= {float(lp.bounds[j, 1])!r}\n")

@@ -31,14 +31,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import lp as lp_mod
 from .battery import BatterySpec
 from .errors import InfeasibleDispatchError
-from .timeseries import PpcLevel, PpcSchedule, ScenarioSeries
+from .timeseries import PpcLevel, PpcSchedule, ScenarioSeries, peak_import_kw
+
+if TYPE_CHECKING:
+    from .lp import LinearProgram
 
 __all__ = [
     "DispatchProblem",
@@ -90,7 +92,6 @@ class DispatchSolution:
     b: np.ndarray
     theta: np.ndarray
     energy_cost: float
-    status: str
     billed_cost: float = np.nan
     eta_fric: float = 1.0
 
@@ -116,7 +117,7 @@ def build_lp(
     prob: DispatchProblem,
     epsilon: float = DEFAULT_EPSILON,
     terminal_soc: bool = False,
-) -> lp_mod.LinearProgram:
+) -> LinearProgram:
     """Assemble the dispatch LP.
 
     Variable layout, n = step count: x_plus [0, n), x_minus [n, 2n),
@@ -125,11 +126,16 @@ def build_lp(
     theta_i >= z_i + s_fric_i; peak (z_i + s_i) <= p_max_set·h (skipped
     when the cap is infinite); the SoC recursion as <=/>= pairs. Ramp
     limits and SoC box are variable bounds. With terminal_soc the final
-    SoC must end at or above its initial value.
+    SoC must end at or above its initial value. Needs SciPy, which the
+    rest of the package does not.
     """
+    import scipy.sparse as sp
+
+    from .lp import LinearProgram
+
     scenario, spec = prob.scenario, prob.spec
     n, h = scenario.n, scenario.h
-    z = scenario.load - scenario.pv
+    z = scenario.z
 
     xp = np.arange(n)
     xm = n + xp
@@ -187,24 +193,12 @@ def build_lp(
         )
 
     # SoC recursion b_i - b_{i-1} - x_plus_i + x_minus_i = (b_0 if i == 0 else 0),
-    # written as a <= pair per step.
+    # written as a <= pair per step; step 0 has no b_{-1} term (entry 3).
     eq_rhs = np.zeros(n)
     eq_rhs[0] = spec.b_0
-    ridx: list[int] = []
-    cidx: list[int] = []
-    vals: list[float] = []
-    for i in range(n):
-        cs = [bb[i], xp[i], xm[i]]
-        vs = [1.0, -1.0, 1.0]
-        if i > 0:
-            cs.append(bb[i - 1])
-            vs.append(-1.0)
-        ridx.extend([i] * len(cs))
-        cidx.extend(cs)
-        vals.extend(vs)
-    ridx = np.asarray(ridx)
-    cidx = np.asarray(cidx)
-    vals = np.asarray(vals, dtype=float)
+    ridx = np.delete(np.repeat(xp, 4), 3)
+    cidx = np.delete(np.column_stack((bb, xp, xm, bb - 1)).ravel(), 3)
+    vals = np.delete(np.tile([1.0, -1.0, 1.0, -1.0], n), 3)
     add_block(ridx, cidx, vals, eq_rhs)
     add_block(ridx, cidx, -vals, -eq_rhs)
 
@@ -215,7 +209,7 @@ def build_lp(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row_base, n_vars),
     ).tocsr()
-    return lp_mod.LinearProgram(c=c, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds)
+    return LinearProgram(c=c, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds)
 
 
 def solve_dispatch(
@@ -255,7 +249,7 @@ def solve_dispatch(
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     scenario, spec = prob.scenario, prob.spec
     n, h = scenario.n, scenario.h
-    z = scenario.load - scenario.pv
+    z = scenario.z
     a_ch = 1.0 / (spec.eta_ch * prob.eta_fric)
     a_dis = spec.eta_dis * prob.eta_fric
 
@@ -353,7 +347,6 @@ def solve_dispatch(
         b=b,
         theta=theta,
         energy_cost=energy_cost,
-        status="optimal",
         billed_cost=billed_cost,
         eta_fric=prob.eta_fric,
     )
@@ -381,7 +374,7 @@ def validate_dispatch(
     """
     scenario, spec = prob.scenario, prob.spec
     h = scenario.h
-    z = scenario.load - scenario.pv
+    z = scenario.z
     out: list[str] = []
 
     def flag(mask: np.ndarray, label: str, values: np.ndarray):
@@ -457,8 +450,7 @@ def select_ppc(
     difference times the window's day count, floored at zero. The dispatch
     solved at the chosen cap is returned so callers don't re-solve.
     """
-    z = scenario.load - scenario.pv
-    peak_kw = float(np.max(z)) / scenario.h
+    peak_kw = peak_import_kw(scenario)
     if old_level_kva is not None:
         old = ppc.level_for(old_level_kva)
     else:
@@ -537,7 +529,7 @@ def dp_oracle(
     if not (0 <= start < n_points) or abs(grid[start] - spec.b_0) > 1e-9:
         raise ValueError("b_0 must lie on the SoC grid")
 
-    z = scenario.load - scenario.pv
+    z = scenario.z
     price = scenario.price
 
     # action matrix: x[a, a'] = grid[a'] - grid[a]

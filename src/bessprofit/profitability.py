@@ -132,7 +132,7 @@ def evaluate(
 
     expb = _expected_payback_years(cost.b_cost, g_t, scenario.n, scenario.h, months_12)
 
-    with_batt = scenario.load - scenario.pv + dispatch.s
+    with_batt = scenario.z + dispatch.s
     waste = float(np.sum(np.maximum(0.0, -with_batt)))
     grid_import = float(np.sum(np.maximum(0.0, with_batt)))
     total_load = float(np.sum(scenario.load))
@@ -224,6 +224,7 @@ def tune_friction(
     cycle_tol: float = 0.5,
     interval_tol: float = 1e-4,
     max_solves: int = 48,
+    terminal_soc: bool = False,
 ) -> TuningResult:
     """Search eta_fric so the cycle count meets a budget.
 
@@ -234,7 +235,8 @@ def tune_friction(
     sampled pair contradicts that beyond the cycle tolerance the search
     logs it and finishes with a bracket scan instead of pure bisection.
     When even eta_min cannot reach the budget, the boundary result is
-    returned with a warning.
+    returned with a warning. terminal_soc holds in the contract choice and
+    in every re-solve.
     """
     if model is None:
         model = DamageModel()
@@ -247,13 +249,18 @@ def tune_friction(
 
     # Fix the contract level at eta_fric = 1 so friction only affects billing.
     if ppc is not None:
-        selection = select_ppc(scenario, spec, ppc, old_level_kva=old_level_kva, epsilon=epsilon)
+        selection = select_ppc(
+            scenario, spec, ppc, old_level_kva=old_level_kva, epsilon=epsilon,
+            terminal_soc=terminal_soc,
+        )
         p_max_set = selection.p_max_set
         untuned_dispatch = selection.dispatch
     else:
         selection = None
         p_max_set = math.inf
-        untuned_dispatch = solve_dispatch(DispatchProblem(scenario, spec), epsilon=epsilon)
+        untuned_dispatch = solve_dispatch(
+            DispatchProblem(scenario, spec), epsilon=epsilon, terminal_soc=terminal_soc
+        )
     untuned_report = evaluate(scenario, spec, untuned_dispatch, selection, model, months_12=months_12)
     n_solves = 1
 
@@ -279,6 +286,7 @@ def tune_friction(
         dispatch = solve_dispatch(
             DispatchProblem(scenario, spec, p_max_set=p_max_set, eta_fric=eta),
             epsilon=epsilon,
+            terminal_soc=terminal_soc,
         )
         n_solves += 1
         return dispatch, _cycles_of(dispatch, spec, model)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -26,15 +26,12 @@ __all__ = [
     "PpcLevel",
     "PpcSchedule",
     "ScenarioSeries",
-    "NetLoad",
     "BaselineMetrics",
     "DEFAULT_TOU_TARIFF",
-    "DEFAULT_FLAT_PRICE",
     "DEFAULT_PPC_SCHEDULE",
     "load_tariff",
     "load_ppc",
     "load_scenario",
-    "net_load",
     "baseline_metrics",
     "peak_import_kw",
 ]
@@ -142,9 +139,6 @@ class PpcSchedule:
                 return level
         return None
 
-    def at_or_above(self, kw: float) -> tuple[PpcLevel, ...]:
-        return tuple(level for level in self.levels if level.kva >= kw)
-
     def level_for(self, kva: float, tol: float = 1e-9) -> PpcLevel:
         for level in self.levels:
             if abs(level.kva - kva) <= tol:
@@ -175,9 +169,6 @@ DEFAULT_TOU_TARIFF = TariffSchedule(
     periods=(TariffPeriod(start_minute=8 * 60, end_minute=22 * 60, price=0.20),),
     fallback_price=0.185,
 )
-
-# Flat reference price used for simple savings comparisons.
-DEFAULT_FLAT_PRICE = 0.16
 
 
 def load_tariff(path: str | Path) -> TariffSchedule:
@@ -222,6 +213,8 @@ class ScenarioSeries:
 
     load, pv are per-step energies in kWh; price is the buy price in €/kWh
     applying to that step. h is the step length in hours, n the step count.
+    z = load - pv is the net load in kWh, derived once; negative means
+    surplus. All four arrays are read-only.
     """
 
     start_time: datetime
@@ -231,6 +224,7 @@ class ScenarioSeries:
     price: np.ndarray
     n: int = -1  # inferred from load when omitted
     name: str = ""
+    z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -249,6 +243,9 @@ class ScenarioSeries:
                 raise ScenarioError(f"{label} contains negative values")
             arr.flags.writeable = False
             object.__setattr__(self, label, arr)
+        z = self.load - self.pv
+        z.flags.writeable = False
+        object.__setattr__(self, "z", z)
 
     @property
     def total_hours(self) -> float:
@@ -265,25 +262,12 @@ class ScenarioSeries:
 
 
 @dataclass(frozen=True)
-class NetLoad:
-    """Per-step net energy z_i = load_i - pv_i in kWh; negative means surplus."""
-
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
 class BaselineMetrics:
     """No-battery metrics: self-sufficiency, wasted surplus, and import cost."""
 
     ss: float
     waste: float
     energy_cost: float
-
-
-def net_load(s: ScenarioSeries) -> NetLoad:
-    z = s.load - s.pv
-    z.flags.writeable = False
-    return NetLoad(z=z)
 
 
 def baseline_metrics(s: ScenarioSeries) -> BaselineMetrics:
@@ -293,7 +277,7 @@ def baseline_metrics(s: ScenarioSeries) -> BaselineMetrics:
     self-sufficiency the share of consumption not imported, energy_cost the
     per-step-priced cost of all imports.
     """
-    z = s.load - s.pv
+    z = s.z
     waste = float(np.sum(np.maximum(0.0, -z)))
     grid_import = float(np.sum(np.maximum(0.0, z)))
     total_load = float(np.sum(s.load))
@@ -306,8 +290,7 @@ def baseline_metrics(s: ScenarioSeries) -> BaselineMetrics:
 
 def peak_import_kw(s: ScenarioSeries) -> float:
     """Peak net-load power max_i(z_i/h) over the window, in kW."""
-    z = s.load - s.pv
-    return float(np.max(z)) / s.h
+    return float(np.max(s.z)) / s.h
 
 
 def _open_csv(csv_source) -> io.TextIOBase:

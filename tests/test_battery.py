@@ -1,27 +1,20 @@
-"""Battery catalog: cost model, efficiency mapping, ramp limits, validation."""
+"""Battery model: cost, power limits, spec validation, and the catalog."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from bessprofit.battery import (
     BatterySpec,
-    StorageStep,
     battery_cost,
     catalog_by_name,
     default_catalog,
-    grid_side_energy,
     load_catalog,
     make_spec,
-    ramp_cost_formula,
-    s_bounds,
 )
-from bessprofit.errors import ConfigError, RampLimitError
-
-from _support import H
+from bessprofit.errors import ConfigError
 
 
 # ------------------------------------------------------------------ costs
@@ -50,86 +43,11 @@ def test_per_cycle_cost_inverse_in_cycle_life():
     assert double.c_cyc == pytest.approx(base.c_cyc / 2.0)
 
 
-def test_ramp_cost_formula_is_affine_in_peak_rate():
-    # documented alternative fit: 300 + 25 * max(charge, discharge) €/kWh
-    assert ramp_cost_formula(0.25, 0.25) == pytest.approx(306.25)
-    assert ramp_cost_formula(1.0, 0.25) == pytest.approx(325.0)
-    assert ramp_cost_formula(2.0, 2.0) == pytest.approx(350.0)
-    # it deliberately disagrees with the stepped catalog costs
-    assert ramp_cost_formula(0.25, 0.25) != battery_cost(
-        make_spec("a", 1.0, 0.25, 0.25)
-    ).total_per_kwh
-
-
 def test_unknown_ramp_class_requires_explicit_costs():
     with pytest.raises(ConfigError, match="ramp class"):
         make_spec("odd", 1.0, 0.5, 0.5)
     spec = make_spec("odd", 1.0, 0.5, 0.5, cost_per_kwh=500.0, inverter_cost_per_kwh=50.0)
     assert battery_cost(spec).total_per_kwh == pytest.approx(550.0)
-
-
-# --------------------------------------------------------------- mapping
-
-
-def test_grid_side_energy_signs_and_efficiency():
-    spec = make_spec("m", 1.0, 1.0, 1.0)
-    assert grid_side_energy(0.0, spec) == 0.0
-    # storing 0.95 kWh draws 1.0 kWh from the grid
-    assert grid_side_energy(0.95, spec, h=1.0) == pytest.approx(1.0)
-    # releasing 1.0 kWh delivers only 0.95 kWh to the meter
-    assert grid_side_energy(-1.0, spec, h=1.0) == pytest.approx(-0.95)
-
-
-def test_grid_side_energy_monotone_and_lossy():
-    spec = make_spec("m", 2.0, 1.0, 1.0)
-    xs = np.linspace(-2.0, 2.0, 41)
-    ss = [grid_side_energy(float(x), spec, h=1.0) for x in xs]
-    assert all(a < b for a, b in zip(ss, ss[1:]))
-    for x, s in zip(xs, ss):
-        if x > 0:
-            assert s > x  # charging draws more than it stores
-        elif x < 0:
-            assert abs(s) < abs(x)  # discharging delivers less than it releases
-
-
-def test_grid_side_energy_identity_when_lossless():
-    spec = make_spec("ideal", 1.0, 1.0, 1.0, eta_ch=1.0, eta_dis=1.0)
-    for x in (-0.5, 0.0, 0.7):
-        assert grid_side_energy(x, spec, h=1.0) == pytest.approx(x)
-
-
-def test_grid_side_energy_enforces_ramp():
-    spec = make_spec("r", 1.0, 1.0, 1.0)
-    with pytest.raises(RampLimitError):
-        grid_side_energy(0.2, spec, h=H)  # 2.4 kW charge on a 1 kW battery
-    with pytest.raises(RampLimitError):
-        grid_side_energy(-0.2, spec, h=H)
-
-
-def test_s_bounds_formulas():
-    spec = make_spec("sb", 1.0, 1.0, 1.0)
-    lo, hi = s_bounds(spec, H)
-    assert lo == pytest.approx(-1.0 * H * 0.95, abs=1e-12)  # -0.0792
-    assert hi == pytest.approx(1.0 * H / 0.95, abs=1e-12)  # +0.0877
-    assert lo == pytest.approx(-0.0792, abs=1e-4)
-    assert hi == pytest.approx(0.0877, abs=1e-4)
-
-    slow = make_spec("sb2", 2.0, 0.25, 0.25)
-    lo2, hi2 = s_bounds(slow, 1.0)
-    assert lo2 == pytest.approx(-0.5 * 0.95)
-    assert hi2 == pytest.approx(0.5 / 0.95)
-
-    ideal = make_spec("sb3", 1.0, 1.0, 1.0, eta_ch=1.0, eta_dis=1.0)
-    lo3, hi3 = s_bounds(ideal, 1.0)
-    assert (lo3, hi3) == (pytest.approx(-1.0), pytest.approx(1.0))
-
-
-def test_storage_step_from_energy_change():
-    spec = make_spec("st", 1.0, 1.0, 1.0)
-    charge = StorageStep.from_energy_change(0.5, spec)
-    discharge = StorageStep.from_energy_change(-0.5, spec)
-    assert charge.x == 0.5 and charge.s == pytest.approx(0.5 / 0.95)
-    assert discharge.x == -0.5 and discharge.s == pytest.approx(-0.475)
 
 
 # ------------------------------------------------------------- invariants

@@ -36,6 +36,23 @@ def test_version_flag(tmp_path):
     assert proc.stdout.strip() == "bessprofit 0.1.0"
 
 
+def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
+    # SciPy is a test-only dependency: only the LP reference needs it
+    argv = ["evaluate", str(fixture_dir / "c1.csv"), "--battery", "2kwh-1c",
+            "--out", str(tmp_path / "out")]
+    code = (
+        "import json, sys\n"
+        "import bessprofit, bessprofit.cli\n"
+        f"rc = bessprofit.cli.main({argv!r})\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 class TestFixturesCommand:
     def test_generation_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -189,6 +206,24 @@ class TestTuneCommand:
         assert float(table["cycles_before"]) > 5.5
         assert float(table["cycles_after"]) <= 5.5
         assert (out / "c1-2kwh-1c-tuned-dispatch.csv").exists()
+
+    def test_terminal_soc_holds_in_the_tuned_dispatch(self, tmp_path, fixture_dir):
+        # five days of c1, over budget, so the friction search re-solves
+        lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
+        scenario = tmp_path / "c1-5d.csv"
+        scenario.write_text("".join(lines[: 3 + 5 * 288]))
+        out = tmp_path / "out"
+        proc = run_cli(
+            "tune", scenario, "--battery", "5kwh-2c", "--target", "0.5",
+            "--terminal-soc", "--out", out, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = dict(ln.split(None, 1) for ln in proc.stdout.splitlines())
+        assert float(table["eta_fric"]) < 1.0
+        dispatch = (out / "c1-5d-5kwh-2c-tuned-dispatch.csv").read_text()
+        assert "# terminal_soc: yes" in dispatch
+        b_final = float(data_lines(dispatch)[-1].split(",")[4])
+        assert b_final >= 2.5 - 1e-9  # b_0 of a 5 kWh battery
 
     def test_non_positive_target_is_a_usage_error(self, tmp_path, fixture_dir):
         proc = run_cli(

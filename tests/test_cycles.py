@@ -7,20 +7,12 @@ equals total throughput over twice the capacity.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bessprofit.cycles import (
-    CycleCount,
-    DamageModel,
-    break_even_cycles,
-    count_cycles,
-    write_cycles_csv,
-)
+from bessprofit.cycles import DamageModel, break_even_cycles, count_cycles
 from bessprofit.errors import ConfigError
 
 
@@ -186,17 +178,3 @@ def test_break_even_argument_validation():
         break_even_cycles(4000, 0.0, months=1)
     with pytest.raises(ValueError):
         break_even_cycles(4000, 7.0, months=-1)
-
-
-# ------------------------------------------------------------------ output
-
-
-def test_write_cycles_csv_format():
-    count = CycleCount(half_cycles=((0.4, 1.0), (0.9, 0.5)), n_cyc_100=1.3)
-    buf = io.StringIO()
-    write_cycles_csv(count, buf)
-    assert buf.getvalue() == (
-        "dod_fraction,weight\n"
-        "0.400000000,1.0\n"
-        "0.900000000,0.5\n"
-    )

@@ -7,14 +7,13 @@ small instances it is a complete, solver-free source of truth.
 
 from __future__ import annotations
 
-import io
 import itertools
 
 import numpy as np
 import pytest
 
 from bessprofit.errors import SolverError
-from bessprofit.lp import CheckReport, LinearProgram, LpSolution, check_solution, dump, solve
+from bessprofit.lp import CheckReport, LinearProgram, LpSolution, check_solution, solve
 
 
 # ----------------------------------------------------------------- oracle
@@ -298,24 +297,6 @@ def test_rejects_inverted_bounds_and_bad_shapes():
     with pytest.raises(ValueError):
         LinearProgram(c=np.array([1.0]), A_ub=np.zeros((2, 1)), b_ub=np.zeros(3),
                       bounds=np.array([[0.0, 1.0]]))
-
-
-def test_dump_plain_text_format():
-    lp = LinearProgram(
-        c=np.array([1.5, 0.0]),
-        A_ub=np.array([[2.0, -1.0]]),
-        b_ub=np.array([3.0]),
-        bounds=np.array([[0.0, 1.0], [-1.0, 4.0]]),
-    )
-    buf = io.StringIO()
-    dump(lp, buf)
-    assert buf.getvalue() == (
-        "# lp n_vars=2 n_rows=1\n"
-        "min: 1.5 v0\n"
-        "r0: 2.0 v0 + -1.0 v1 <= 3.0\n"
-        "0.0 <= v0 <= 1.0\n"
-        "-1.0 <= v1 <= 4.0\n"
-    )
 
 
 def test_solver_error_type_exists():

@@ -120,7 +120,6 @@ def test_dp_policy_is_feasible_for_the_lp():
         dispatch = DispatchSolution(
             x_plus=xp, x_minus=xm, s=s, b=dp.b, theta=theta,
             energy_cost=float(np.sum(prob.scenario.price * theta)),
-            status="optimal",
         )
         unfrictioned = DispatchProblem(
             prob.scenario, spec, p_max_set=prob.p_max_set, eta_fric=1.0
@@ -306,7 +305,7 @@ def _replace(dispatch: DispatchSolution, **changes) -> DispatchSolution:
     fields = dict(
         x_plus=dispatch.x_plus.copy(), x_minus=dispatch.x_minus.copy(),
         s=dispatch.s.copy(), b=dispatch.b.copy(), theta=dispatch.theta.copy(),
-        energy_cost=dispatch.energy_cost, status=dispatch.status,
+        energy_cost=dispatch.energy_cost,
     )
     fields.update(changes)
     return DispatchSolution(**fields)

@@ -66,7 +66,6 @@ def closure_report(g_t: float, cycles: float, months_12: bool = True) -> Profita
         b=b,
         theta=zeros,
         energy_cost=0.0,
-        status="optimal",
     )
     return evaluate(scenario, spec, dispatch, None, None, months_12=months_12)
 
