@@ -17,6 +17,7 @@ import concurrent.futures
 import hashlib
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -164,13 +165,13 @@ def _write_dispatch_csv(
     spec: BatterySpec,
     dispatch: DispatchSolution,
 ) -> None:
-    z = scenario.z
+    z, x = scenario.z, dispatch.x
     b = dispatch.soc_trajectory(spec.b_0)
     lines = header.lines()
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
     for i, stamp in enumerate(scenario.step_times()):
         lines.append(
-            f"{stamp.isoformat()},{z[i]:.6f},{dispatch.x[i]:.6f},{dispatch.s[i]:.6f},"
+            f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{dispatch.s[i]:.6f},"
             f"{b[i + 1]:.6f},{dispatch.theta[i]:.6f},{scenario.price[i]:.4f}"
         )
     path.write_text("\n".join(lines) + "\n", newline="")
@@ -216,19 +217,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_scenario(config: SweepConfig, path: str) -> str:
-    scenario = _load(config, path)
+def _sweep_one(
+    config: SweepConfig, scenario: ScenarioSeries, spec: BatterySpec
+) -> tuple[ProfitabilityReport | None, tuple[str, str] | None]:
+    """One sweep task: the report, or the battery name and reason it is infeasible."""
+    try:
+        return _evaluate_one(config, scenario, spec)[0], None
+    except InfeasibleDispatchError as exc:
+        return None, (spec.name, str(exc))
+
+
+def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outcomes) -> str:
     base = baseline_metrics(scenario)
-
-    def run(spec: BatterySpec):
-        try:
-            return _evaluate_one(config, scenario, spec)[0], None
-        except InfeasibleDispatchError as exc:
-            return None, (spec.name, str(exc))
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        outcomes = list(pool.map(run, config.catalog))
-
     header = ReportHeader(
         scenario=scenario.name,
         config_hash=_config_hash(config, "sweep", path),
@@ -247,8 +247,27 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     config = _build_config(args, tuple(args.scenarios))
-    for path in config.scenario_paths:
-        print(_sweep_scenario(config, path), end="")
+    # every scenario is read and validated before the first solve
+    scenarios = [_load(config, path) for path in config.scenario_paths]
+    tasks = [(scenario, spec) for scenario in scenarios for spec in config.catalog]
+    columns = (repeat(config), *zip(*tasks))
+    if config.jobs == 1:
+        outcomes = list(map(_sweep_one, *columns))
+    else:
+        import multiprocessing  # imported here: evaluate, tune and --jobs 1 need no pool
+
+        # Fork by name: a spawn or forkserver (Python 3.14's default) worker
+        # re-imports numpy and bessprofit, about the cost of a 3-day sweep.
+        # A fork pool starts all its workers at once, hence the cap. The CLI
+        # runs no other thread when the pool forks.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(config.jobs, len(tasks)),
+            mp_context=multiprocessing.get_context("fork"),
+        ) as pool:
+            outcomes = list(pool.map(_sweep_one, *columns))
+    n = len(config.catalog)
+    for k, (path, scenario) in enumerate(zip(config.scenario_paths, scenarios)):
+        print(_write_sweep(config, path, scenario, outcomes[k * n:(k + 1) * n]), end="")
     return 0
 
 
@@ -337,7 +356,8 @@ def _add_common(sub: argparse.ArgumentParser, *, jobs: bool = False, eta: bool =
                          help="friction coefficient in (0, 1] (default 1: no friction)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel (scenario x battery) solves (default 1)")
+                         help="worker processes over the (scenario x battery) pairs; POSIX fork "
+                              "(default 1: in-process)")
 
 
 def _build_parser() -> _Parser:

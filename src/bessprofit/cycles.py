@@ -59,7 +59,9 @@ def _turning_points(u: np.ndarray) -> np.ndarray:
     if u.size <= 2:
         return u
     d = np.diff(u)
-    interior = d[:-1] * d[1:] < 0  # sign change -> local extremum
+    # sign change -> local extremum; d has no zeros here, and comparing signs
+    # instead of testing d[:-1] * d[1:] < 0 survives products that underflow
+    interior = (d[:-1] > 0) != (d[1:] > 0)
     mask = np.concatenate(([True], interior, [True]))
     return u[mask]
 

@@ -441,7 +441,7 @@ def select_ppc(
     epsilon: float = DEFAULT_EPSILON,
     terminal_soc: bool = False,
 ) -> PpcSelection:
-    """Pick the cheapest workable peak-power contract level.
+    """Pick the lowest feasible peak-power contract level.
 
     The candidate threshold is the baseline peak import power plus the
     battery's (negative) discharge power; the chosen level is the smallest

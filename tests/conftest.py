@@ -4,7 +4,6 @@ evaluations reused by the dispatch, profitability, and acceptance tests."""
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import pytest
@@ -50,14 +49,12 @@ class PanelEntry:
 def panel(scenarios, catalog) -> dict[tuple[str, str], PanelEntry]:
     """Contract choice + dispatch + scoring for every fixture x battery pair."""
 
-    def run(item):
-        case, spec = item
-        scenario = scenarios[case]
-        report, dispatch, selection = evaluate_candidate(
-            scenario, spec, ppc=DEFAULT_PPC_SCHEDULE
-        )
-        return (case, spec.name), PanelEntry(report, dispatch, selection, scenario, spec)
+    def entry(scenario, spec):
+        report, dispatch, selection = evaluate_candidate(scenario, spec, ppc=DEFAULT_PPC_SCHEDULE)
+        return PanelEntry(report, dispatch, selection, scenario, spec)
 
-    jobs = [(case, spec) for case in FIXTURE_NAMES for spec in catalog]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        return dict(pool.map(run, jobs))
+    return {
+        (case, spec.name): entry(scenarios[case], spec)
+        for case in FIXTURE_NAMES
+        for spec in catalog
+    }

@@ -3,10 +3,13 @@
 Covers the four subcommands, the documented exit-code contract (0 ok,
 1 usage/config/parse, 2 unsolvable dispatch), convention echoing in the
 output headers, and byte-for-byte reproducibility of generated files.
+The sweep's worker-count check calls ``cli.main`` in-process instead, so
+that it can stand in for the process pool.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -14,6 +17,7 @@ import sys
 import pytest
 
 from _support import subprocess_env
+from bessprofit import cli
 
 
 def run_cli(*args, cwd):
@@ -149,21 +153,56 @@ class TestSweepCommand:
     def test_unsolvable_candidates_become_failure_rows(self, tmp_path, fixture_dir):
         # A forced 3.45 kVA contract is far below the c3 baseline peak, so
         # every candidate's dispatch is infeasible; the sweep must finish
-        # with exit 0 and report each failure instead of aborting.
-        out = tmp_path / "out"
-        proc = run_cli(
-            "sweep", fixture_dir / "c3.csv", "--contracted-kva", "3.45",
-            "--out", out, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        failed = [ln for ln in proc.stdout.splitlines() if ln.startswith("# failed: ")]
+        # with exit 0 and report each failure instead of aborting. The
+        # failures cross the worker processes unchanged.
+        runs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            proc = run_cli(
+                "sweep", fixture_dir / "c3.csv", "--contracted-kva", "3.45",
+                "--jobs", jobs, "--out", out, cwd=tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[jobs] = (proc.stdout, *((out / f"c3-sweep.{ext}").read_bytes()
+                                         for ext in ("txt", "csv")))
+        assert runs["1"] == runs["2"]
+
+        stdout, text, table = runs["1"]
+        failed = [ln for ln in stdout.splitlines() if ln.startswith("# failed: ")]
         assert len(failed) == 9
         assert failed == sorted(failed)
         assert all("peak cap" in ln for ln in failed)
-        text = (out / "c3-sweep.txt").read_text()
-        assert sum(ln.startswith("# failed: ") for ln in text.splitlines()) == 9
-        rows = data_lines((out / "c3-sweep.csv").read_text())
+        assert sum(ln.startswith("# failed: ") for ln in text.decode().splitlines()) == 9
+        rows = data_lines(table.decode())
         assert len(rows) == 1 + 1  # column header + baseline only
+
+    def test_workers_are_capped_at_the_task_count(self, tmp_path, fixture_dir, monkeypatch,
+                                                  capsys):
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                made.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        stdout = {}
+        for jobs in ("1", "2", "12"):
+            argv = ["sweep", str(fixture_dir / "c2.csv"), "--jobs", jobs,
+                    "--out", str(tmp_path / jobs)]
+            assert cli.main(argv) == 0
+            stdout[jobs] = capsys.readouterr().out
+        # one scenario x 9 catalog batteries; --jobs 1 builds no pool
+        assert made == [(2, "fork"), (9, "fork")]
+        assert stdout["1"] == stdout["2"] == stdout["12"]
 
 
 class TestTuneCommand:
@@ -304,6 +343,27 @@ class TestFailureModes:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
         assert not (tmp_path / "out" / "c1-1kwh-1c-report.csv").exists()
+
+    def test_worker_error_keeps_the_exit_contract(self, tmp_path, fixture_dir):
+        # raised in a worker process and re-raised by the pool, traceback-free
+        proc = run_cli(
+            "sweep", fixture_dir / "c2.csv", "--jobs", "2", "--epsilon", "-0.5",
+            "--out", tmp_path / "out", cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_missing_later_scenario_fails_before_any_output(self, tmp_path, fixture_dir):
+        out = tmp_path / "out"
+        proc = run_cli(
+            "sweep", fixture_dir / "c1.csv", "missing.csv", "--jobs", "2",
+            "--out", out, cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: scenario file not found: missing.csv"]
+        assert proc.stdout == ""
+        assert list(out.iterdir()) == []
 
     def test_non_positive_jobs_is_a_usage_error(self, tmp_path, fixture_dir):
         proc = run_cli("sweep", fixture_dir / "c1.csv", "--jobs", "0", cwd=tmp_path)

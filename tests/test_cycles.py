@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bessprofit.cycles import DamageModel, break_even_cycles, count_cycles
@@ -83,6 +83,8 @@ def test_unit_exponent_count_equals_throughput(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=2.0, allow_nan=False), min_size=1, max_size=60))
+# a minimum between two steps whose product underflows to -0.0
+@example(values=[1.0, 2.7421641149600613e-302, 0.0, 2.472350273092783e-201, 1.0])
 def test_unit_exponent_count_equals_throughput_hypothesis(values):
     b = np.asarray(values)
     count = count_cycles(b, 2.0)
