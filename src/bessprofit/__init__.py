@@ -37,7 +37,6 @@ from .profitability import (
     TuningResult,
     evaluate,
     evaluate_candidate,
-    rank_candidates,
     tune_friction,
 )
 from .timeseries import (

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -40,7 +41,7 @@ from .timeseries import (
     load_tariff,
 )
 
-__all__ = ["main", "Conventions", "SweepConfig"]
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,18 +182,17 @@ def _evaluate_one(
     config: SweepConfig,
     scenario: ScenarioSeries,
     spec: BatterySpec,
-    eta_fric: float = 1.0,
-) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection | None]:
+) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection]:
     conv = config.conventions
     return evaluate_candidate(
         scenario,
         spec,
-        ppc=config.ppc,
+        config.ppc,
         old_level_kva=conv.contracted_kva,
         model=DamageModel(kp=conv.damage_exp),
         months_12=conv.months_12,
         epsilon=conv.epsilon,
-        eta_fric=eta_fric,
+        eta_fric=conv.eta_fric,
         terminal_soc=conv.terminal_soc,
     )
 
@@ -201,7 +201,7 @@ def cmd_evaluate(args) -> int:
     config = _build_config(args, (args.scenario,))
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
-    report, dispatch, _ = _evaluate_one(config, scenario, spec, config.conventions.eta_fric)
+    report, dispatch, _ = _evaluate_one(config, scenario, spec)
 
     header = ReportHeader(
         scenario=scenario.name,
@@ -210,10 +210,11 @@ def cmd_evaluate(args) -> int:
     )
     base = baseline_metrics(scenario)
     stem = f"{scenario.name}-{spec.name}"
+    text = render_table(header, base, [report])
     _write_dispatch_csv(config.out_dir / f"{stem}-dispatch.csv", header, scenario, spec, dispatch)
-    write_report(config.out_dir / f"{stem}-report.txt", header, base, [report])
+    (config.out_dir / f"{stem}-report.txt").write_text(text, newline="")
     write_report(config.out_dir / f"{stem}-report.csv", header, base, [report])
-    print(render_table(header, base, [report]), end="")
+    print(text, end="")
     return 0
 
 
@@ -272,8 +273,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    if args.target is not None and args.target <= 0:
-        raise _UsageError("--target must be > 0")
+    if args.target is not None and not (math.isfinite(args.target) and args.target > 0):
+        raise _UsageError(f"--target must be > 0 and finite, got {args.target:g}")
     config = _build_config(args, (args.scenario,))
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
@@ -282,8 +283,8 @@ def cmd_tune(args) -> int:
     result = tune_friction(
         scenario,
         spec,
+        config.ppc,
         target_cycles=args.target,
-        ppc=config.ppc,
         old_level_kva=conv.contracted_kva,
         model=DamageModel(kp=conv.damage_exp),
         months_12=conv.months_12,

@@ -9,6 +9,7 @@ count reduces exactly to charge throughput / (2·capacity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class DamageModel:
     kp: float = 1.0
 
     def __post_init__(self):
-        if self.kp < 1:
-            raise ConfigError("damage exponent kp must be >= 1")
+        if not (math.isfinite(self.kp) and self.kp >= 1):
+            raise ConfigError(f"damage exponent kp must be >= 1 and finite, got {self.kp:g}")
 
     def damage(self, dod: float) -> float:
         return dod**self.kp

@@ -11,12 +11,16 @@ constraint only*, which suppresses low-margin transactions; the physical
 SoC dynamics and the peak constraint always use the true efficiencies.
 A tiny epsilon penalty on total battery movement breaks the degeneracy
 that would otherwise allow cost-free simultaneous charge+discharge
-whenever z_i + s_i < 0.
+whenever z_i + s_i < 0. With terminal_soc the final SoC may not end
+below its initial value.
 
-``solve_dispatch`` solves the problem exactly with a forward dynamic
-program over convex piecewise-linear value functions of the state of
-charge, one per step, and recovers the dispatch in a backward pass of
-O(1) work per step; the SoC is the only state, so no LP is needed.
+A ``DispatchProblem`` holds the whole statement: scenario, battery, cap,
+friction, epsilon and terminal_soc. Every route reads it from that one
+value. ``solve_dispatch`` solves the problem exactly with a forward
+dynamic program over convex piecewise-linear value functions of the
+state of charge, one per step, and recovers the dispatch in a backward
+pass of O(1) work per step; the SoC is the only state, so no LP is
+needed.
 
 ``build_lp`` states the same problem as a linear program with variables
 (x_plus_i, x_minus_i, theta_i, b_i) per step for ``lp.solve``; it is the
@@ -24,13 +28,14 @@ reference the tests hold the dynamic program to. ``validate_dispatch``
 re-derives every constraint from the returned arrays with plain numpy,
 and ``dp_oracle`` solves small instances by backward dynamic programming
 over an SoC grid; together they are the independent checks of the
-solver.
+solver. ``select_ppc`` solves one problem at each candidate contract
+level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,18 +66,25 @@ _DUST = 1e-12  # kWh; solver residue below this is treated as zero
 
 @dataclass(frozen=True)
 class DispatchProblem:
-    """One dispatch instance: scenario, battery, peak cap (kW), friction."""
+    """One dispatch instance: scenario, battery, peak cap (kW), friction,
+    epsilon tie-break (€/kWh; below 0 the step cost is not convex) and the
+    terminal SoC rule.
+    """
 
     scenario: ScenarioSeries
     spec: BatterySpec
     p_max_set: float = np.inf
     eta_fric: float = 1.0
+    epsilon: float = DEFAULT_EPSILON
+    terminal_soc: bool = False
 
     def __post_init__(self):
         if not (0 < self.eta_fric <= 1):
             raise ValueError("eta_fric must be in (0, 1]")
         if not self.p_max_set >= 0:
             raise ValueError("p_max_set must be >= 0")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +125,7 @@ def _theta_upper_bounds(prob: DispatchProblem, z: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, z + s_fric_hi)
 
 
-def build_lp(
-    prob: DispatchProblem,
-    epsilon: float = DEFAULT_EPSILON,
-    terminal_soc: bool = False,
-) -> LinearProgram:
+def build_lp(prob: DispatchProblem) -> LinearProgram:
     """Assemble the dispatch LP.
 
     Variable layout, n = step count: x_plus [0, n), x_minus [n, 2n),
@@ -145,8 +153,8 @@ def build_lp(
 
     c = np.zeros(n_vars)
     c[th] = scenario.price
-    c[xp] = epsilon
-    c[xm] = epsilon
+    c[xp] = prob.epsilon
+    c[xm] = prob.epsilon
 
     bounds = np.empty((n_vars, 2))
     bounds[xp] = [0.0, 0.0]
@@ -202,7 +210,7 @@ def build_lp(
     add_block(ridx, cidx, vals, eq_rhs)
     add_block(ridx, cidx, -vals, -eq_rhs)
 
-    if terminal_soc:
+    if prob.terminal_soc:
         add_block([0], [bb[-1]], [-1.0], [-spec.b_0])
 
     a_ub = sp.coo_matrix(
@@ -212,11 +220,7 @@ def build_lp(
     return LinearProgram(c=c, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds)
 
 
-def solve_dispatch(
-    prob: DispatchProblem,
-    epsilon: float = DEFAULT_EPSILON,
-    terminal_soc: bool = False,
-) -> DispatchSolution:
+def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     """Solve the dispatch exactly and re-express it with true efficiencies.
 
     With epsilon > 0 an optimum never charges and discharges in the same
@@ -237,16 +241,13 @@ def solve_dispatch(
     where a step's own move and an earlier one cost the same, the
     step's own move is taken.
 
-    Raises ValueError for epsilon < 0, where f_i is not convex, and
-    InfeasibleDispatchError naming the first step after which no SoC path
+    Raises InfeasibleDispatchError naming the first step after which no SoC path
     meets the peak cap. The returned energy_cost uses the true billing
     Σ price·max(0, z + s) and billed_cost the frictioned billing without
     the epsilon term. energy_cost never exceeds the no-battery baseline
     cost when the no-battery plan meets the peak cap, since that plan is
     then feasible; a cap below the baseline peak can force a dearer bill.
     """
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     scenario, spec = prob.scenario, prob.spec
     n, h = scenario.n, scenario.h
     z = scenario.z
@@ -265,7 +266,7 @@ def solve_dispatch(
     slopes: list[float] = []
     lens: list[float] = []
     plan: list[list[tuple[float, float]]] = []
-    eps = float(epsilon)
+    eps = float(prob.epsilon)
     for i, (zi, pi, ui) in enumerate(zip(z.tolist(), scenario.price.tolist(), hi_x.tolist())):
         if ui < lo_x - _DUST:
             raise _unreachable(prob, i)
@@ -298,7 +299,7 @@ def solve_dispatch(
 
         lo += lo_x
         hi = lo + sum(lens)
-        b_floor = spec.b_0 if terminal_soc and i == n - 1 else spec.b_min
+        b_floor = spec.b_0 if prob.terminal_soc and i == n - 1 else spec.b_min
         if hi < b_floor - _DUST or lo > spec.b_max + _DUST:
             raise _unreachable(prob, i)
         if lo < b_floor:
@@ -368,9 +369,10 @@ def validate_dispatch(
     Recomputes, with plain array arithmetic only: the ramp limits, the SoC
     recursion and box, the grid-side mapping, billed-energy non-negativity
     and the true billing inequality, the peak cap, the billing identity
-    theta = max(0, z + s) wherever the price is positive, and the reported
-    energy cost. The friction-modified billing is intentionally not
-    checked: the returned dispatch must stand on the original semantics.
+    theta = max(0, z + s) wherever the price is positive, the final SoC
+    under terminal_soc, and the reported energy cost. The friction-modified
+    billing is intentionally not checked: the returned dispatch must stand
+    on the original semantics.
     """
     scenario, spec = prob.scenario, prob.spec
     h = scenario.h
@@ -397,6 +399,8 @@ def validate_dispatch(
     flag(drift > tol, "SoC recursion drift", drift)
     flag(dispatch.b < spec.b_min - tol, "SoC below minimum", dispatch.b)
     flag(dispatch.b > spec.b_max + tol, "SoC above maximum", dispatch.b)
+    if prob.terminal_soc and dispatch.b[-1] < spec.b_0 - tol:
+        out.append(f"final SoC below initial: {dispatch.b[-1]:.3e} < {spec.b_0:.3e}")
 
     s_expect = xp / spec.eta_ch - spec.eta_dis * xm
     s_err = np.abs(dispatch.s - s_expect)
@@ -427,29 +431,26 @@ class PpcSelection:
 
     level: PpcLevel
     old_level: PpcLevel
-    p_max_set: float
     g_pd: float
     dispatch: DispatchSolution
 
 
 def select_ppc(
-    scenario: ScenarioSeries,
-    spec: BatterySpec,
+    prob: DispatchProblem,
     ppc: PpcSchedule,
     old_level_kva: float | None = None,
-    eta_fric: float = 1.0,
-    epsilon: float = DEFAULT_EPSILON,
-    terminal_soc: bool = False,
 ) -> PpcSelection:
     """Pick the lowest feasible peak-power contract level.
 
-    The candidate threshold is the baseline peak import power plus the
-    battery's (negative) discharge power; the chosen level is the smallest
-    level at or above that threshold whose dispatch is feasible, never
-    above the currently contracted level. The €-gain is the per-day price
+    Each level is tried as the peak cap of ``prob``, whose own p_max_set
+    is not used. The candidate threshold is the baseline peak import power
+    plus the battery's (negative) discharge power; the chosen level is the
+    smallest level at or above that threshold whose dispatch is feasible,
+    never above the currently contracted level. The €-gain is the per-day price
     difference times the window's day count, floored at zero. The dispatch
     solved at the chosen cap is returned so callers don't re-solve.
     """
+    scenario = prob.scenario
     peak_kw = peak_import_kw(scenario)
     if old_level_kva is not None:
         old = ppc.level_for(old_level_kva)
@@ -460,17 +461,13 @@ def select_ppc(
                 f"baseline peak {peak_kw:.2f} kW exceeds the largest PPC level"
             )
 
-    threshold = peak_kw + spec.delta_min_kw
+    threshold = peak_kw + prob.spec.delta_min_kw
     candidates = [lv for lv in ppc.levels if lv.kva >= threshold and lv.kva < old.kva]
 
     # the old level's dispatch is the fallback, and its infeasibility is final
     for level in candidates + [old]:
         try:
-            dispatch = solve_dispatch(
-                DispatchProblem(scenario, spec, p_max_set=level.kva, eta_fric=eta_fric),
-                epsilon=epsilon,
-                terminal_soc=terminal_soc,
-            )
+            dispatch = solve_dispatch(replace(prob, p_max_set=level.kva))
         except InfeasibleDispatchError:
             if level is old:
                 raise
@@ -481,7 +478,6 @@ def select_ppc(
     return PpcSelection(
         level=level,
         old_level=old,
-        p_max_set=level.kva,
         g_pd=g_pd,
         dispatch=dispatch,
     )
@@ -501,14 +497,14 @@ def dp_oracle(
     soc_grid_step: float,
     max_steps: int = 50,
     max_grid_points: int = 801,
-    terminal_soc: bool = False,
 ) -> DpDispatch:
     """Exact optimum of the SoC-grid-restricted dispatch, for tests only.
 
     Backward induction over a uniform SoC grid anchored at b_min. Stage
     cost mirrors the billing objective (price·max(0, z + s_fric))
-    without the tie-break term; the peak cap uses the true grid-side
-    energy. With terminal_soc the final SoC may not end below b_0.
+    without the tie-break term, whatever prob.epsilon; the peak cap uses
+    the true grid-side energy. With prob.terminal_soc the final SoC may
+    not end below b_0.
     Refuses instances that are too long or grids that are too fine, and
     requires b_0 and b_max on the grid.
     """
@@ -541,7 +537,7 @@ def dp_oracle(
     s_fric = xp / (spec.eta_ch * prob.eta_fric) - spec.eta_dis * prob.eta_fric * xm
 
     value = np.zeros(n_points)
-    if terminal_soc:
+    if prob.terminal_soc:
         value[:start] = np.inf
     choice = np.empty((n, n_points), dtype=np.int32)
     for i in range(n - 1, -1, -1):

@@ -1,12 +1,14 @@
 """Per-candidate storage economics: gains, per-cycle profit, payback, verdict.
 
-The pipeline per battery candidate is: solve the dispatch (usually via
-the peak-contract selection), price the dispatch against the no-battery
-baseline (g_arb), add the contract saving (g_pd), count equivalent
-100%-DoD cycles on the SoC trajectory, convert to per-cycle profit net of
-the battery's per-cycle cost, and derive the expected payback. A
-candidate passes when the per-cycle profit is positive and the payback
-beats the calendar life.
+The pipeline per battery candidate is: state the dispatch problem once,
+solve it at the chosen peak-contract level (a contract schedule is
+required), price the dispatch against the no-battery baseline (g_arb),
+add the contract saving (g_pd), count equivalent 100%-DoD cycles on the
+SoC trajectory, convert to per-cycle profit net of the battery's
+per-cycle cost, and derive the expected payback. A candidate passes
+when the per-cycle profit is positive and the payback beats the
+calendar life. Every report carries both selection indices, p_cyc and
+expb_years.
 
 ``tune_friction`` throttles an over-cycling candidate down to a cycle
 budget by searching the friction coefficient; the peak-contract level is
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,13 +42,19 @@ __all__ = [
     "evaluate",
     "evaluate_candidate",
     "tune_friction",
-    "rank_candidates",
     "HOURS_PER_YEAR",
 ]
 
 logger = logging.getLogger(__name__)
 
 HOURS_PER_YEAR = 365.25 * 24.0
+
+# friction search: lowest eta_fric, hit tolerance (cycles), bracket width
+# that ends the bisection, solve budget including the untuned solve
+ETA_MIN = 1e-3
+CYCLE_TOL = 0.5
+INTERVAL_TOL = 1e-4
+MAX_SOLVES = 48
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class ProfitabilityReport:
     c_cyc: float
     b_cost: float
     expb_convention: str
-    level_kva: float | None = None
+    level_kva: float
 
     @property
     def name(self) -> str:
@@ -104,25 +112,23 @@ def evaluate(
     scenario: ScenarioSeries,
     spec: BatterySpec,
     dispatch: DispatchSolution,
-    ppc_result: PpcSelection | None = None,
-    model: DamageModel | None = None,
+    selection: PpcSelection,
+    model: DamageModel = DamageModel(),
     months_12: bool = False,
 ) -> ProfitabilityReport:
-    """Score one solved dispatch.
+    """Score one solved dispatch at the contract level of ``selection``.
 
     g_arb is the billing saved versus the no-battery baseline, g_pd the
-    peak-contract saving (zero when no contract change was evaluated).
+    peak-contract saving (zero when the level did not change).
     Self-sufficiency and waste are recomputed on the with-battery net
     load z + s. A non-positive total gain yields an infinite payback and
     an unprofitable verdict.
     """
-    if model is None:
-        model = DamageModel()
     base = baseline_metrics(scenario)
     cost = battery_cost(spec)
 
     g_arb = base.energy_cost - dispatch.energy_cost
-    g_pd = ppc_result.g_pd if ppc_result is not None else 0.0
+    g_pd = selection.g_pd
     g_t = g_arb + g_pd
 
     count: CycleCount = count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model)
@@ -155,42 +161,27 @@ def evaluate(
         c_cyc=cost.c_cyc,
         b_cost=cost.b_cost,
         expb_convention="months-12" if months_12 else "calendar",
-        level_kva=ppc_result.level.kva if ppc_result is not None else None,
+        level_kva=selection.level.kva,
     )
 
 
 def evaluate_candidate(
     scenario: ScenarioSeries,
     spec: BatterySpec,
-    ppc: PpcSchedule | None = None,
+    ppc: PpcSchedule,
     old_level_kva: float | None = None,
-    model: DamageModel | None = None,
+    model: DamageModel = DamageModel(),
     months_12: bool = False,
     epsilon: float = DEFAULT_EPSILON,
     eta_fric: float = 1.0,
     terminal_soc: bool = False,
-) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection | None]:
+) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection]:
     """Full single-candidate pipeline: contract choice, dispatch, scoring."""
-    if ppc is not None:
-        selection = select_ppc(
-            scenario,
-            spec,
-            ppc,
-            old_level_kva=old_level_kva,
-            eta_fric=eta_fric,
-            epsilon=epsilon,
-            terminal_soc=terminal_soc,
-        )
-        dispatch = selection.dispatch
-    else:
-        selection = None
-        dispatch = solve_dispatch(
-            DispatchProblem(scenario, spec, eta_fric=eta_fric),
-            epsilon=epsilon,
-            terminal_soc=terminal_soc,
-        )
-    report = evaluate(scenario, spec, dispatch, selection, model, months_12=months_12)
-    return report, dispatch, selection
+    prob = DispatchProblem(scenario, spec, eta_fric=eta_fric, epsilon=epsilon,
+                           terminal_soc=terminal_soc)
+    selection = select_ppc(prob, ppc, old_level_kva=old_level_kva)
+    report = evaluate(scenario, spec, selection.dispatch, selection, model, months_12=months_12)
+    return report, selection.dispatch, selection
 
 
 @dataclass(frozen=True)
@@ -214,53 +205,39 @@ def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, model: DamageModel
 def tune_friction(
     scenario: ScenarioSeries,
     spec: BatterySpec,
+    ppc: PpcSchedule,
     target_cycles: float | None = None,
-    ppc: PpcSchedule | None = None,
     old_level_kva: float | None = None,
-    model: DamageModel | None = None,
+    model: DamageModel = DamageModel(),
     months_12: bool = False,
     epsilon: float = DEFAULT_EPSILON,
-    eta_min: float = 1e-3,
-    cycle_tol: float = 0.5,
-    interval_tol: float = 1e-4,
-    max_solves: int = 48,
     terminal_soc: bool = False,
 ) -> TuningResult:
     """Search eta_fric so the cycle count meets a budget.
 
-    The default budget is the break-even count for the window's day span.
-    If the untuned dispatch is already inside the budget the candidate is
-    returned unchanged at eta_fric = 1. Otherwise eta_fric is bisected on
-    (eta_min, 1]; cycles are assumed non-decreasing in eta_fric, and if a
-    sampled pair contradicts that beyond the cycle tolerance the search
-    logs it and finishes with a bracket scan instead of pure bisection.
-    When even eta_min cannot reach the budget, the boundary result is
-    returned with a warning. terminal_soc holds in the contract choice and
-    in every re-solve.
+    The default budget is the break-even count for the window's day span;
+    a given one must be finite and > 0. If the untuned dispatch is already
+    inside the budget the candidate is returned unchanged at eta_fric = 1.
+    Otherwise eta_fric is bisected on (ETA_MIN, 1]; cycles are assumed
+    non-decreasing in eta_fric, and if a sampled pair contradicts that
+    beyond CYCLE_TOL the search logs it and finishes with a bracket scan
+    instead of pure bisection. When even ETA_MIN cannot reach the budget,
+    the boundary result is returned with a warning. The problem, with its
+    epsilon and terminal_soc, is stated once: the contract choice and
+    every re-solve use it.
     """
-    if model is None:
-        model = DamageModel()
     if target_cycles is None:
         target_cycles = break_even_cycles(
             spec.cycle_life_100dod, spec.calendar_life_years, horizon_days=scenario.day_count
         )
-    if target_cycles <= 0:
-        raise ValueError("target_cycles must be > 0")
+    if not (math.isfinite(target_cycles) and target_cycles > 0):
+        raise ValueError(f"target_cycles must be > 0 and finite, got {target_cycles}")
 
     # Fix the contract level at eta_fric = 1 so friction only affects billing.
-    if ppc is not None:
-        selection = select_ppc(
-            scenario, spec, ppc, old_level_kva=old_level_kva, epsilon=epsilon,
-            terminal_soc=terminal_soc,
-        )
-        p_max_set = selection.p_max_set
-        untuned_dispatch = selection.dispatch
-    else:
-        selection = None
-        p_max_set = math.inf
-        untuned_dispatch = solve_dispatch(
-            DispatchProblem(scenario, spec), epsilon=epsilon, terminal_soc=terminal_soc
-        )
+    prob = DispatchProblem(scenario, spec, epsilon=epsilon, terminal_soc=terminal_soc)
+    selection = select_ppc(prob, ppc, old_level_kva=old_level_kva)
+    capped = replace(prob, p_max_set=selection.level.kva)
+    untuned_dispatch = selection.dispatch
     untuned_report = evaluate(scenario, spec, untuned_dispatch, selection, model, months_12=months_12)
     n_solves = 1
 
@@ -278,16 +255,12 @@ def tune_friction(
         )
 
     cycles_1 = untuned_report.n_cyc_100
-    if cycles_1 <= target_cycles + cycle_tol:
+    if cycles_1 <= target_cycles + CYCLE_TOL:
         return result(1.0, untuned_dispatch, None)
 
     def solve_at(eta: float) -> tuple[DispatchSolution, float]:
         nonlocal n_solves
-        dispatch = solve_dispatch(
-            DispatchProblem(scenario, spec, p_max_set=p_max_set, eta_fric=eta),
-            epsilon=epsilon,
-            terminal_soc=terminal_soc,
-        )
+        dispatch = solve_dispatch(replace(capped, eta_fric=eta))
         n_solves += 1
         return dispatch, _cycles_of(dispatch, spec, model)
 
@@ -299,7 +272,7 @@ def tune_friction(
         samples.append((eta, cycles))
         samples.sort()
         for (e1, c1), (e2, c2) in zip(samples, samples[1:]):
-            if c1 > c2 + cycle_tol:
+            if c1 > c2 + CYCLE_TOL:
                 if not non_monotone:
                     logger.warning(
                         "cycle count not monotone in eta_fric: %.4f->%.2f vs %.4f->%.2f",
@@ -307,25 +280,25 @@ def tune_friction(
                     )
                 non_monotone = True
 
-    dispatch_lo, cycles_lo = solve_at(eta_min)
-    record(eta_min, cycles_lo)
-    if cycles_lo > target_cycles + cycle_tol:
+    dispatch_lo, cycles_lo = solve_at(ETA_MIN)
+    record(ETA_MIN, cycles_lo)
+    if cycles_lo > target_cycles + CYCLE_TOL:
         warning = (
             f"cycle budget {target_cycles:.2f} unreachable: {cycles_lo:.2f} cycles "
-            f"at eta_fric = {eta_min}"
+            f"at eta_fric = {ETA_MIN}"
         )
         logger.warning(warning)
-        return result(eta_min, dispatch_lo, warning)
-    if abs(cycles_lo - target_cycles) <= cycle_tol:
-        return result(eta_min, dispatch_lo, None)
+        return result(ETA_MIN, dispatch_lo, warning)
+    if abs(cycles_lo - target_cycles) <= CYCLE_TOL:
+        return result(ETA_MIN, dispatch_lo, None)
 
-    lo, hi = eta_min, 1.0
-    best: tuple[float, DispatchSolution, float] = (eta_min, dispatch_lo, cycles_lo)
-    while hi - lo > interval_tol and n_solves < max_solves:
+    lo, hi = ETA_MIN, 1.0
+    best: tuple[float, DispatchSolution, float] = (ETA_MIN, dispatch_lo, cycles_lo)
+    while hi - lo > INTERVAL_TOL and n_solves < MAX_SOLVES:
         mid = 0.5 * (lo + hi)
         dispatch_mid, cycles_mid = solve_at(mid)
         record(mid, cycles_mid)
-        if abs(cycles_mid - target_cycles) <= cycle_tol:
+        if abs(cycles_mid - target_cycles) <= CYCLE_TOL:
             return result(mid, dispatch_mid, None)
         if cycles_mid > target_cycles:
             hi = mid
@@ -339,16 +312,16 @@ def tune_friction(
     warning = None
     scan_etas = np.linspace(lo, hi, 7)[1:-1]
     for eta in scan_etas:
-        if n_solves >= max_solves:
+        if n_solves >= MAX_SOLVES:
             break
         dispatch_eta, cycles_eta = solve_at(float(eta))
         record(float(eta), cycles_eta)
-        if abs(cycles_eta - target_cycles) <= cycle_tol:
+        if abs(cycles_eta - target_cycles) <= CYCLE_TOL:
             return result(float(eta), dispatch_eta, None)
         if cycles_eta <= target_cycles and cycles_eta > best[2]:
             best = (float(eta), dispatch_eta, cycles_eta)
     warning = (
-        f"bisection finished without meeting |cycles - target| <= {cycle_tol}; "
+        f"bisection finished without meeting |cycles - target| <= {CYCLE_TOL}; "
         f"returning eta_fric = {best[0]:.6f} with {best[2]:.2f} cycles "
         f"(target {target_cycles:.2f})"
     )
@@ -357,26 +330,3 @@ def tune_friction(
     logger.warning(warning)
     return result(best[0], best[1], warning)
 
-
-def rank_candidates(
-    reports: list[ProfitabilityReport],
-    priority: str = "payback",
-) -> list[ProfitabilityReport]:
-    """Order candidates for a buying decision.
-
-    Profitable candidates come first; within each group the sort is by
-    expected payback ascending (priority "payback") or per-cycle profit
-    descending (priority "per_cycle"), with ties broken by smaller
-    capacity and then slower ramp.
-    """
-    if not reports:
-        raise ValueError("rank_candidates needs at least one report")
-    if priority not in ("payback", "per_cycle"):
-        raise ValueError(f"unknown priority {priority!r}")
-
-    def key(report: ProfitabilityReport):
-        value = report.expb_years if priority == "payback" else -report.p_cyc
-        ramp = max(report.battery.charge_rate_c, report.battery.discharge_rate_c)
-        return (not report.profitable, value, report.battery.b_rated, ramp)
-
-    return sorted(reports, key=key)

@@ -121,7 +121,7 @@ def render_csv(
             + [
                 _fmt_money(report.g_arb),
                 f"{report.eta_fric_used:.6f}",
-                _NA if report.level_kva is None else f"{report.level_kva:g}",
+                f"{report.level_kva:g}",
             ]
         )
     return buf.getvalue()

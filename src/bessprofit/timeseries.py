@@ -379,7 +379,8 @@ def load_scenario(
             raise ScenarioError(f"line {lineno}: {kind} ({delta} vs expected {spacing})")
 
     h_file = spacing.total_seconds() / 3600.0
-    if h is not None and abs(h - h_file) > 1e-9:
+    # written so that a NaN h fails the match
+    if h is not None and not abs(h - h_file) <= 1e-9:
         raise ScenarioError(f"requested step {h * 60:.6g} min does not match file spacing {h_file * 60:.6g} min")
 
     h_eff = h_file

@@ -22,7 +22,7 @@ from bessprofit import lp
 from bessprofit.battery import make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.fixtures import fixture_arrays
-from bessprofit.optimizer import DEFAULT_EPSILON, DispatchProblem, DispatchSolution, build_lp
+from bessprofit.optimizer import DispatchProblem, DispatchSolution, build_lp
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries
 
 H = 1.0 / 12.0  # fixture sample spacing, hours
@@ -146,13 +146,9 @@ class LpReference:
     soc: np.ndarray  # SoC including the initial state, length n + 1
 
 
-def lp_reference(
-    prob: DispatchProblem,
-    epsilon: float = DEFAULT_EPSILON,
-    terminal_soc: bool = False,
-) -> LpReference | None:
+def lp_reference(prob: DispatchProblem) -> LpReference | None:
     """Solve the dispatch as the LP of build_lp via lp.solve; None if infeasible."""
-    sol = lp.solve(build_lp(prob, epsilon=epsilon, terminal_soc=terminal_soc))
+    sol = lp.solve(build_lp(prob))
     if sol.status == lp.INFEASIBLE:
         return None
     assert sol.status == lp.OPTIMAL, sol.status
@@ -162,9 +158,9 @@ def lp_reference(
     return LpReference(sol.objective, np.concatenate(([b_0], b_0 + np.cumsum(x))))
 
 
-def dispatch_objective(dispatch: DispatchSolution, epsilon: float = DEFAULT_EPSILON) -> float:
+def dispatch_objective(prob: DispatchProblem, dispatch: DispatchSolution) -> float:
     """The solver's objective: frictioned bill plus epsilon times the movement."""
-    return dispatch.billed_cost + epsilon * float(np.sum(dispatch.x_plus + dispatch.x_minus))
+    return dispatch.billed_cost + prob.epsilon * float(np.sum(dispatch.x_plus + dispatch.x_minus))
 
 
 def linear_cycles(soc: np.ndarray, b_rated: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +81,8 @@ def test_a4_lp_objective_matches_dp_oracle():
     for k in range(24):
         prob = random_dispatch_instance(rng)
         for terminal_soc in (False, True):
-            assert_routes_agree(prob, terminal_soc, f"instance {k}, terminal_soc={terminal_soc}")
+            held = replace(prob, terminal_soc=terminal_soc)
+            assert_routes_agree(held, f"instance {k}, terminal_soc={terminal_soc}")
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"24 instances x 2 by three routes took {elapsed:.1f}s"
 
@@ -93,7 +95,7 @@ def test_a5_every_panel_dispatch_passes_the_validator(panel):
     assert len(panel) == 36
     for (case, name), entry in panel.items():
         prob = DispatchProblem(
-            entry.scenario, entry.spec, p_max_set=entry.selection.p_max_set
+            entry.scenario, entry.spec, p_max_set=entry.selection.level.kva
         )
         violations = validate_dispatch(prob, entry.dispatch)
         assert violations == [], f"{case}/{name}: {violations}"

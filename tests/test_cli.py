@@ -247,7 +247,8 @@ class TestTuneCommand:
         assert (out / "c1-2kwh-1c-tuned-dispatch.csv").exists()
 
     def test_terminal_soc_holds_in_the_tuned_dispatch(self, tmp_path, fixture_dir):
-        # five days of c1, over budget, so the friction search re-solves
+        # five days of c1, over budget, so the friction search re-solves;
+        # evaluate at a fixed friction must honour the flag as well
         lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
         scenario = tmp_path / "c1-5d.csv"
         scenario.write_text("".join(lines[: 3 + 5 * 288]))
@@ -259,10 +260,16 @@ class TestTuneCommand:
         assert proc.returncode == 0, proc.stderr
         table = dict(ln.split(None, 1) for ln in proc.stdout.splitlines())
         assert float(table["eta_fric"]) < 1.0
-        dispatch = (out / "c1-5d-5kwh-2c-tuned-dispatch.csv").read_text()
-        assert "# terminal_soc: yes" in dispatch
-        b_final = float(data_lines(dispatch)[-1].split(",")[4])
-        assert b_final >= 2.5 - 1e-9  # b_0 of a 5 kWh battery
+        proc = run_cli(
+            "evaluate", scenario, "--battery", "5kwh-2c", "--eta-fric", "0.7",
+            "--terminal-soc", "--out", out, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("c1-5d-5kwh-2c-tuned-dispatch.csv", "c1-5d-5kwh-2c-dispatch.csv"):
+            dispatch = (out / name).read_text()
+            assert "# terminal_soc: yes" in dispatch, name
+            b_final = float(data_lines(dispatch)[-1].split(",")[4])
+            assert b_final >= 2.5 - 1e-9, name  # b_0 of a 5 kWh battery
 
     def test_non_positive_target_is_a_usage_error(self, tmp_path, fixture_dir):
         proc = run_cli(
@@ -343,6 +350,25 @@ class TestFailureModes:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
         assert not (tmp_path / "out" / "c1-1kwh-1c-report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--damage-exp", "nan"),
+            ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--damage-exp", "inf"),
+            ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--step-minutes", "nan"),
+            ("tune", "c1.csv", "--battery", "1kwh-1c", "--target", "nan"),
+        ],
+        ids=["damage-exp-nan", "damage-exp-inf", "step-minutes-nan", "target-nan"],
+    )
+    def test_non_finite_numbers_are_rejected(self, tmp_path, fixture_dir, argv):
+        command, scenario, *flags = argv
+        out = tmp_path / "out"
+        proc = run_cli(command, fixture_dir / scenario, *flags, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert list(out.rglob("*")) == []
 
     def test_worker_error_keeps_the_exit_contract(self, tmp_path, fixture_dir):
         # raised in a worker process and re-raised by the pool, traceback-free

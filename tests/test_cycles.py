@@ -136,8 +136,9 @@ def test_progressive_exponent_penalizes_deep_cycles():
 def test_damage_model_validation():
     assert DamageModel().kp == 1.0
     assert DamageModel(kp=2.0).damage(0.5) == pytest.approx(0.25)
-    with pytest.raises(ConfigError):
-        DamageModel(kp=0.5)
+    for kp in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            DamageModel(kp=kp)
 
 
 def test_count_cycles_input_validation():

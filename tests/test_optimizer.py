@@ -10,13 +10,16 @@ re-audited with plain array arithmetic.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bessprofit.battery import make_spec
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.optimizer import (
-    DEFAULT_EPSILON,
     DispatchProblem,
     DispatchSolution,
     build_lp,
@@ -42,31 +45,33 @@ from _support import (
 # --------------------------------------------------- solver vs LP vs grid DP
 
 
-def assert_routes_agree(prob: DispatchProblem, terminal_soc: bool, label: str) -> None:
+def assert_routes_agree(prob: DispatchProblem, label: str) -> None:
     """Solve one instance by the exact solver, the LP and the grid oracle.
 
     They agree on feasibility; the solver's objective equals the LP's to
     1e-9 relative with the same linear cycle count; the grid optimum is
     no better than the solver's and within five discretization bounds of
-    it; the dispatch passes the validator; and it never bills more than
-    the no-battery plan when that plan meets the peak cap.
+    it; the dispatch passes the validator, final SoC included, at 1e-9;
+    and it never bills more than the no-battery plan when that plan meets
+    the peak cap. All three routes read epsilon and terminal_soc from
+    ``prob``.
     """
-    ref = lp_reference(prob, terminal_soc=terminal_soc)
+    ref = lp_reference(prob)
     try:
-        sol = solve_dispatch(prob, terminal_soc=terminal_soc)
+        sol = solve_dispatch(prob)
     except InfeasibleDispatchError:
         assert ref is None, f"{label}: the LP is feasible"
         with pytest.raises(InfeasibleDispatchError):
-            dp_oracle(prob, DP_GRID, terminal_soc=terminal_soc)
+            dp_oracle(prob, DP_GRID)
         return
     assert ref is not None, f"{label}: the LP is infeasible"
-    assert dispatch_objective(sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), label
+    assert dispatch_objective(prob, sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), label
     b_rated = prob.spec.b_rated
     assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
         linear_cycles(ref.soc, b_rated), abs=1e-9
     ), label
 
-    dp = dp_oracle(prob, DP_GRID, terminal_soc=terminal_soc)
+    dp = dp_oracle(prob, DP_GRID)
     bound = dp_gap_bound(prob)
     diff = dp.cost - sol.billed_cost
     # the grid policy is a feasible policy, so it can never beat the solver...
@@ -74,9 +79,7 @@ def assert_routes_agree(prob: DispatchProblem, terminal_soc: bool, label: str) -
     # ...and must come within the discretization error of it
     assert abs(diff) <= 5.0 * bound, f"{label}: {diff} vs {bound}"
 
-    assert not validate_dispatch(prob, sol), label
-    if terminal_soc:
-        assert sol.b[-1] >= prob.spec.b_0 - 1e-9, label
+    assert not validate_dispatch(prob, sol, tol=1e-9), label
     z = prob.scenario.load - prob.scenario.pv
     if np.max(z) / prob.scenario.h <= prob.p_max_set:
         baseline = float(np.sum(prob.scenario.price * np.maximum(0.0, z)))
@@ -88,15 +91,25 @@ def test_lp_matches_dp_oracle_on_random_instances():
     for k in range(24):
         prob = random_dispatch_instance(rng)
         for terminal_soc in (False, True):
-            assert_routes_agree(prob, terminal_soc, f"instance {k}, terminal_soc={terminal_soc}")
+            held = replace(prob, terminal_soc=terminal_soc)
+            assert_routes_agree(held, f"instance {k}, terminal_soc={terminal_soc}")
 
 
 def test_panel_dispatches_match_the_lp_at_the_selected_caps(panel):
+    # The 36 30-day LPs dominate the suite's wall time, so two worker
+    # processes solve them; every comparison stays in this process. The
+    # workers are spawned: forking once HiGHS has run here is not known
+    # to be safe.
+    probs = {
+        key: DispatchProblem(entry.scenario, entry.spec, p_max_set=entry.selection.level.kva)
+        for key, entry in panel.items()
+    }
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        refs = dict(zip(probs, pool.map(lp_reference, probs.values())))
     for (case, name), entry in panel.items():
-        prob = DispatchProblem(entry.scenario, entry.spec, p_max_set=entry.selection.p_max_set)
-        ref = lp_reference(prob)
+        prob, ref = probs[(case, name)], refs[(case, name)]
         assert ref is not None, (case, name)
-        assert dispatch_objective(entry.dispatch) == pytest.approx(
+        assert dispatch_objective(prob, entry.dispatch) == pytest.approx(
             ref.objective, rel=1e-9, abs=1e-12
         ), (case, name)
         b_rated = entry.spec.b_rated
@@ -121,10 +134,7 @@ def test_dp_policy_is_feasible_for_the_lp():
             x_plus=xp, x_minus=xm, s=s, b=dp.b, theta=theta,
             energy_cost=float(np.sum(prob.scenario.price * theta)),
         )
-        unfrictioned = DispatchProblem(
-            prob.scenario, spec, p_max_set=prob.p_max_set, eta_fric=1.0
-        )
-        assert not validate_dispatch(unfrictioned, dispatch)
+        assert not validate_dispatch(replace(prob, eta_fric=1.0), dispatch)
 
 
 # ------------------------------------------------------- small hand cases
@@ -181,7 +191,7 @@ def test_terminal_soc_restores_initial_charge():
     scenario = mini_scenario(z, price, h=0.5, name="term")
     spec = make_spec("1kwh-1c", 1.0, 1.0, 1.0)
     free = solve_dispatch(DispatchProblem(scenario, spec))
-    held = solve_dispatch(DispatchProblem(scenario, spec), terminal_soc=True)
+    held = solve_dispatch(DispatchProblem(scenario, spec, terminal_soc=True))
     assert held.b[-1] >= spec.b_0 - 1e-9
     assert free.billed_cost <= held.billed_cost + 1e-9  # constraint can only cost
 
@@ -216,10 +226,13 @@ def test_negative_epsilon_is_rejected():
     # a negative movement weight pays the battery to charge and discharge
     # at once, so the per-step cost is no longer convex
     scenario = mini_scenario([0.5, -0.8, 0.6], [0.1, 0.1, 0.5])
-    prob = DispatchProblem(scenario, make_spec("1kwh-1c", 1.0, 1.0, 1.0))
+    spec = make_spec("1kwh-1c", 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^epsilon must be >= 0, got -0\.5$"):
+        DispatchProblem(scenario, spec, epsilon=-0.5)
     with pytest.raises(ValueError, match="epsilon"):
-        solve_dispatch(prob, epsilon=-0.5)
-    assert solve_dispatch(prob, epsilon=0.0).billed_cost == pytest.approx(0.012, abs=1e-6)
+        DispatchProblem(scenario, spec, epsilon=float("nan"))
+    prob = DispatchProblem(scenario, spec, epsilon=0.0)
+    assert solve_dispatch(prob).billed_cost == pytest.approx(0.012, abs=1e-6)
 
 
 def test_value_of_storage_is_monotone_in_the_box():
@@ -245,7 +258,7 @@ def test_friction_tightens_billing_coefficients():
     n = scenario.n
 
     def billing_coeffs(eta_fric):
-        lp = build_lp(DispatchProblem(scenario, spec, eta_fric=eta_fric), DEFAULT_EPSILON)
+        lp = build_lp(DispatchProblem(scenario, spec, eta_fric=eta_fric))
         a = lp.dense_A()
         coeffs = {}
         for i in range(n):
@@ -372,6 +385,16 @@ def test_validator_catches_cost_mismatch():
     assert any("energy_cost mismatch" in msg for msg in bad)
 
 
+def test_validator_catches_terminal_soc_below_initial():
+    prob, sol = _solved_small()  # solved without the rule, it ends at b_min
+    held = replace(prob, terminal_soc=True)
+    assert sol.b[-1] < prob.spec.b_0
+    assert validate_dispatch(prob, sol) == []
+    bad = validate_dispatch(held, sol)
+    assert any("final SoC below initial" in msg for msg in bad)
+    assert validate_dispatch(held, solve_dispatch(held)) == []
+
+
 def test_validator_checks_negative_entries():
     prob, sol = _solved_small()
     xm = sol.x_minus.copy()
@@ -421,10 +444,9 @@ def _needle_scenario(n_days: int = 30, needle_kw: float = 5.8):
 def test_select_ppc_steps_down_two_levels():
     scenario = _needle_scenario()
     spec = make_spec("2kwh-1c", 2.0, 1.0, 1.0)
-    res = select_ppc(scenario, spec, DEFAULT_PPC_SCHEDULE)
+    res = select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE)
     assert res.old_level.kva == 6.90  # smallest level covering the 5.8 kW peak
     assert res.level.kva == 4.60  # 2 kW of discharge moves the needle below 4.6
-    assert res.p_max_set == 4.60
     # thirty days of the 6.90 -> 4.60 daily price difference
     assert res.g_pd == pytest.approx(30 * (0.3080 - 0.2132), abs=1e-9)
     assert res.g_pd == pytest.approx(2.844, abs=1e-9)
@@ -436,7 +458,7 @@ def test_select_ppc_steps_down_two_levels():
 def test_select_ppc_without_discharge_keeps_old_level():
     scenario = _needle_scenario()
     spec = make_spec("nodis", 2.0, 1.0, 0.0)
-    res = select_ppc(scenario, spec, DEFAULT_PPC_SCHEDULE)
+    res = select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE)
     assert res.level.kva == res.old_level.kva == 6.90
     assert res.g_pd == 0.0
 
@@ -449,7 +471,7 @@ def test_select_ppc_single_fine_needle():
     z = load_w * H / 1000.0
     scenario = mini_scenario(z, np.full(n, 0.2), h=H, name="fine")
     spec = make_spec("2kwh-1c", 2.0, 1.0, 1.0)
-    res = select_ppc(scenario, spec, DEFAULT_PPC_SCHEDULE)
+    res = select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE)
     assert res.old_level.kva == 6.90
     assert res.level.kva == 4.60
     assert res.g_pd == pytest.approx((0.3080 - 0.2132) * scenario.day_count, abs=1e-9)
@@ -458,7 +480,7 @@ def test_select_ppc_single_fine_needle():
 def test_select_ppc_respects_explicit_old_level():
     scenario = _needle_scenario()
     spec = make_spec("2kwh-1c", 2.0, 1.0, 1.0)
-    res = select_ppc(scenario, spec, DEFAULT_PPC_SCHEDULE, old_level_kva=10.35)
+    res = select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE, old_level_kva=10.35)
     assert res.old_level.kva == 10.35
     assert res.level.kva == 4.60
     assert res.g_pd == pytest.approx(30 * (0.4532 - 0.2132), abs=1e-9)
@@ -468,14 +490,14 @@ def test_select_ppc_forced_low_cap_is_infeasible():
     scenario = _needle_scenario()
     spec = make_spec("1kwh-0.25c", 1.0, 0.25, 0.25)
     with pytest.raises(InfeasibleDispatchError):
-        select_ppc(scenario, spec, DEFAULT_PPC_SCHEDULE, old_level_kva=3.45)
+        select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE, old_level_kva=3.45)
 
 
 def test_select_ppc_never_raises_the_contract():
     # baseline peak 0.8 kW: the old level already is the cheapest feasible one
     scenario = mini_scenario(np.full(48, 0.8), np.full(48, 0.2), name="flatload")
     spec = make_spec("5kwh-2c", 5.0, 2.0, 2.0)
-    res = select_ppc(scenario, spec, DEFAULT_PPC_SCHEDULE)
+    res = select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE)
     assert res.old_level.kva == 3.45
     assert res.level.kva == 3.45
     assert res.g_pd == 0.0

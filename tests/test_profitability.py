@@ -17,13 +17,13 @@ import pytest
 
 from bessprofit.battery import catalog_by_name, make_spec
 from bessprofit.cycles import DamageModel, count_cycles
-from bessprofit.optimizer import DispatchProblem, DispatchSolution, validate_dispatch
+from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
 from bessprofit.profitability import (
     HOURS_PER_YEAR,
     ProfitabilityReport,
     evaluate,
+    ETA_MIN,
     evaluate_candidate,
-    rank_candidates,
     tune_friction,
 )
 from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, baseline_metrics
@@ -42,7 +42,8 @@ def closure_report(g_t: float, cycles: float, months_12: bool = True) -> Profita
 
     A 30-day window (1440 half-hour steps) at price 1 €/kWh carries a flat
     load summing to ``g_t``; the dispatch bills nothing (energy_cost 0), so
-    the arbitrage gain equals ``g_t`` exactly. The SoC series swings
+    the arbitrage gain equals ``g_t`` exactly, and the contract level is
+    unchanged, so g_pd is 0. The SoC series swings
     rail-to-rail once per full cycle and adds one shallow swing for the
     fractional remainder, so the equivalent-cycle count is ``cycles``.
     """
@@ -67,7 +68,9 @@ def closure_report(g_t: float, cycles: float, months_12: bool = True) -> Profita
         theta=zeros,
         energy_cost=0.0,
     )
-    return evaluate(scenario, spec, dispatch, None, None, months_12=months_12)
+    level = DEFAULT_PPC_SCHEDULE.levels[0]
+    unchanged = PpcSelection(level, level, 0.0, dispatch)
+    return evaluate(scenario, spec, dispatch, unchanged, months_12=months_12)
 
 
 class TestScoringClosure:
@@ -227,100 +230,6 @@ class TestSelfSufficiencyAndWaste:
 
 
 # ---------------------------------------------------------------------------
-# ranking
-# ---------------------------------------------------------------------------
-
-def report_stub(
-    name: str,
-    b_rated: float = 1.0,
-    ramp_c: float = 1.0,
-    profitable: bool = True,
-    expb: float = 3.0,
-    p_cyc: float = 0.2,
-) -> ProfitabilityReport:
-    spec = make_spec(name, b_rated, ramp_c, ramp_c)
-    return ProfitabilityReport(
-        battery=spec,
-        g_arb=1.0,
-        g_pd=0.0,
-        g_t=1.0,
-        n_cyc_100=10.0,
-        g_cyc=p_cyc + 0.1,
-        p_cyc=p_cyc,
-        expb_years=expb,
-        ss=0.5,
-        waste=0.0,
-        profitable=profitable,
-        eta_fric_used=1.0,
-        c_cyc=0.1,
-        b_cost=425.0,
-        expb_convention="calendar",
-    )
-
-
-class TestRanking:
-    def test_catalog_panel_payback_priority(self, panel, catalog):
-        reports = [panel[("c1", spec.name)].report for spec in catalog]
-        ranked = rank_candidates(reports, priority="payback")
-        assert ranked[0].name == "1kwh-0.25c"
-        k = sum(r.profitable for r in ranked)
-        assert k >= 1
-        assert all(r.profitable for r in ranked[:k])
-        assert not any(r.profitable for r in ranked[k:])
-        head = [r.expb_years for r in ranked[:k]]
-        assert head == sorted(head)
-
-    def test_catalog_panel_per_cycle_priority(self, panel, catalog):
-        reports = [panel[("c1", spec.name)].report for spec in catalog]
-        ranked = rank_candidates(reports, priority="per_cycle")
-        k = sum(r.profitable for r in ranked)
-        head = [r.p_cyc for r in ranked[:k]]
-        assert head == sorted(head, reverse=True)
-
-    def test_priority_controls_the_sort_key(self):
-        slow_payback = report_stub("hi-margin", expb=9.0, p_cyc=0.5)
-        fast_payback = report_stub("lo-margin", expb=1.0, p_cyc=0.1)
-        by_payback = rank_candidates([slow_payback, fast_payback], "payback")
-        by_margin = rank_candidates([slow_payback, fast_payback], "per_cycle")
-        assert by_payback[0] is fast_payback
-        assert by_margin[0] is slow_payback
-
-    def test_profitable_candidates_always_lead(self):
-        bad = report_stub("bad", profitable=False, expb=1.0, p_cyc=0.9)
-        good = report_stub("good", profitable=True, expb=8.0, p_cyc=0.01)
-        assert rank_candidates([bad, good])[0] is good
-        assert rank_candidates([good, bad])[0] is good
-
-    def test_capacity_then_ramp_tie_breaks(self):
-        big = report_stub("big", b_rated=2.0)
-        small = report_stub("small", b_rated=1.0)
-        assert rank_candidates([big, small])[0] is small
-
-        fast = report_stub("fast", ramp_c=1.0)
-        slow = report_stub("slow", ramp_c=0.25)
-        assert rank_candidates([fast, slow])[0] is slow
-
-    def test_identical_reports_keep_input_order(self):
-        first = report_stub("twin")
-        second = report_stub("twin")
-        ranked = rank_candidates([first, second])
-        assert ranked[0] is first and ranked[1] is second
-
-    def test_all_unprofitable_still_ordered(self):
-        worse = report_stub("worse", profitable=False, expb=math.inf, p_cyc=-0.2)
-        bad = report_stub("bad", profitable=False, expb=math.inf, p_cyc=-0.1)
-        ranked = rank_candidates([worse, bad], priority="per_cycle")
-        assert [r.name for r in ranked] == ["bad", "worse"]
-        assert not any(r.profitable for r in ranked)
-
-    def test_rejects_empty_and_unknown_priority(self):
-        with pytest.raises(ValueError, match="at least one report"):
-            rank_candidates([])
-        with pytest.raises(ValueError, match="unknown priority"):
-            rank_candidates([report_stub("x")], priority="sharpe")
-
-
-# ---------------------------------------------------------------------------
 # friction tuning
 # ---------------------------------------------------------------------------
 
@@ -404,21 +313,22 @@ class TestFrictionTuning:
         assert res.report.n_cyc_100 < res.target_cycles
 
     def test_unreachable_budget_returns_floor_with_warning(self, noisy, by_name):
+        # even the lowest friction coefficient leaves 0.92 cycles
         res = tune_friction(
-            noisy, by_name["2kwh-1c"], target_cycles=5.0,
-            ppc=DEFAULT_PPC_SCHEDULE, eta_min=0.5,
+            noisy, by_name["2kwh-1c"], target_cycles=0.2, ppc=DEFAULT_PPC_SCHEDULE,
         )
-        assert res.eta_fric == 0.5
+        assert res.eta_fric == ETA_MIN == 1e-3
         assert res.n_solves == 2
         assert res.warning is not None
-        assert res.warning.startswith("cycle budget 5.00 unreachable")
-        assert res.report.n_cyc_100 == approx(11.98, abs=0.01)
+        assert res.warning.startswith("cycle budget 0.20 unreachable")
+        assert res.report.n_cyc_100 == approx(0.92, abs=0.01)
 
     def test_non_positive_target_is_rejected(self, noisy, by_name):
-        with pytest.raises(ValueError, match="target_cycles"):
-            tune_friction(noisy, by_name["2kwh-1c"], target_cycles=0.0)
-        with pytest.raises(ValueError, match="target_cycles"):
-            tune_friction(noisy, by_name["2kwh-1c"], target_cycles=-3.0)
+        for target in (0.0, -3.0, math.nan, math.inf):  # non-finite ones too
+            with pytest.raises(ValueError, match="target_cycles"):
+                tune_friction(
+                    noisy, by_name["2kwh-1c"], target_cycles=target, ppc=DEFAULT_PPC_SCHEDULE
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +342,7 @@ class TestPipelineEdges:
             "pinned", 2.0, 1.0, 1.0,
             soc_min_frac=0.5, soc_init_frac=0.5, soc_max_frac=0.5,
         )
-        rep, dispatch, selection = evaluate_candidate(scenario, spec)
+        rep, dispatch, selection = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE)
         assert np.max(np.abs(dispatch.s)) <= 1e-12
         assert rep.g_t == approx(0.0, abs=1e-12)
         assert math.isinf(rep.expb_years)
@@ -440,14 +350,5 @@ class TestPipelineEdges:
         assert rep.n_cyc_100 == approx(0.0, abs=1e-9)
         assert rep.g_cyc == 0.0
         assert rep.p_cyc == approx(-rep.c_cyc, rel=1e-12)
-        assert selection is None
+        assert selection.level == selection.old_level
 
-    def test_without_contract_choice_peak_gain_is_zero(self):
-        scenario = mini_scenario([0.5, -0.3, 0.6], [0.3, 0.1, 0.4])
-        rep, dispatch, selection = evaluate_candidate(
-            scenario, make_spec("plain", 1.0, 1.0, 1.0)
-        )
-        assert selection is None
-        assert rep.g_pd == 0.0
-        assert rep.level_kva is None
-        assert rep.g_t == approx(rep.g_arb, rel=1e-12, abs=1e-12)
