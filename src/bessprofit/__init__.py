@@ -33,6 +33,7 @@ from .optimizer import (
     validate_dispatch,
 )
 from .profitability import (
+    Conventions,
     ProfitabilityReport,
     TuningResult,
     evaluate,

@@ -23,11 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .battery import BatterySpec, catalog_by_name, default_catalog, load_catalog
-from .cycles import DamageModel
 from .errors import ConfigError, InfeasibleDispatchError, ScenarioError
 from .fixtures import DEFAULT_SEED, gen_fixtures
-from .optimizer import DEFAULT_EPSILON, DispatchSolution, PpcSelection
-from .profitability import ProfitabilityReport, evaluate_candidate, tune_friction
+from .optimizer import DEFAULT_EPSILON, DispatchSolution
+from .profitability import Conventions, ProfitabilityReport, evaluate_candidate, tune_friction
 from .report import ReportHeader, render_table, write_report
 from .timeseries import (
     DEFAULT_PPC_SCHEDULE,
@@ -53,30 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Knobs that change reported numbers; echoed into every output."""
-
-    step_minutes: float | None = None
-    months_12: bool = False
-    damage_exp: float = 1.0
-    epsilon: float = DEFAULT_EPSILON
-    eta_fric: float = 1.0
-    contracted_kva: float | None = None
-    terminal_soc: bool = False
-
-    def lines(self) -> tuple[str, ...]:
-        return (
-            f"step_minutes: {'auto' if self.step_minutes is None else f'{self.step_minutes:g}'}",
-            f"expb_convention: {'months-12' if self.months_12 else 'calendar'}",
-            f"damage_exp: {self.damage_exp:g}",
-            f"epsilon: {self.epsilon:g}",
-            f"eta_fric: {self.eta_fric:g}",
-            f"contracted_kva: {'auto' if self.contracted_kva is None else f'{self.contracted_kva:g}'}",
-            f"terminal_soc: {'yes' if self.terminal_soc else 'no'}",
-        )
 
 
 @dataclass(frozen=True)
@@ -159,13 +134,24 @@ def _battery(config: SweepConfig, name: str) -> BatterySpec:
     return by_name[name]
 
 
-def _write_dispatch_csv(
-    path: Path,
-    header: ReportHeader,
+def _write_candidate(
+    config: SweepConfig,
     scenario: ScenarioSeries,
-    spec: BatterySpec,
+    report: ProfitabilityReport,
     dispatch: DispatchSolution,
-) -> None:
+    infix: str,
+    *hash_extra: str,
+) -> str:
+    """Write ``{scenario}-{battery}-{infix}`` + ``dispatch.csv``, ``report.txt`` and
+    ``report.csv``; return the table."""
+    spec = report.battery
+    header = ReportHeader(
+        scenario=scenario.name,
+        config_hash=_config_hash(config, *hash_extra),
+        conventions=config.conventions.lines(),
+    )
+    base = baseline_metrics(scenario)
+    text = render_table(header, base, [report])
     z, x = scenario.z, dispatch.x
     b = dispatch.soc_trajectory(spec.b_0)
     lines = header.lines()
@@ -175,46 +161,19 @@ def _write_dispatch_csv(
             f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{dispatch.s[i]:.6f},"
             f"{b[i + 1]:.6f},{dispatch.theta[i]:.6f},{scenario.price[i]:.4f}"
         )
-    path.write_text("\n".join(lines) + "\n", newline="")
-
-
-def _evaluate_one(
-    config: SweepConfig,
-    scenario: ScenarioSeries,
-    spec: BatterySpec,
-) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection]:
-    conv = config.conventions
-    return evaluate_candidate(
-        scenario,
-        spec,
-        config.ppc,
-        old_level_kva=conv.contracted_kva,
-        model=DamageModel(kp=conv.damage_exp),
-        months_12=conv.months_12,
-        epsilon=conv.epsilon,
-        eta_fric=conv.eta_fric,
-        terminal_soc=conv.terminal_soc,
-    )
+    stem = f"{scenario.name}-{spec.name}-{infix}"
+    (config.out_dir / f"{stem}dispatch.csv").write_text("\n".join(lines) + "\n", newline="")
+    (config.out_dir / f"{stem}report.txt").write_text(text, newline="")
+    write_report(config.out_dir / f"{stem}report.csv", header, base, [report])
+    return text
 
 
 def cmd_evaluate(args) -> int:
     config = _build_config(args, (args.scenario,))
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
-    report, dispatch, _ = _evaluate_one(config, scenario, spec)
-
-    header = ReportHeader(
-        scenario=scenario.name,
-        config_hash=_config_hash(config, "evaluate", spec.name),
-        conventions=config.conventions.lines(),
-    )
-    base = baseline_metrics(scenario)
-    stem = f"{scenario.name}-{spec.name}"
-    text = render_table(header, base, [report])
-    _write_dispatch_csv(config.out_dir / f"{stem}-dispatch.csv", header, scenario, spec, dispatch)
-    (config.out_dir / f"{stem}-report.txt").write_text(text, newline="")
-    write_report(config.out_dir / f"{stem}-report.csv", header, base, [report])
-    print(text, end="")
+    report, dispatch, _ = evaluate_candidate(scenario, spec, config.ppc, config.conventions)
+    print(_write_candidate(config, scenario, report, dispatch, "", "evaluate", spec.name), end="")
     return 0
 
 
@@ -223,7 +182,7 @@ def _sweep_one(
 ) -> tuple[ProfitabilityReport | None, tuple[str, str] | None]:
     """One sweep task: the report, or the battery name and reason it is infeasible."""
     try:
-        return _evaluate_one(config, scenario, spec)[0], None
+        return evaluate_candidate(scenario, spec, config.ppc, config.conventions)[0], None
     except InfeasibleDispatchError as exc:
         return None, (spec.name, str(exc))
 
@@ -278,32 +237,9 @@ def cmd_tune(args) -> int:
     config = _build_config(args, (args.scenario,))
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
-    conv = config.conventions
-
-    result = tune_friction(
-        scenario,
-        spec,
-        config.ppc,
-        target_cycles=args.target,
-        old_level_kva=conv.contracted_kva,
-        model=DamageModel(kp=conv.damage_exp),
-        months_12=conv.months_12,
-        epsilon=conv.epsilon,
-        terminal_soc=conv.terminal_soc,
-    )
-
-    header = ReportHeader(
-        scenario=scenario.name,
-        config_hash=_config_hash(config, "tune", spec.name, f"{result.target_cycles:.6f}"),
-        conventions=conv.lines(),
-    )
-    base = baseline_metrics(scenario)
-    stem = f"{scenario.name}-{spec.name}"
-    write_report(config.out_dir / f"{stem}-tuned-report.txt", header, base, [result.report])
-    write_report(config.out_dir / f"{stem}-tuned-report.csv", header, base, [result.report])
-    _write_dispatch_csv(
-        config.out_dir / f"{stem}-tuned-dispatch.csv", header, scenario, spec, result.dispatch
-    )
+    result = tune_friction(scenario, spec, config.ppc, config.conventions, target_cycles=args.target)
+    _write_candidate(config, scenario, result.report, result.dispatch, "tuned-",
+                     "tune", spec.name, f"{result.target_cycles:.6f}")
 
     if result.eta_fric == 1.0:
         print("eta_fric = 1 (no tuning needed)")

@@ -67,7 +67,7 @@ def _turning_points(u: np.ndarray) -> np.ndarray:
     return u[mask]
 
 
-def count_cycles(b, b_rated: float, model: DamageModel | None = None) -> CycleCount:
+def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> CycleCount:
     """Count equivalent 100%-DoD cycles of an SoC series b (kWh).
 
     The series must stay within [0, b_rated]; a constant series counts
@@ -75,8 +75,6 @@ def count_cycles(b, b_rated: float, model: DamageModel | None = None) -> CycleCo
     1.0; the residual alternating tail contributes one 0.5-weighted half
     cycle per adjacent range.
     """
-    if model is None:
-        model = DamageModel()
     if b_rated <= 0:
         raise ValueError("b_rated must be > 0")
     b = np.asarray(b, dtype=float)

@@ -67,8 +67,8 @@ _DUST = 1e-12  # kWh; solver residue below this is treated as zero
 @dataclass(frozen=True)
 class DispatchProblem:
     """One dispatch instance: scenario, battery, peak cap (kW), friction,
-    epsilon tie-break (€/kWh; below 0 the step cost is not convex) and the
-    terminal SoC rule.
+    epsilon tie-break (€/kWh, finite; below 0 the step cost is not convex)
+    and the terminal SoC rule.
     """
 
     scenario: ScenarioSeries
@@ -85,6 +85,8 @@ class DispatchProblem:
             raise ValueError("p_max_set must be >= 0")
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.epsilon == np.inf:
+            raise ValueError("epsilon must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -337,6 +339,9 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
 
     s = x_plus / spec.eta_ch - spec.eta_dis * x_minus
     b = spec.b_0 + np.cumsum(x_plus - x_minus)
+    if prob.terminal_soc:
+        # the DP's final SoC is >= b_0 exactly; the running sum can round below it
+        b[-1] = max(b[-1], spec.b_0)
     theta = np.maximum(0.0, z + s)
     energy_cost = float(np.sum(scenario.price * theta))
     billed_cost = float(np.sum(scenario.price * np.maximum(0.0, z + a_ch * x_plus - a_dis * x_minus)))

@@ -10,10 +10,15 @@ when the per-cycle profit is positive and the payback beats the
 calendar life. Every report carries both selection indices, p_cyc and
 expb_years.
 
+One ``Conventions`` value carries every setting that changes a reported
+number (contract level, damage exponent, payback convention, epsilon,
+friction, terminal SoC rule); ``evaluate_candidate``, ``tune_friction``
+and ``evaluate`` read their settings from it.
+
 ``tune_friction`` throttles an over-cycling candidate down to a cycle
-budget by searching the friction coefficient; the peak-contract level is
-selected once at eta_fric = 1 and held fixed during the search so the
-cycle count responds to friction alone.
+budget by searching the friction coefficient; it starts from the
+candidate scored at eta_fric = 1, whose peak-contract level is held
+fixed during the search so the cycle count responds to friction alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .battery import BatterySpec, battery_cost
-from .cycles import CycleCount, DamageModel, break_even_cycles, count_cycles
+from .cycles import DamageModel, break_even_cycles, count_cycles
 from .optimizer import (
     DEFAULT_EPSILON,
     DispatchProblem,
@@ -37,6 +42,7 @@ from .optimizer import (
 from .timeseries import PpcSchedule, ScenarioSeries, baseline_metrics
 
 __all__ = [
+    "Conventions",
     "ProfitabilityReport",
     "TuningResult",
     "evaluate",
@@ -55,6 +61,30 @@ ETA_MIN = 1e-3
 CYCLE_TOL = 0.5
 INTERVAL_TOL = 1e-4
 MAX_SOLVES = 48
+
+
+@dataclass(frozen=True)
+class Conventions:
+    """Settings that change reported numbers; echoed into every output."""
+
+    step_minutes: float | None = None
+    months_12: bool = False
+    damage_exp: float = 1.0
+    epsilon: float = DEFAULT_EPSILON
+    eta_fric: float = 1.0
+    contracted_kva: float | None = None
+    terminal_soc: bool = False
+
+    def lines(self) -> tuple[str, ...]:
+        return (
+            f"step_minutes: {'auto' if self.step_minutes is None else f'{self.step_minutes:g}'}",
+            f"expb_convention: {'months-12' if self.months_12 else 'calendar'}",
+            f"damage_exp: {self.damage_exp:g}",
+            f"epsilon: {self.epsilon:g}",
+            f"eta_fric: {self.eta_fric:g}",
+            f"contracted_kva: {'auto' if self.contracted_kva is None else f'{self.contracted_kva:g}'}",
+            f"terminal_soc: {'yes' if self.terminal_soc else 'no'}",
+        )
 
 
 @dataclass(frozen=True)
@@ -86,9 +116,8 @@ class ProfitabilityReport:
 def _expected_payback_years(
     b_cost: float,
     g_t: float,
-    n_total: int,
-    h: float,
-    months_12: bool,
+    window_hours: float,
+    conventions: Conventions,
 ) -> float:
     """Payback = battery cost / annualized total gain.
 
@@ -99,8 +128,7 @@ def _expected_payback_years(
     """
     if g_t <= 0:
         return math.inf
-    window_hours = n_total * h
-    if months_12:
+    if conventions.months_12:
         months = window_hours / 720.0
         annualized = g_t * 12.0 / months
     else:
@@ -108,21 +136,26 @@ def _expected_payback_years(
     return b_cost / annualized
 
 
+def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, conventions: Conventions) -> float:
+    model = DamageModel(kp=conventions.damage_exp)
+    return count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model).n_cyc_100
+
+
 def evaluate(
     scenario: ScenarioSeries,
     spec: BatterySpec,
     dispatch: DispatchSolution,
     selection: PpcSelection,
-    model: DamageModel = DamageModel(),
-    months_12: bool = False,
+    conventions: Conventions,
 ) -> ProfitabilityReport:
     """Score one solved dispatch at the contract level of ``selection``.
 
     g_arb is the billing saved versus the no-battery baseline, g_pd the
-    peak-contract saving (zero when the level did not change).
-    Self-sufficiency and waste are recomputed on the with-battery net
-    load z + s. A non-positive total gain yields an infinite payback and
-    an unprofitable verdict.
+    peak-contract saving (zero when the level did not change). Cycles are
+    weighted by ``conventions.damage_exp`` and the payback follows
+    ``conventions.months_12``. Self-sufficiency and waste are recomputed
+    on the with-battery net load z + s. A non-positive total gain yields
+    an infinite payback and an unprofitable verdict.
     """
     base = baseline_metrics(scenario)
     cost = battery_cost(spec)
@@ -131,12 +164,11 @@ def evaluate(
     g_pd = selection.g_pd
     g_t = g_arb + g_pd
 
-    count: CycleCount = count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model)
-    n_cyc = count.n_cyc_100
+    n_cyc = _cycles_of(dispatch, spec, conventions)
     g_cyc = g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0
     p_cyc = g_cyc - cost.c_cyc
 
-    expb = _expected_payback_years(cost.b_cost, g_t, scenario.n, scenario.h, months_12)
+    expb = _expected_payback_years(cost.b_cost, g_t, scenario.total_hours, conventions)
 
     with_batt = scenario.z + dispatch.s
     waste = float(np.sum(np.maximum(0.0, -with_batt)))
@@ -160,27 +192,31 @@ def evaluate(
         eta_fric_used=dispatch.eta_fric,
         c_cyc=cost.c_cyc,
         b_cost=cost.b_cost,
-        expb_convention="months-12" if months_12 else "calendar",
+        expb_convention="months-12" if conventions.months_12 else "calendar",
         level_kva=selection.level.kva,
     )
+
+
+def _problem(scenario: ScenarioSeries, spec: BatterySpec, conventions: Conventions) -> DispatchProblem:
+    return DispatchProblem(scenario, spec, eta_fric=conventions.eta_fric,
+                           epsilon=conventions.epsilon, terminal_soc=conventions.terminal_soc)
 
 
 def evaluate_candidate(
     scenario: ScenarioSeries,
     spec: BatterySpec,
     ppc: PpcSchedule,
-    old_level_kva: float | None = None,
-    model: DamageModel = DamageModel(),
-    months_12: bool = False,
-    epsilon: float = DEFAULT_EPSILON,
-    eta_fric: float = 1.0,
-    terminal_soc: bool = False,
+    conventions: Conventions = Conventions(),
 ) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection]:
-    """Full single-candidate pipeline: contract choice, dispatch, scoring."""
-    prob = DispatchProblem(scenario, spec, eta_fric=eta_fric, epsilon=epsilon,
-                           terminal_soc=terminal_soc)
-    selection = select_ppc(prob, ppc, old_level_kva=old_level_kva)
-    report = evaluate(scenario, spec, selection.dispatch, selection, model, months_12=months_12)
+    """Full single-candidate pipeline: contract choice, dispatch, scoring.
+
+    The contract search starts from ``conventions.contracted_kva`` (None:
+    the smallest level covering the baseline peak); the dispatch uses its
+    eta_fric, epsilon and terminal_soc.
+    """
+    selection = select_ppc(_problem(scenario, spec, conventions), ppc,
+                           old_level_kva=conventions.contracted_kva)
+    report = evaluate(scenario, spec, selection.dispatch, selection, conventions)
     return report, selection.dispatch, selection
 
 
@@ -198,33 +234,27 @@ class TuningResult:
     n_solves: int
 
 
-def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, model: DamageModel) -> float:
-    return count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model).n_cyc_100
-
-
 def tune_friction(
     scenario: ScenarioSeries,
     spec: BatterySpec,
     ppc: PpcSchedule,
+    conventions: Conventions = Conventions(),
     target_cycles: float | None = None,
-    old_level_kva: float | None = None,
-    model: DamageModel = DamageModel(),
-    months_12: bool = False,
-    epsilon: float = DEFAULT_EPSILON,
-    terminal_soc: bool = False,
 ) -> TuningResult:
     """Search eta_fric so the cycle count meets a budget.
 
     The default budget is the break-even count for the window's day span;
-    a given one must be finite and > 0. If the untuned dispatch is already
-    inside the budget the candidate is returned unchanged at eta_fric = 1.
-    Otherwise eta_fric is bisected on (ETA_MIN, 1]; cycles are assumed
+    a given one must be finite and > 0. The search starts from the
+    candidate as ``evaluate_candidate`` scores it at eta_fric = 1 (so
+    ``conventions.eta_fric`` is not used); if that dispatch is already
+    inside the budget, its report is returned unchanged. Otherwise
+    eta_fric is bisected on (ETA_MIN, 1]; cycles are assumed
     non-decreasing in eta_fric, and if a sampled pair contradicts that
     beyond CYCLE_TOL the search logs it and finishes with a bracket scan
     instead of pure bisection. When even ETA_MIN cannot reach the budget,
-    the boundary result is returned with a warning. The problem, with its
-    epsilon and terminal_soc, is stated once: the contract choice and
-    every re-solve use it.
+    the boundary result is returned with a warning. The contract level is
+    selected once at eta_fric = 1 and every re-solve holds it, with the
+    conventions' epsilon and terminal_soc.
     """
     if target_cycles is None:
         target_cycles = break_even_cycles(
@@ -234,18 +264,16 @@ def tune_friction(
         raise ValueError(f"target_cycles must be > 0 and finite, got {target_cycles}")
 
     # Fix the contract level at eta_fric = 1 so friction only affects billing.
-    prob = DispatchProblem(scenario, spec, epsilon=epsilon, terminal_soc=terminal_soc)
-    selection = select_ppc(prob, ppc, old_level_kva=old_level_kva)
-    capped = replace(prob, p_max_set=selection.level.kva)
-    untuned_dispatch = selection.dispatch
-    untuned_report = evaluate(scenario, spec, untuned_dispatch, selection, model, months_12=months_12)
+    untuned = replace(conventions, eta_fric=1.0)
+    untuned_report, untuned_dispatch, selection = evaluate_candidate(scenario, spec, ppc, untuned)
+    capped = replace(_problem(scenario, spec, untuned), p_max_set=selection.level.kva)
     n_solves = 1
 
-    def result(eta: float, dispatch: DispatchSolution, warning: str | None) -> TuningResult:
-        report = evaluate(scenario, spec, dispatch, selection, model, months_12=months_12)
+    def result(eta: float, dispatch: DispatchSolution, warning: str | None,
+               report: ProfitabilityReport | None = None) -> TuningResult:
         return TuningResult(
             eta_fric=eta,
-            report=report,
+            report=report or evaluate(scenario, spec, dispatch, selection, conventions),
             dispatch=dispatch,
             untuned_report=untuned_report,
             untuned_dispatch=untuned_dispatch,
@@ -256,13 +284,13 @@ def tune_friction(
 
     cycles_1 = untuned_report.n_cyc_100
     if cycles_1 <= target_cycles + CYCLE_TOL:
-        return result(1.0, untuned_dispatch, None)
+        return result(1.0, untuned_dispatch, None, untuned_report)
 
     def solve_at(eta: float) -> tuple[DispatchSolution, float]:
         nonlocal n_solves
         dispatch = solve_dispatch(replace(capped, eta_fric=eta))
         n_solves += 1
-        return dispatch, _cycles_of(dispatch, spec, model)
+        return dispatch, _cycles_of(dispatch, spec, conventions)
 
     samples: list[tuple[float, float]] = [(1.0, cycles_1)]
     non_monotone = False

@@ -133,11 +133,6 @@ def write_report(
     baseline: BaselineMetrics,
     reports: list[ProfitabilityReport],
 ) -> None:
-    """Write the text or CSV rendering depending on the file suffix."""
-    text = (
-        render_csv(header, baseline, reports)
-        if str(path).endswith(".csv")
-        else render_table(header, baseline, reports)
-    )
+    """Write the CSV rendering to ``path``."""
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(render_csv(header, baseline, reports))

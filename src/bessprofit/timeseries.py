@@ -99,9 +99,6 @@ class TariffSchedule:
         table.flags.writeable = False
         object.__setattr__(self, "_minute_prices", table)
 
-    def price_at(self, when: datetime) -> float:
-        return float(self._minute_prices[when.hour * 60 + when.minute])
-
     def prices(self, times: list[datetime]) -> np.ndarray:
         minutes = np.fromiter((t.hour * 60 + t.minute for t in times), dtype=int, count=len(times))
         return self._minute_prices[minutes]
@@ -212,9 +209,9 @@ class ScenarioSeries:
     """Aligned per-step energy series over a uniform-step horizon.
 
     load, pv are per-step energies in kWh; price is the buy price in €/kWh
-    applying to that step. h is the step length in hours, n the step count.
-    z = load - pv is the net load in kWh, derived once; negative means
-    surplus. All four arrays are read-only.
+    applying to that step. h is the step length in hours; the step count n
+    and the net load z = load - pv in kWh (negative means surplus) are
+    derived once. All four arrays are read-only.
     """
 
     start_time: datetime
@@ -222,15 +219,14 @@ class ScenarioSeries:
     load: np.ndarray
     pv: np.ndarray
     price: np.ndarray
-    n: int = -1  # inferred from load when omitted
     name: str = ""
+    n: int = field(init=False)
     z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h <= 0:
             raise ScenarioError("step length h must be > 0")
-        if self.n < 0:
-            object.__setattr__(self, "n", len(np.asarray(self.load)))
+        object.__setattr__(self, "n", np.size(self.load))
         if self.n < 1:
             raise ScenarioError("scenario needs at least one step")
         for label, arr in (("load", self.load), ("pv", self.pv), ("price", self.price)):
@@ -393,6 +389,5 @@ def load_scenario(
         load=load_kwh,
         pv=pv_kwh,
         price=np.asarray(price, dtype=float),
-        n=len(times),
         name=name,
     )

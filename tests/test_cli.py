@@ -358,8 +358,9 @@ class TestFailureModes:
             ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--damage-exp", "inf"),
             ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--step-minutes", "nan"),
             ("tune", "c1.csv", "--battery", "1kwh-1c", "--target", "nan"),
+            ("evaluate", "c1.csv", "--battery", "2kwh-1c", "--epsilon", "inf"),
         ],
-        ids=["damage-exp-nan", "damage-exp-inf", "step-minutes-nan", "target-nan"],
+        ids=["damage-exp-nan", "damage-exp-inf", "step-minutes-nan", "target-nan", "epsilon-inf"],
     )
     def test_non_finite_numbers_are_rejected(self, tmp_path, fixture_dir, argv):
         command, scenario, *flags = argv

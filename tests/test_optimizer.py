@@ -196,6 +196,17 @@ def test_terminal_soc_restores_initial_charge():
     assert free.billed_cost <= held.billed_cost + 1e-9  # constraint can only cost
 
 
+def test_terminal_soc_final_charge_is_exact(panel):
+    # the README library case, where the running sum of the moves ends at
+    # 0.9999999999999991 kWh against b_0 = 1
+    entry = panel[("c1", "2kwh-1c")]
+    prob = DispatchProblem(entry.scenario, entry.spec, p_max_set=entry.selection.level.kva,
+                           eta_fric=0.7, terminal_soc=True)
+    sol = solve_dispatch(prob)
+    assert sol.b[-1] >= entry.spec.b_0
+    assert validate_dispatch(prob, sol) == []
+
+
 def test_infeasible_peak_reports_first_bad_step():
     load = np.full(12, 1.0)
     load[7] = 5.0
@@ -224,13 +235,15 @@ def test_infeasible_when_the_charge_runs_out_reports_that_step():
 
 def test_negative_epsilon_is_rejected():
     # a negative movement weight pays the battery to charge and discharge
-    # at once, so the per-step cost is no longer convex
+    # at once, so the per-step cost is no longer convex; an infinite one
+    # prices every move at infinity
     scenario = mini_scenario([0.5, -0.8, 0.6], [0.1, 0.1, 0.5])
     spec = make_spec("1kwh-1c", 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match=r"^epsilon must be >= 0, got -0\.5$"):
         DispatchProblem(scenario, spec, epsilon=-0.5)
-    with pytest.raises(ValueError, match="epsilon"):
-        DispatchProblem(scenario, spec, epsilon=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            DispatchProblem(scenario, spec, epsilon=bad)
     prob = DispatchProblem(scenario, spec, epsilon=0.0)
     assert solve_dispatch(prob).billed_cost == pytest.approx(0.012, abs=1e-6)
 

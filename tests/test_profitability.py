@@ -20,6 +20,7 @@ from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
 from bessprofit.profitability import (
     HOURS_PER_YEAR,
+    Conventions,
     ProfitabilityReport,
     evaluate,
     ETA_MIN,
@@ -70,7 +71,7 @@ def closure_report(g_t: float, cycles: float, months_12: bool = True) -> Profita
     )
     level = DEFAULT_PPC_SCHEDULE.levels[0]
     unchanged = PpcSelection(level, level, 0.0, dispatch)
-    return evaluate(scenario, spec, dispatch, unchanged, months_12=months_12)
+    return evaluate(scenario, spec, dispatch, unchanged, Conventions(months_12=months_12))
 
 
 class TestScoringClosure:

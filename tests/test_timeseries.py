@@ -64,7 +64,7 @@ def direct_summation(scenario: ScenarioSeries) -> dict:
             waste += -z
         else:
             imported += z
-            cost += DEFAULT_TOU_TARIFF.price_at(times[i]) * z
+            cost += DEFAULT_TOU_TARIFF.prices([times[i]])[0] * z
             peak = max(peak, z / scenario.h)
     ss = (total_load - imported) / total_load
     return dict(load=total_load, waste=waste, ss=ss, cost=cost, peak=peak)
@@ -190,6 +190,8 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         ScenarioSeries(load=np.array([1.0]), pv=np.zeros(2), **good)
     with pytest.raises(ScenarioError):
+        ScenarioSeries(load=1.0, pv=np.zeros(2), **good)
+    with pytest.raises(ScenarioError):
         ScenarioSeries(load=np.array([1.0, np.nan]), pv=np.zeros(2), **good)
     with pytest.raises(ScenarioError):
         ScenarioSeries(load=np.array([1.0, -0.1]), pv=np.zeros(2), **good)
@@ -298,16 +300,16 @@ def test_load_scenario_reads_generated_files(fixture_dir, scenarios):
 
 def test_default_tariff_boundaries():
     day = datetime(2019, 6, 1)
-    assert DEFAULT_TOU_TARIFF.price_at(day.replace(hour=7, minute=59)) == 0.185
-    assert DEFAULT_TOU_TARIFF.price_at(day.replace(hour=8, minute=0)) == 0.20
-    assert DEFAULT_TOU_TARIFF.price_at(day.replace(hour=21, minute=59)) == 0.20
-    assert DEFAULT_TOU_TARIFF.price_at(day.replace(hour=22, minute=0)) == 0.185
+    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=7, minute=59)])[0] == 0.185
+    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=8, minute=0)])[0] == 0.20
+    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=21, minute=59)])[0] == 0.20
+    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=22, minute=0)])[0] == 0.185
 
 
 def test_tariff_prices_vector_matches_scalar():
     times = [datetime(2019, 6, 1) + i * timedelta(minutes=37) for i in range(80)]
     vec = DEFAULT_TOU_TARIFF.prices(times)
-    assert list(vec) == [DEFAULT_TOU_TARIFF.price_at(t) for t in times]
+    assert list(vec) == [DEFAULT_TOU_TARIFF.prices([t])[0] for t in times]
 
 
 def test_tariff_wrap_across_midnight():
@@ -316,10 +318,10 @@ def test_tariff_wrap_across_midnight():
         fallback_price=0.30,
     )
     day = datetime(2019, 6, 1)
-    assert night.price_at(day.replace(hour=23, minute=30)) == 0.10
-    assert night.price_at(day.replace(hour=2, minute=0)) == 0.10
-    assert night.price_at(day.replace(hour=6, minute=0)) == 0.30
-    assert night.price_at(day.replace(hour=12, minute=0)) == 0.30
+    assert night.prices([day.replace(hour=23, minute=30)])[0] == 0.10
+    assert night.prices([day.replace(hour=2, minute=0)])[0] == 0.10
+    assert night.prices([day.replace(hour=6, minute=0)])[0] == 0.30
+    assert night.prices([day.replace(hour=12, minute=0)])[0] == 0.30
 
 
 def test_tariff_rejects_overlap_and_empties():
@@ -346,8 +348,8 @@ def test_load_tariff_roundtrip(tmp_path):
         "fallback_price": 0.1,
     }))
     tariff = load_tariff(path)
-    assert tariff.price_at(datetime(2019, 6, 1, 7, 59)) == 0.1
-    assert tariff.price_at(datetime(2019, 6, 1, 23, 59)) == 0.3
+    assert tariff.prices([datetime(2019, 6, 1, 7, 59)])[0] == 0.1
+    assert tariff.prices([datetime(2019, 6, 1, 23, 59)])[0] == 0.3
 
 
 @pytest.mark.parametrize(
