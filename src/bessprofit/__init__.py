@@ -20,14 +20,11 @@ from .errors import (
     DegenerateScenarioError,
     InfeasibleDispatchError,
     ScenarioError,
-    SolverError,
 )
 from .optimizer import (
     DispatchProblem,
     DispatchSolution,
     PpcSelection,
-    build_lp,
-    dp_oracle,
     select_ppc,
     solve_dispatch,
     validate_dispatch,

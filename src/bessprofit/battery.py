@@ -87,18 +87,16 @@ class BatterySpec:
 
 @dataclass(frozen=True)
 class BatteryCost:
-    """Per-kWh purchase cost, per-cycle cost, and total candidate cost."""
+    """Per-cycle cost and total candidate cost."""
 
-    total_per_kwh: float
     c_cyc: float
     b_cost: float
 
 
 def battery_cost(spec: BatterySpec) -> BatteryCost:
-    """Cost summary: €/kWh total, € per 100%-DoD cycle per kWh, and € for the unit."""
+    """Cost summary: € per 100%-DoD cycle per kWh, and € for the unit."""
     total = spec.cost_per_kwh + spec.inverter_cost_per_kwh
     return BatteryCost(
-        total_per_kwh=total,
         c_cyc=total / spec.cycle_life_100dod,
         b_cost=total * spec.b_rated,
     )

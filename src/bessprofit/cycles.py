@@ -110,28 +110,12 @@ def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> Cycle
     return CycleCount(half_cycles=tuple(pairs), n_cyc_100=total)
 
 
-def break_even_cycles(
-    cycle_life: float,
-    calendar_life_years: float,
-    horizon_days: float | None = None,
-    *,
-    months: float | None = None,
-) -> float:
-    """Cycle budget for a horizon so cycling and calendar aging expire together.
-
-    Give the horizon either in days (cycle_life·days/(years·365.25)) or in
-    months under the 1-month = 1/12-year convention
-    (cycle_life·months/(12·years)). Exactly one of the two must be set.
+def break_even_cycles(cycle_life: float, calendar_life_years: float, horizon_days: float) -> float:
+    """Cycle budget for a horizon of days so cycling and calendar aging expire
+    together: cycle_life·days/(years·365.25).
     """
     if cycle_life <= 0 or calendar_life_years <= 0:
         raise ValueError("cycle_life and calendar_life_years must be > 0")
-    if (horizon_days is None) == (months is None):
-        raise ValueError("give exactly one of horizon_days or months")
-    if months is not None:
-        if months <= 0:
-            raise ValueError("months must be > 0")
-        return cycle_life * months / (12.0 * calendar_life_years)
     if horizon_days <= 0:
         raise ValueError("horizon_days must be > 0")
     return cycle_life * horizon_days / (calendar_life_years * 365.25)
-

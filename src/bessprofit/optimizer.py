@@ -24,12 +24,10 @@ needed.
 
 ``build_lp`` states the same problem as a linear program with variables
 (x_plus_i, x_minus_i, theta_i, b_i) per step for ``lp.solve``; it is the
-reference the tests hold the dynamic program to. ``validate_dispatch``
-re-derives every constraint from the returned arrays with plain numpy,
-and ``dp_oracle`` solves small instances by backward dynamic programming
-over an SoC grid; together they are the independent checks of the
-solver. ``select_ppc`` solves one problem at each candidate contract
-level.
+reference the tests hold the dynamic program to, and it needs SciPy.
+``validate_dispatch`` re-derives every constraint from the returned
+arrays with plain numpy. ``select_ppc`` solves one problem at each
+candidate contract level.
 """
 
 from __future__ import annotations
@@ -51,12 +49,10 @@ __all__ = [
     "DispatchProblem",
     "DispatchSolution",
     "PpcSelection",
-    "DpDispatch",
     "build_lp",
     "solve_dispatch",
     "select_ppc",
     "validate_dispatch",
-    "dp_oracle",
     "DEFAULT_EPSILON",
 ]
 
@@ -95,9 +91,8 @@ class DispatchSolution:
 
     x_plus/x_minus are per-step charge/discharge energies (kWh), s the
     grid-side storage energy, b the end-of-step SoC, theta the billed
-    energy max(0, z + s), and energy_cost = Σ price·theta in €.
-    billed_cost is the objective the dispatch minimized without the
-    epsilon tie-break: the billing under friction, in €.
+    energy max(0, z + s), energy_cost = Σ price·theta in €, and eta_fric
+    the friction the dispatch was solved under.
     """
 
     x_plus: np.ndarray
@@ -106,7 +101,6 @@ class DispatchSolution:
     b: np.ndarray
     theta: np.ndarray
     energy_cost: float
-    billed_cost: float = np.nan
     eta_fric: float = 1.0
 
     @property
@@ -245,8 +239,7 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
 
     Raises InfeasibleDispatchError naming the first step after which no SoC path
     meets the peak cap. The returned energy_cost uses the true billing
-    Σ price·max(0, z + s) and billed_cost the frictioned billing without
-    the epsilon term. energy_cost never exceeds the no-battery baseline
+    Σ price·max(0, z + s). It never exceeds the no-battery baseline
     cost when the no-battery plan meets the peak cap, since that plan is
     then feasible; a cap below the baseline peak can force a dearer bill.
     """
@@ -344,7 +337,6 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
         b[-1] = max(b[-1], spec.b_0)
     theta = np.maximum(0.0, z + s)
     energy_cost = float(np.sum(scenario.price * theta))
-    billed_cost = float(np.sum(scenario.price * np.maximum(0.0, z + a_ch * x_plus - a_dis * x_minus)))
 
     return DispatchSolution(
         x_plus=x_plus,
@@ -353,7 +345,6 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
         b=b,
         theta=theta,
         energy_cost=energy_cost,
-        billed_cost=billed_cost,
         eta_fric=prob.eta_fric,
     )
 
@@ -486,83 +477,3 @@ def select_ppc(
         g_pd=g_pd,
         dispatch=dispatch,
     )
-
-
-@dataclass(frozen=True)
-class DpDispatch:
-    """Exact grid-restricted optimum from the dynamic-programming oracle."""
-
-    cost: float
-    x: np.ndarray
-    b: np.ndarray  # end-of-step SoC, length n
-
-
-def dp_oracle(
-    prob: DispatchProblem,
-    soc_grid_step: float,
-    max_steps: int = 50,
-    max_grid_points: int = 801,
-) -> DpDispatch:
-    """Exact optimum of the SoC-grid-restricted dispatch, for tests only.
-
-    Backward induction over a uniform SoC grid anchored at b_min. Stage
-    cost mirrors the billing objective (price·max(0, z + s_fric))
-    without the tie-break term, whatever prob.epsilon; the peak cap uses
-    the true grid-side energy. With prob.terminal_soc the final SoC may
-    not end below b_0.
-    Refuses instances that are too long or grids that are too fine, and
-    requires b_0 and b_max on the grid.
-    """
-    scenario, spec = prob.scenario, prob.spec
-    n, h = scenario.n, scenario.h
-    if n > max_steps:
-        raise ValueError(f"dp_oracle refuses n={n} > {max_steps} steps")
-    if soc_grid_step <= 0:
-        raise ValueError("soc_grid_step must be > 0")
-    span = spec.b_max - spec.b_min
-    n_points = int(round(span / soc_grid_step)) + 1
-    if n_points > max_grid_points:
-        raise ValueError(f"dp_oracle refuses grid of {n_points} points > {max_grid_points}")
-    if abs(spec.b_min + (n_points - 1) * soc_grid_step - spec.b_max) > 1e-9:
-        raise ValueError("b_max - b_min must be an integer number of grid steps")
-    grid = spec.b_min + soc_grid_step * np.arange(n_points)
-    start = int(round((spec.b_0 - spec.b_min) / soc_grid_step))
-    if not (0 <= start < n_points) or abs(grid[start] - spec.b_0) > 1e-9:
-        raise ValueError("b_0 must lie on the SoC grid")
-
-    z = scenario.z
-    price = scenario.price
-
-    # action matrix: x[a, a'] = grid[a'] - grid[a]
-    x_mat = grid[None, :] - grid[:, None]
-    xp = np.maximum(0.0, x_mat)
-    xm = np.maximum(0.0, -x_mat)
-    feasible = (xp <= spec.delta_max_kw * h + 1e-12) & (xm <= -spec.delta_min_kw * h + 1e-12)
-    s_true = xp / spec.eta_ch - spec.eta_dis * xm
-    s_fric = xp / (spec.eta_ch * prob.eta_fric) - spec.eta_dis * prob.eta_fric * xm
-
-    value = np.zeros(n_points)
-    if prob.terminal_soc:
-        value[:start] = np.inf
-    choice = np.empty((n, n_points), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        stage = price[i] * np.maximum(0.0, z[i] + s_fric)
-        allowed = feasible.copy()
-        if np.isfinite(prob.p_max_set):
-            allowed &= z[i] + s_true <= prob.p_max_set * h + 1e-12
-        total = np.where(allowed, stage + value[None, :], np.inf)
-        choice[i] = np.argmin(total, axis=1)
-        value = total[np.arange(n_points), choice[i]]
-
-    if not np.isfinite(value[start]):
-        raise InfeasibleDispatchError("dp_oracle: no feasible SoC path")
-
-    x = np.empty(n)
-    b = np.empty(n)
-    state = start
-    for i in range(n):
-        nxt = int(choice[i][state])
-        x[i] = grid[nxt] - grid[state]
-        b[i] = grid[nxt]
-        state = nxt
-    return DpDispatch(cost=float(value[start]), x=x, b=b)

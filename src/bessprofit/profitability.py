@@ -56,11 +56,10 @@ logger = logging.getLogger(__name__)
 HOURS_PER_YEAR = 365.25 * 24.0
 
 # friction search: lowest eta_fric, hit tolerance (cycles), bracket width
-# that ends the bisection, solve budget including the untuned solve
+# that ends the bisection
 ETA_MIN = 1e-3
 CYCLE_TOL = 0.5
 INTERVAL_TOL = 1e-4
-MAX_SOLVES = 48
 
 
 @dataclass(frozen=True)
@@ -248,11 +247,14 @@ def tune_friction(
     candidate as ``evaluate_candidate`` scores it at eta_fric = 1 (so
     ``conventions.eta_fric`` is not used); if that dispatch is already
     inside the budget, its report is returned unchanged. Otherwise
-    eta_fric is bisected on (ETA_MIN, 1]; cycles are assumed
-    non-decreasing in eta_fric, and if a sampled pair contradicts that
-    beyond CYCLE_TOL the search logs it and finishes with a bracket scan
-    instead of pure bisection. When even ETA_MIN cannot reach the budget,
-    the boundary result is returned with a warning. The contract level is
+    eta_fric is bisected on (ETA_MIN, 1], assuming cycles non-decreasing
+    in eta_fric, and the first sample within CYCLE_TOL of the budget is
+    returned. If the bracket closes without one, a scan of it follows,
+    and the under-budget sample with the most cycles (the largest
+    eta_fric among ties) is returned with a warning; a sampled pair that
+    contradicts monotonicity beyond CYCLE_TOL is logged and named in that
+    warning. When even ETA_MIN cannot reach the budget, the boundary
+    result is returned with a warning. The contract level is
     selected once at eta_fric = 1 and every re-solve holds it, with the
     conventions' epsilon and terminal_soc.
     """
@@ -322,7 +324,7 @@ def tune_friction(
 
     lo, hi = ETA_MIN, 1.0
     best: tuple[float, DispatchSolution, float] = (ETA_MIN, dispatch_lo, cycles_lo)
-    while hi - lo > INTERVAL_TOL and n_solves < MAX_SOLVES:
+    while hi - lo > INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
         dispatch_mid, cycles_mid = solve_at(mid)
         record(mid, cycles_mid)
@@ -332,21 +334,18 @@ def tune_friction(
             hi = mid
         else:
             lo = mid
-            if cycles_mid > best[2]:
+            if cycles_mid >= best[2]:
                 best = (mid, dispatch_mid, cycles_mid)
 
     # Bisection ran out without landing inside the tolerance: scan the
     # remaining bracket for the closest under-budget point.
-    warning = None
     scan_etas = np.linspace(lo, hi, 7)[1:-1]
     for eta in scan_etas:
-        if n_solves >= MAX_SOLVES:
-            break
         dispatch_eta, cycles_eta = solve_at(float(eta))
         record(float(eta), cycles_eta)
         if abs(cycles_eta - target_cycles) <= CYCLE_TOL:
             return result(float(eta), dispatch_eta, None)
-        if cycles_eta <= target_cycles and cycles_eta > best[2]:
+        if cycles_eta <= target_cycles and cycles_eta >= best[2]:
             best = (float(eta), dispatch_eta, cycles_eta)
     warning = (
         f"bisection finished without meeting |cycles - target| <= {CYCLE_TOL}; "

@@ -1,11 +1,11 @@
-"""Shared builders for the test suite.
+"""Shared builders and reference routes for the test suite.
 
 Everything here is deterministic: fixture-backed scenarios priced by the
 shipped tariff, a seeded noisy-price series used by the friction-tuning
-tests, a seeded generator of small dispatch instances for
-cross-validating the solver against the LP and the grid
-dynamic-programming oracle, the LP reference solve, and the environment
-for running the CLI as a subprocess.
+tests, a seeded generator of small dispatch instances, the two
+references the solver is held to (the LP solve and the grid
+dynamic-programming oracle), the billing recomputed from a dispatch's
+arrays, and the environment for running the CLI as a subprocess.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import bessprofit
 from bessprofit import lp
 from bessprofit.battery import make_spec
 from bessprofit.cycles import DamageModel, count_cycles
+from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.fixtures import fixture_arrays
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, build_lp
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries
@@ -29,6 +30,9 @@ H = 1.0 / 12.0  # fixture sample spacing, hours
 
 # SoC grid used whenever the dynamic-programming oracle is the reference
 DP_GRID = 0.01
+# the oracle refuses instances longer than this, or finer grids
+DP_MAX_STEPS = 50
+DP_MAX_GRID_POINTS = 801
 
 
 def subprocess_env() -> dict[str, str]:
@@ -139,6 +143,79 @@ def dp_gap_bound(prob: DispatchProblem, grid: float = DP_GRID) -> float:
 
 
 @dataclass(frozen=True)
+class DpDispatch:
+    """Exact grid-restricted optimum from the dynamic-programming oracle."""
+
+    cost: float
+    x: np.ndarray
+    b: np.ndarray  # end-of-step SoC, length n
+
+
+def dp_oracle(prob: DispatchProblem, soc_grid_step: float) -> DpDispatch:
+    """Exact optimum of the SoC-grid-restricted dispatch.
+
+    Backward induction over a uniform SoC grid anchored at b_min. Stage
+    cost mirrors the billing objective (price·max(0, z + s_fric))
+    without the tie-break term, whatever prob.epsilon; the peak cap uses
+    the true grid-side energy. With prob.terminal_soc the final SoC may
+    not end below b_0.
+    Refuses instances longer than DP_MAX_STEPS or grids finer than
+    DP_MAX_GRID_POINTS points, and requires b_0 and b_max on the grid.
+    """
+    scenario, spec = prob.scenario, prob.spec
+    n, h = scenario.n, scenario.h
+    if n > DP_MAX_STEPS:
+        raise ValueError(f"dp_oracle refuses n={n} > {DP_MAX_STEPS} steps")
+    if soc_grid_step <= 0:
+        raise ValueError("soc_grid_step must be > 0")
+    n_points = int(round((spec.b_max - spec.b_min) / soc_grid_step)) + 1
+    if n_points > DP_MAX_GRID_POINTS:
+        raise ValueError(f"dp_oracle refuses grid of {n_points} points > {DP_MAX_GRID_POINTS}")
+    if abs(spec.b_min + (n_points - 1) * soc_grid_step - spec.b_max) > 1e-9:
+        raise ValueError("b_max - b_min must be an integer number of grid steps")
+    grid = spec.b_min + soc_grid_step * np.arange(n_points)
+    start = int(round((spec.b_0 - spec.b_min) / soc_grid_step))
+    if not (0 <= start < n_points) or abs(grid[start] - spec.b_0) > 1e-9:
+        raise ValueError("b_0 must lie on the SoC grid")
+
+    z, price = scenario.z, scenario.price
+
+    # action matrix: x[a, a'] = grid[a'] - grid[a]
+    x_mat = grid[None, :] - grid[:, None]
+    xp = np.maximum(0.0, x_mat)
+    xm = np.maximum(0.0, -x_mat)
+    feasible = (xp <= spec.delta_max_kw * h + 1e-12) & (xm <= -spec.delta_min_kw * h + 1e-12)
+    s_true = xp / spec.eta_ch - spec.eta_dis * xm
+    s_fric = xp / (spec.eta_ch * prob.eta_fric) - spec.eta_dis * prob.eta_fric * xm
+
+    value = np.zeros(n_points)
+    if prob.terminal_soc:
+        value[:start] = np.inf
+    choice = np.empty((n, n_points), dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        stage = price[i] * np.maximum(0.0, z[i] + s_fric)
+        allowed = feasible.copy()
+        if np.isfinite(prob.p_max_set):
+            allowed &= z[i] + s_true <= prob.p_max_set * h + 1e-12
+        total = np.where(allowed, stage + value[None, :], np.inf)
+        choice[i] = np.argmin(total, axis=1)
+        value = total[np.arange(n_points), choice[i]]
+
+    if not np.isfinite(value[start]):
+        raise InfeasibleDispatchError("dp_oracle: no feasible SoC path")
+
+    x = np.empty(n)
+    b = np.empty(n)
+    state = start
+    for i in range(n):
+        nxt = int(choice[i][state])
+        x[i] = grid[nxt] - grid[state]
+        b[i] = grid[nxt]
+        state = nxt
+    return DpDispatch(cost=float(value[start]), x=x, b=b)
+
+
+@dataclass(frozen=True)
 class LpReference:
     """The dispatch LP's certified optimum: objective and SoC trajectory."""
 
@@ -158,11 +235,22 @@ def lp_reference(prob: DispatchProblem) -> LpReference | None:
     return LpReference(sol.objective, np.concatenate(([b_0], b_0 + np.cumsum(x))))
 
 
+def billed_cost(prob: DispatchProblem, dispatch: DispatchSolution) -> float:
+    """Σ price·max(0, z + x⁺/(eta_ch·eta_fric) − eta_dis·eta_fric·x⁻) in €,
+    recomputed from the dispatch's arrays: the solver's objective without epsilon."""
+    spec = prob.spec
+    a_ch = 1.0 / (spec.eta_ch * prob.eta_fric)
+    a_dis = spec.eta_dis * prob.eta_fric
+    net = prob.scenario.z + a_ch * dispatch.x_plus - a_dis * dispatch.x_minus
+    return float(np.sum(prob.scenario.price * np.maximum(0.0, net)))
+
+
 def dispatch_objective(prob: DispatchProblem, dispatch: DispatchSolution) -> float:
     """The solver's objective: frictioned bill plus epsilon times the movement."""
-    return dispatch.billed_cost + prob.epsilon * float(np.sum(dispatch.x_plus + dispatch.x_minus))
+    return billed_cost(prob, dispatch) + prob.epsilon * float(np.sum(dispatch.x_plus + dispatch.x_minus))
 
 
 def linear_cycles(soc: np.ndarray, b_rated: float) -> float:
     """Equivalent full cycles at damage exponent 1 (half the throughput)."""
     return count_cycles(soc, b_rated, DamageModel(kp=1.0)).n_cyc_100
+

@@ -64,8 +64,8 @@ def test_a2_scoring_closure_on_known_scalars():
 
 def test_a3_monthly_break_even_budget():
     # 4000 rated cycles spread over a 7-year service life leave a budget
-    # of about 47.6 equivalent cycles per month.
-    assert break_even_cycles(4000, 7, months=1.0) == approx(47.6, abs=0.1)
+    # of about 47.6 equivalent cycles per month (a twelfth of a year).
+    assert break_even_cycles(4000, 7, horizon_days=365.25 / 12) == approx(47.6, abs=0.1)
 
 
 def test_a4_lp_objective_matches_dp_oracle():

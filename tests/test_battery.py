@@ -31,9 +31,7 @@ def test_per_cycle_cost_constants():
 def test_total_cost_scales_with_capacity():
     small = battery_cost(make_spec("s", 1.0, 1.0, 1.0))
     big = battery_cost(make_spec("b", 5.0, 1.0, 1.0))
-    assert small.total_per_kwh == pytest.approx(700.0)
     assert small.b_cost == pytest.approx(700.0)
-    assert big.total_per_kwh == pytest.approx(700.0)
     assert big.b_cost == pytest.approx(3500.0)
 
 
@@ -47,7 +45,7 @@ def test_unknown_ramp_class_requires_explicit_costs():
     with pytest.raises(ConfigError, match="ramp class"):
         make_spec("odd", 1.0, 0.5, 0.5)
     spec = make_spec("odd", 1.0, 0.5, 0.5, cost_per_kwh=500.0, inverter_cost_per_kwh=50.0)
-    assert battery_cost(spec).total_per_kwh == pytest.approx(550.0)
+    assert battery_cost(spec).b_cost == pytest.approx(550.0)
 
 
 # ------------------------------------------------------------- invariants

@@ -41,20 +41,27 @@ def test_version_flag(tmp_path):
 
 
 def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
-    # SciPy is a test-only dependency: only the LP reference needs it
-    argv = ["evaluate", str(fixture_dir / "c1.csv"), "--battery", "2kwh-1c",
-            "--out", str(tmp_path / "out")]
+    # SciPy is a test-only dependency: only the LP reference needs it, so
+    # evaluate, tune and a forked sweep all run with every SciPy import failing
+    c1 = str(fixture_dir / "c1.csv")
+    argvs = [
+        ["evaluate", c1, "--battery", "2kwh-1c", "--out", str(tmp_path / "evaluate")],
+        ["tune", c1, "--battery", "2kwh-1c", "--out", str(tmp_path / "tune")],
+        ["sweep", c1, "--jobs", "2", "--out", str(tmp_path / "sweep")],
+    ]
     code = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "import bessprofit, bessprofit.cli\n"
-        f"rc = bessprofit.cli.main({argv!r})\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))]))\n"
+        f"rcs = [bessprofit.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([rcs, sys.modules['scipy'], sorted(m for m in sys.modules"
+        " if m.startswith('scipy.'))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], None, []]
+    assert (tmp_path / "sweep" / "c1-sweep.csv").is_file()
 
 
 class TestFixturesCommand:

@@ -155,29 +155,30 @@ def test_count_cycles_input_validation():
 # -------------------------------------------------------------- break-even
 
 
+MONTH_DAYS = 365.25 / 12  # one twelfth of a calendar year
+
+
 def test_break_even_monthly_budget():
-    assert break_even_cycles(4000, 7.0, months=1) == pytest.approx(47.6, abs=0.1)
-    assert break_even_cycles(4000, 7.0, months=12) == pytest.approx(571.4, abs=0.1)
-    assert break_even_cycles(700, 5.0, months=1) == pytest.approx(700 / 60, abs=0.05)
-    assert break_even_cycles(700, 5.0, months=1) == pytest.approx(11.67, abs=0.01)
+    assert break_even_cycles(4000, 7.0, horizon_days=MONTH_DAYS) == pytest.approx(47.6, abs=0.1)
+    assert break_even_cycles(4000, 7.0, horizon_days=365.25) == pytest.approx(571.4, abs=0.1)
+    assert break_even_cycles(700, 5.0, horizon_days=MONTH_DAYS) == pytest.approx(700 / 60, abs=0.05)
+    assert break_even_cycles(700, 5.0, horizon_days=MONTH_DAYS) == pytest.approx(11.67, abs=0.01)
 
 
 def test_break_even_day_form_uses_calendar_days():
     by_days = break_even_cycles(4000, 7.0, horizon_days=30.0)
     assert by_days == pytest.approx(4000 * 30.0 / (7.0 * 365.25), abs=1e-9)
     assert by_days == pytest.approx(46.93, abs=0.01)
-    # a 1-month budget and a 30-day budget deliberately differ
-    assert by_days != pytest.approx(break_even_cycles(4000, 7.0, months=1), abs=0.1)
+    # a 30-day budget and a one-month budget deliberately differ
+    assert by_days != pytest.approx(break_even_cycles(4000, 7.0, horizon_days=MONTH_DAYS), abs=0.1)
 
 
 def test_break_even_argument_validation():
+    with pytest.raises(TypeError):
+        break_even_cycles(4000, 7.0)  # the horizon is required
     with pytest.raises(ValueError):
-        break_even_cycles(4000, 7.0)  # neither form
+        break_even_cycles(0, 7.0, horizon_days=30.0)
     with pytest.raises(ValueError):
-        break_even_cycles(4000, 7.0, horizon_days=30.0, months=1)  # both forms
+        break_even_cycles(4000, 0.0, horizon_days=30.0)
     with pytest.raises(ValueError):
-        break_even_cycles(0, 7.0, months=1)
-    with pytest.raises(ValueError):
-        break_even_cycles(4000, 0.0, months=1)
-    with pytest.raises(ValueError):
-        break_even_cycles(4000, 7.0, months=-1)
+        break_even_cycles(4000, 7.0, horizon_days=-1.0)

@@ -1,11 +1,13 @@
 """Dispatch optimization: the exact solver, its LP and grid-DP cross-checks,
 the independent dispatch validator, and peak-contract selection.
 
-The central guarantee is three-route: on randomized instances the
-solver's optimum is reproduced by the certified LP and, within its
-discretization error, by a grid-search dynamic program; on the fixture
-panel it matches the LP at every selected cap; and every dispatch is
-re-audited with plain array arithmetic.
+The central guarantee is three-route: ``assert_routes_agree`` holds the
+solver's optimum to the certified LP and, within its discretization
+error, to a grid-search dynamic program (gate a4 runs it on randomized
+instances); on the fixture panel the solver matches the LP at every
+selected cap; and every dispatch is re-audited with plain array
+arithmetic. Bills are recomputed from the returned arrays, never taken
+from the solver.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from bessprofit.optimizer import (
     DispatchProblem,
     DispatchSolution,
     build_lp,
-    dp_oracle,
     select_ppc,
     solve_dispatch,
     validate_dispatch,
@@ -33,8 +34,10 @@ from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE
 from _support import (
     DP_GRID,
     H,
+    billed_cost,
     dispatch_objective,
     dp_gap_bound,
+    dp_oracle,
     linear_cycles,
     lp_reference,
     mini_scenario,
@@ -73,7 +76,7 @@ def assert_routes_agree(prob: DispatchProblem, label: str) -> None:
 
     dp = dp_oracle(prob, DP_GRID)
     bound = dp_gap_bound(prob)
-    diff = dp.cost - sol.billed_cost
+    diff = dp.cost - billed_cost(prob, sol)
     # the grid policy is a feasible policy, so it can never beat the solver...
     assert diff >= -1e-7 * (1.0 + abs(dp.cost)), label
     # ...and must come within the discretization error of it
@@ -84,15 +87,6 @@ def assert_routes_agree(prob: DispatchProblem, label: str) -> None:
     if np.max(z) / prob.scenario.h <= prob.p_max_set:
         baseline = float(np.sum(prob.scenario.price * np.maximum(0.0, z)))
         assert sol.energy_cost <= baseline + 1e-9 * (1.0 + baseline), label
-
-
-def test_lp_matches_dp_oracle_on_random_instances():
-    rng = np.random.default_rng(424242)
-    for k in range(24):
-        prob = random_dispatch_instance(rng)
-        for terminal_soc in (False, True):
-            held = replace(prob, terminal_soc=terminal_soc)
-            assert_routes_agree(held, f"instance {k}, terminal_soc={terminal_soc}")
 
 
 def test_panel_dispatches_match_the_lp_at_the_selected_caps(panel):
@@ -167,8 +161,8 @@ def test_three_step_surplus_shift():
     prob = DispatchProblem(scenario, spec)
     sol = solve_dispatch(prob)
     dp = dp_oracle(prob, DP_GRID)
-    assert sol.billed_cost == pytest.approx(0.012, abs=1e-6)
-    assert dp.cost == pytest.approx(sol.billed_cost, abs=2.0 * dp_gap_bound(prob))
+    assert billed_cost(prob, sol) == pytest.approx(0.012, abs=1e-6)
+    assert dp.cost == pytest.approx(billed_cost(prob, sol), abs=2.0 * dp_gap_bound(prob))
     assert sol.x_plus[1] > 0.1  # charges from the surplus step
     assert sol.x_minus[2] > 0.1  # discharges at the expensive step
     np.testing.assert_allclose(sol.theta, [0.12, 0.0, 0.0], atol=1e-7)
@@ -190,10 +184,12 @@ def test_terminal_soc_restores_initial_charge():
     price = rng.uniform(0.05, 0.5, 12)
     scenario = mini_scenario(z, price, h=0.5, name="term")
     spec = make_spec("1kwh-1c", 1.0, 1.0, 1.0)
-    free = solve_dispatch(DispatchProblem(scenario, spec))
-    held = solve_dispatch(DispatchProblem(scenario, spec, terminal_soc=True))
-    assert held.b[-1] >= spec.b_0 - 1e-9
-    assert free.billed_cost <= held.billed_cost + 1e-9  # constraint can only cost
+    free = DispatchProblem(scenario, spec)
+    held = replace(free, terminal_soc=True)
+    held_sol = solve_dispatch(held)
+    assert held_sol.b[-1] >= spec.b_0 - 1e-9
+    # the constraint can only cost
+    assert billed_cost(free, solve_dispatch(free)) <= billed_cost(held, held_sol) + 1e-9
 
 
 def test_terminal_soc_final_charge_is_exact(panel):
@@ -245,7 +241,7 @@ def test_negative_epsilon_is_rejected():
         with pytest.raises(ValueError, match="epsilon"):
             DispatchProblem(scenario, spec, epsilon=bad)
     prob = DispatchProblem(scenario, spec, epsilon=0.0)
-    assert solve_dispatch(prob).billed_cost == pytest.approx(0.012, abs=1e-6)
+    assert billed_cost(prob, solve_dispatch(prob)) == pytest.approx(0.012, abs=1e-6)
 
 
 def test_value_of_storage_is_monotone_in_the_box():
@@ -257,9 +253,9 @@ def test_value_of_storage_is_monotone_in_the_box():
     small = make_spec("inner", 1.0, 1.0, 1.0)
     big = make_spec("outer", 2.0, 2.0, 2.0, soc_min_frac=0.05, soc_init_frac=0.25)
     assert small.b_0 == big.b_0  # same starting energy, wider feasible set
-    sol_small = solve_dispatch(DispatchProblem(scenario, small))
-    sol_big = solve_dispatch(DispatchProblem(scenario, big))
-    assert sol_big.billed_cost <= sol_small.billed_cost + 1e-7
+    cost_small, cost_big = (billed_cost(p, solve_dispatch(p))
+                            for p in (DispatchProblem(scenario, small), DispatchProblem(scenario, big)))
+    assert cost_big <= cost_small + 1e-7
 
 
 # ---------------------------------------------------------------- friction
@@ -539,10 +535,3 @@ def test_panel_old_levels_cover_baseline_peaks(panel, scenarios):
         assert entry.selection.old_level.kva >= peak
         assert entry.selection.level.kva <= entry.selection.old_level.kva
         assert entry.selection.g_pd >= 0.0
-
-
-def test_panel_dispatches_respect_chosen_caps(panel):
-    for (case, name), entry in panel.items():
-        z = entry.scenario.load - entry.scenario.pv
-        peak_kw = float(np.max((z + entry.dispatch.s) / entry.scenario.h))
-        assert peak_kw <= entry.selection.level.kva + 1e-6, (case, name)

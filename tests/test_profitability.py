@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from bessprofit import profitability
 from bessprofit.battery import catalog_by_name, make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
@@ -323,6 +324,32 @@ class TestFrictionTuning:
         assert res.warning is not None
         assert res.warning.startswith("cycle budget 0.20 unreachable")
         assert res.report.n_cyc_100 == approx(0.92, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "cycles_at, eta_range, monotone",
+        [
+            (lambda eta: 30.0 if eta > 0.4 else 2.0, (0.4 - 1e-4, 0.4), True),
+            (lambda eta: 5.0 if eta < 0.2 else 2.0 if eta <= 0.4 else 30.0,
+             (ETA_MIN - 1e-12, ETA_MIN), False),
+        ],
+        ids=["step", "non-monotone"],
+    )
+    def test_fallback_keeps_the_largest_coefficient_on_ties(
+        self, monkeypatch, cycles_at, eta_range, monotone
+    ):
+        # A stubbed cycle count that jumps over the budget: bisection closes
+        # on the jump without landing within CYCLE_TOL, so the bracket scan
+        # runs and the under-budget sample with the most cycles wins, the
+        # largest coefficient among equal counts.
+        monkeypatch.setattr(profitability, "_cycles_of",
+                            lambda dispatch, spec, conventions: cycles_at(dispatch.eta_fric))
+        scenario = mini_scenario(np.full(24, 0.5), np.full(24, 0.2), name="stub")
+        res = tune_friction(scenario, make_spec("1kwh-1c", 1.0, 1.0, 1.0),
+                            DEFAULT_PPC_SCHEDULE, target_cycles=15.0)
+        assert eta_range[0] < res.eta_fric <= eta_range[1]
+        assert res.n_solves == 21  # untuned, ETA_MIN, 14 bisection steps, 5 scan points
+        assert res.warning.startswith("bisection finished")
+        assert res.warning.endswith("cycle count was not monotone in eta_fric") != monotone
 
     def test_non_positive_target_is_rejected(self, noisy, by_name):
         for target in (0.0, -3.0, math.nan, math.inf):  # non-finite ones too
