@@ -10,6 +10,7 @@ discharging delivers eta_dis of what storage releases.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,21 +59,21 @@ class BatterySpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.b_rated <= 0:
-            raise ConfigError("b_rated must be > 0")
+        if not 0 < self.b_rated < math.inf:
+            raise ConfigError("b_rated must be > 0 and finite")
         if not (0 <= self.b_min <= self.b_0 <= self.b_max <= self.b_rated):
             raise ConfigError("need 0 <= b_min <= b_0 <= b_max <= b_rated")
         for label, eta in (("eta_ch", self.eta_ch), ("eta_dis", self.eta_dis)):
             if not (0 < eta <= 1):
                 raise ConfigError(f"{label} must be in (0, 1]")
-        if self.charge_rate_c < 0 or self.discharge_rate_c < 0:
-            raise ConfigError("C-rates must be >= 0")
-        if self.cycle_life_100dod <= 0:
-            raise ConfigError("cycle_life_100dod must be > 0")
-        if self.calendar_life_years <= 0:
-            raise ConfigError("calendar_life_years must be > 0")
-        if self.cost_per_kwh < 0 or self.inverter_cost_per_kwh < 0:
-            raise ConfigError("costs must be >= 0")
+        if not (0 <= self.charge_rate_c < math.inf and 0 <= self.discharge_rate_c < math.inf):
+            raise ConfigError("C-rates must be >= 0 and finite")
+        if not 0 < self.cycle_life_100dod < math.inf:
+            raise ConfigError("cycle_life_100dod must be > 0 and finite")
+        if not 0 < self.calendar_life_years < math.inf:
+            raise ConfigError("calendar_life_years must be > 0 and finite")
+        if not (0 <= self.cost_per_kwh < math.inf and 0 <= self.inverter_cost_per_kwh < math.inf):
+            raise ConfigError("costs must be >= 0 and finite")
 
     @property
     def delta_max_kw(self) -> float:

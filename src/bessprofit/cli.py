@@ -152,15 +152,14 @@ def _write_candidate(
     )
     base = baseline_metrics(scenario)
     text = render_table(header, base, [report])
-    z, x = scenario.z, dispatch.x
-    b = dispatch.soc_trajectory(spec.b_0)
     lines = header.lines()
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
-    for i, stamp in enumerate(scenario.step_times()):
-        lines.append(
-            f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{dispatch.s[i]:.6f},"
-            f"{b[i + 1]:.6f},{dispatch.theta[i]:.6f},{scenario.price[i]:.4f}"
-        )
+    # Python floats format exactly as np.float64 does; b is the SoC after each step
+    columns = (scenario.z, dispatch.x, dispatch.s, dispatch.b, dispatch.theta, scenario.price)
+    lines += [
+        f"{stamp.isoformat()},{z:.6f},{x:.6f},{s:.6f},{b:.6f},{theta:.6f},{price:.4f}"
+        for stamp, z, x, s, b, theta, price in zip(scenario.step_times(), *(c.tolist() for c in columns))
+    ]
     stem = f"{scenario.name}-{spec.name}-{infix}"
     (config.out_dir / f"{stem}dispatch.csv").write_text("\n".join(lines) + "\n", newline="")
     (config.out_dir / f"{stem}report.txt").write_text(text, newline="")

@@ -256,24 +256,28 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
         spec.delta_max_kw * h, np.where(head >= 0, head * spec.eta_ch, head / spec.eta_dis)
     )
 
+    # f_i's top and middle slopes and its billing kink, each step at once
+    eps = float(prob.epsilon)
+    tops = (scenario.price * a_ch + eps).tolist()
+    mids = np.where(z > 0.0, scenario.price * a_dis - eps, eps).tolist()
+    kinks = np.where(z > 0.0, -z / a_dis, -z / a_ch).tolist()
+    b_min, b_max, x_floor = spec.b_min, spec.b_max, lo_x - _DUST
+
     # V_i as its domain start `lo` plus segments sorted by slope
     lo = spec.b_0
     slopes: list[float] = []
     lens: list[float] = []
     plan: list[list[tuple[float, float]]] = []
-    eps = float(prob.epsilon)
-    for i, (zi, pi, ui) in enumerate(zip(z.tolist(), scenario.price.tolist(), hi_x.tolist())):
-        if ui < lo_x - _DUST:
+    for i, (zi, ui, top, mid, kink) in enumerate(zip(z.tolist(), hi_x.tolist(), tops, mids, kinks)):
+        if ui < x_floor:
             raise _unreachable(prob, i)
         # pieces of f_i, highest slope first, so a piece inserted into V
         # never shifts the crossing point of a lower-sloped piece of the
         # same step; the kinks sit at x = 0 and where z_i + s_fric(x) = 0
         if zi > 0.0:
-            kink = -zi / a_dis
-            pieces = ((0.0, ui, pi * a_ch + eps), (kink, 0.0, pi * a_dis - eps), (lo_x, kink, -eps))
+            pieces, bottom_end = ((0.0, ui, top), (kink, 0.0, mid)), kink
         else:
-            kink = -zi / a_ch
-            pieces = ((kink, ui, pi * a_ch + eps), (0.0, kink, eps), (lo_x, 0.0, -eps))
+            pieces, bottom_end = ((kink, ui, top), (0.0, kink, mid)), 0.0
         step = []
         for start, end, slope in pieces:
             if start < lo_x:
@@ -290,12 +294,22 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
             else:
                 slopes.insert(k, slope)
                 lens.insert(k, length)
+        # the bottom piece, slope -eps, goes first in V: prices and eps are
+        # >= 0, so no slope lies below it
+        length = (ui if bottom_end > ui else bottom_end) - lo_x
+        if length > 0.0:
+            step.append((lo + lo_x, length))
+            if slopes and slopes[0] == -eps:
+                lens[0] += length
+            else:
+                slopes.insert(0, -eps)
+                lens.insert(0, length)
         plan.append(step)
 
         lo += lo_x
         hi = lo + sum(lens)
-        b_floor = spec.b_0 if prob.terminal_soc and i == n - 1 else spec.b_min
-        if hi < b_floor - _DUST or lo > spec.b_max + _DUST:
+        b_floor = spec.b_0 if prob.terminal_soc and i == n - 1 else b_min
+        if hi < b_floor - _DUST or lo > b_max + _DUST:
             raise _unreachable(prob, i)
         if lo < b_floor:
             cut = b_floor - lo
@@ -305,14 +319,14 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
             if lens:
                 lens[0] -= cut
             lo = b_floor
-        if hi > spec.b_max:
-            cut = hi - spec.b_max
+        if hi > b_max:
+            cut = hi - b_max
             while lens and lens[-1] <= cut:
                 cut -= lens.pop()
                 slopes.pop()
             if lens:
                 lens[-1] -= cut
-            lo = min(lo, spec.b_max)  # a domain within _DUST above the box
+            lo = min(lo, b_max)  # a domain within _DUST above the box
 
     b_i = lo + sum(lens[: bisect_left(slopes, 0.0)])
     x = [0.0] * n

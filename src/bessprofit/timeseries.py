@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -123,8 +125,8 @@ class PpcSchedule:
             raise ConfigError("PPC schedule needs at least one level")
         prev_kva, prev_cost = -np.inf, -np.inf
         for level in self.levels:
-            if level.kva <= 0 or level.eur_per_day < 0:
-                raise ConfigError("PPC levels must have positive kVA and non-negative cost")
+            if not (0 < level.kva < math.inf and 0 <= level.eur_per_day < math.inf):
+                raise ConfigError("PPC levels must have positive kVA and non-negative cost, both finite")
             if level.kva <= prev_kva or level.eur_per_day <= prev_cost:
                 raise ConfigError("PPC levels must be strictly increasing in kVA and cost")
             prev_kva, prev_cost = level.kva, level.eur_per_day
@@ -308,8 +310,9 @@ def load_scenario(
     spacing; otherwise the spacing is inferred. Prices come from the tariff
     (default: the shipped two-period schedule) by time of day.
 
-    Raises ScenarioError on duplicate/backward timestamps, gaps, non-uniform
-    spacing, negative or non-finite measurements, or a malformed header.
+    Raises ScenarioError on duplicate/backward timestamps, naive and
+    UTC-offset timestamps mixed, gaps, non-uniform spacing, negative or
+    non-finite measurements, or a malformed header or row.
     """
     if tariff is None:
         tariff = DEFAULT_TOU_TARIFF
@@ -321,8 +324,8 @@ def load_scenario(
     pv_w: list[float] = []
 
     stream = _open_csv(csv_source)
+    reader = csv.reader(stream)
     try:
-        reader = csv.reader(stream)
         # leading '#' lines are generator provenance, not data
         header = None
         lineno = 0
@@ -348,13 +351,15 @@ def load_scenario(
                 lw, pw = float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ScenarioError(f"line {lineno}: bad power value") from exc
-            if not (np.isfinite(lw) and np.isfinite(pw)):
+            if not (math.isfinite(lw) and math.isfinite(pw)):
                 raise ScenarioError(f"line {lineno}: non-finite measurement")
             if lw < 0 or pw < 0:
                 raise ScenarioError(f"line {lineno}: negative measurement")
             times.append(stamp)
             load_w.append(lw)
             pv_w.append(pw)
+    except csv.Error as exc:
+        raise ScenarioError(f"line {reader.line_num}: {exc}") from exc
     finally:
         if stream is not csv_source:
             stream.close()
@@ -362,17 +367,22 @@ def load_scenario(
     if len(times) < 2:
         raise ScenarioError("scenario needs at least two rows to establish spacing")
 
-    spacing = times[1] - times[0]
-    for i in range(1, len(times)):
-        delta = times[i] - times[i - 1]
-        lineno = i + 2
+    try:
+        deltas = list(map(operator.sub, times[1:], times[:-1]))
+    except TypeError as exc:  # raised only between a naive and an offset-aware timestamp
+        i = next(i for i, t in enumerate(times) if (t.tzinfo is None) != (times[0].tzinfo is None))
+        raise ScenarioError(f"line {i + 2}: timestamps mix naive and UTC-offset times") from exc
+    spacing = deltas[0]
+    if spacing <= timedelta(0) or deltas.count(spacing) != len(deltas):
+        # the first pair is diagnosed first, else the first row off the spacing
+        k = 0 if spacing <= timedelta(0) else next(k for k, d in enumerate(deltas) if d != spacing)
+        delta, lineno = deltas[k], k + 3
         if delta == timedelta(0):
-            raise ScenarioError(f"line {lineno}: duplicate timestamp {times[i].isoformat()}")
+            raise ScenarioError(f"line {lineno}: duplicate timestamp {times[k + 1].isoformat()}")
         if delta < timedelta(0):
             raise ScenarioError(f"line {lineno}: timestamps not increasing")
-        if delta != spacing:
-            kind = "gap in measurements" if delta > spacing else "non-uniform spacing"
-            raise ScenarioError(f"line {lineno}: {kind} ({delta} vs expected {spacing})")
+        kind = "gap in measurements" if delta > spacing else "non-uniform spacing"
+        raise ScenarioError(f"line {lineno}: {kind} ({delta} vs expected {spacing})")
 
     h_file = spacing.total_seconds() / 3600.0
     # written so that a NaN h fails the match

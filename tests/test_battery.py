@@ -68,6 +68,20 @@ def test_spec_invariant_errors():
         make_spec("bad", 1.0, 1.0, 1.0, calendar_life_years=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "field",
+    ["b_rated", "charge_rate_c", "discharge_rate_c", "cycle_life_100dod",
+     "calendar_life_years", "cost_per_kwh", "inverter_cost_per_kwh"],
+)
+def test_spec_rejects_non_finite_values(field, value):
+    args = dict(name="bad", b_rated=1.0, charge_rate_c=1.0, discharge_rate_c=1.0,
+                cost_per_kwh=600.0, inverter_cost_per_kwh=100.0)
+    args[field] = value
+    with pytest.raises(ConfigError, match="finite"):
+        make_spec(**args)
+
+
 def test_spec_power_properties():
     spec = make_spec("p", 2.0, 1.0, 0.25)
     assert spec.delta_max_kw == pytest.approx(2.0)  # 1C charge on 2 kWh
@@ -138,6 +152,13 @@ def test_load_catalog_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         load_catalog(tmp_path / "absent.json")
+
+    # 1e400 parses as an infinite float
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"batteries": [{"name": "x", "b_rated_kwh": 1e400, '
+                    '"charge_rate_c": 1, "discharge_rate_c": 1}]}')
+    with pytest.raises(ConfigError, match="b_rated must be > 0 and finite"):
+        load_catalog(huge)
 
 
 def test_spec_is_immutable():

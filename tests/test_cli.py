@@ -18,6 +18,9 @@ import pytest
 
 from _support import subprocess_env
 from bessprofit import cli
+from bessprofit.battery import catalog_by_name, default_catalog
+from bessprofit.profitability import Conventions, evaluate_candidate
+from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, load_scenario
 
 
 def run_cli(*args, cwd):
@@ -121,6 +124,25 @@ class TestEvaluateCommand:
         steps = data_lines(dispatch_csv)
         assert steps[0] == "timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price"
         assert len(steps) == 1 + 8640
+
+    def test_dispatch_csv_rows_are_the_dispatch(self, tmp_path, fixture_dir):
+        # energies at 6 decimals, the price at 4, and b_kwh the SoC after the step
+        out = tmp_path / "out"
+        proc = run_cli("evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
+                       "--out", out, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        scenario = load_scenario(fixture_dir / "c1.csv")
+        spec = catalog_by_name(default_catalog())["2kwh-1c"]
+        _, dispatch, _ = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE, Conventions())
+        z, x, s, theta, price = scenario.z, dispatch.x, dispatch.s, dispatch.theta, scenario.price
+        soc = dispatch.soc_trajectory(spec.b_0)
+        expected = [
+            f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{s[i]:.6f},{soc[i + 1]:.6f},"
+            f"{theta[i]:.6f},{price[i]:.4f}"
+            for i, stamp in enumerate(scenario.step_times())
+        ]
+        steps = data_lines((out / "c1-2kwh-1c-dispatch.csv").read_text())
+        assert steps[1:] == expected
 
     def test_convention_flags_are_echoed(self, tmp_path, fixture_dir):
         out = tmp_path / "out"
@@ -307,6 +329,36 @@ class TestFailureModes:
         proc = run_cli("evaluate", bad, "--battery", "2kwh-1c", cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "third,message",
+        [
+            ("2019-06-01T00:10:00+00:00,100,0", "error: line 4: timestamps mix naive and UTC-offset times"),
+            ("2019-06-01T00:10:00," + "1" * 131_073 + ",0",
+             "error: line 4: field larger than field limit (131072)"),
+        ],
+        ids=["mixed-utc-offset", "oversized-field"],
+    )
+    def test_bad_scenario_row_is_one_error_line(self, tmp_path, third, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("timestamp,load_w,pv_w\n2019-06-01T00:00:00,100,0\n"
+                       f"2019-06-01T00:05:00,100,0\n{third}\n2019-06-01T00:15:00,100,0\n")
+        proc = run_cli("evaluate", bad, "--battery", "2kwh-1c", "--out", tmp_path / "out", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
+
+    def test_infinite_catalog_capacity_is_rejected(self, tmp_path, fixture_dir):
+        # 1e400 parses as an infinite float
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text('{"batteries": [{"name": "x", "b_rated_kwh": 1e400, '
+                           '"charge_rate_c": 1, "discharge_rate_c": 1}]}')
+        out = tmp_path / "out"
+        proc = run_cli("sweep", fixture_dir / "c1.csv", "--catalog", catalog, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: bad catalog entry ")
+        assert proc.stderr.rstrip().endswith("b_rated must be > 0 and finite")
+        assert list(out.rglob("*")) == []
 
     def test_unreadable_tariff_file(self, tmp_path, fixture_dir):
         tariff = tmp_path / "tariff.json"

@@ -57,7 +57,8 @@ def assert_routes_agree(prob: DispatchProblem, label: str) -> None:
     it; the dispatch passes the validator, final SoC included, at 1e-9;
     and it never bills more than the no-battery plan when that plan meets
     the peak cap. All three routes read epsilon and terminal_soc from
-    ``prob``.
+    ``prob``. The cycle count is compared only when epsilon > 0: without
+    the tie-break, optima that move different amounts cost the same.
     """
     ref = lp_reference(prob)
     try:
@@ -70,9 +71,10 @@ def assert_routes_agree(prob: DispatchProblem, label: str) -> None:
     assert ref is not None, f"{label}: the LP is infeasible"
     assert dispatch_objective(prob, sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), label
     b_rated = prob.spec.b_rated
-    assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
-        linear_cycles(ref.soc, b_rated), abs=1e-9
-    ), label
+    if prob.epsilon > 0:
+        assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
+            linear_cycles(ref.soc, b_rated), abs=1e-9
+        ), label
 
     dp = dp_oracle(prob, DP_GRID)
     bound = dp_gap_bound(prob)
@@ -129,6 +131,23 @@ def test_dp_policy_is_feasible_for_the_lp():
             energy_cost=float(np.sum(prob.scenario.price * theta)),
         )
         assert not validate_dispatch(replace(prob, eta_fric=1.0), dispatch)
+
+
+def test_zero_price_steps_agree_across_routes():
+    # At a zero price the middle slope p·a_dis − eps of an importing step
+    # equals the bottom piece's −eps, and at eps = 0 every slope of the
+    # step is zero. The solver puts the bottom piece first in V without a
+    # search, so both boundaries are held to the LP and the grid oracle.
+    rng = np.random.default_rng(2020)
+    for k in range(8):
+        prob = random_dispatch_instance(rng)
+        zeroed = rng.random(prob.scenario.n) < 0.5 if k else True
+        price = np.where(zeroed, 0.0, prob.scenario.price)
+        assert np.any(price == 0.0)
+        scenario = replace(prob.scenario, price=price)
+        for epsilon in (0.0, 1e-6):
+            assert_routes_agree(replace(prob, scenario=scenario, epsilon=epsilon),
+                                f"instance {k}, epsilon={epsilon}")
 
 
 # ------------------------------------------------------- small hand cases

@@ -255,24 +255,33 @@ def test_load_scenario_needs_two_rows():
         load_scenario(_csv(["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0"]))
 
 
+def _spacing_case(second: str, third: str, message: str, kind: str):
+    return pytest.param(f"2019-{second}:00,100,0", f"2019-{third}:00,100,0", message, id=kind)
+
+
 @pytest.mark.parametrize(
-    "third,pattern",
+    "second,third,message",
     [
-        ("2019-06-01T00:15:00,100,0", "gap"),
-        ("2019-06-01T00:08:00,100,0", "non-uniform"),
-        ("2019-06-01T00:05:00,100,0", "duplicate"),
-        ("2019-06-01T00:01:00,100,0", "not increasing"),
+        _spacing_case("06-01T00:05", "06-01T00:15", "line 4: gap in measurements (0:10:00 vs expected 0:05:00)",
+                      "2019-06-01T00:15:00,100,0-gap"),
+        _spacing_case("06-01T00:05", "06-01T00:08", "line 4: non-uniform spacing (0:03:00 vs expected 0:05:00)",
+                      "2019-06-01T00:08:00,100,0-non-uniform"),
+        _spacing_case("06-01T00:05", "06-01T00:05", "line 4: duplicate timestamp 2019-06-01T00:05:00",
+                      "2019-06-01T00:05:00,100,0-duplicate"),
+        _spacing_case("06-01T00:05", "06-01T00:01", "line 4: timestamps not increasing",
+                      "2019-06-01T00:01:00,100,0-not increasing"),
+        # the first pair sets the spacing, so it is checked before any later row
+        _spacing_case("06-01T00:00", "06-01T00:05", "line 3: duplicate timestamp 2019-06-01T00:00:00",
+                      "first-pair-duplicate"),
+        _spacing_case("05-31T23:55", "06-01T00:05", "line 3: timestamps not increasing",
+                      "first-pair-not-increasing"),
     ],
 )
-def test_load_scenario_spacing_errors(third, pattern):
-    rows = [
-        "timestamp,load_w,pv_w",
-        "2019-06-01T00:00:00,100,0",
-        "2019-06-01T00:05:00,100,0",
-        third,
-    ]
-    with pytest.raises(ScenarioError, match=pattern):
+def test_load_scenario_spacing_errors(second, third, message):
+    rows = ["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", second, third]
+    with pytest.raises(ScenarioError) as info:
         load_scenario(_csv(rows))
+    assert str(info.value) == message
 
 
 def test_load_scenario_step_must_match_file():
@@ -406,6 +415,15 @@ def test_ppc_rejects_disorder():
         PpcSchedule((PpcLevel(3.45, 0.3), PpcLevel(4.6, 0.2)))
     with pytest.raises(ConfigError):
         PpcSchedule((PpcLevel(-1.0, 0.1),))
+
+
+@pytest.mark.parametrize("level", [{"kva": 3.45, "eur_per_day": "nan"}, {"kva": "inf", "eur_per_day": 0.1},
+                                   {"kva": "nan", "eur_per_day": 0.1}, {"kva": 3.45, "eur_per_day": "inf"}])
+def test_ppc_rejects_non_finite_levels(tmp_path, level):
+    path = tmp_path / "ppc.json"
+    path.write_text(json.dumps({"levels": [{"kva": 2.0, "eur_per_day": 0.05}, level]}))
+    with pytest.raises(ConfigError, match="both finite"):
+        load_ppc(path)
 
 
 def test_load_ppc_roundtrip_and_errors(tmp_path):
