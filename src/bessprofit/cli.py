@@ -205,6 +205,14 @@ def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outco
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
+    # each scenario's outputs are named after its file stem
+    by_stem: dict[str, str] = {}
+    for path in args.scenarios:
+        stem = Path(path).stem
+        if stem in by_stem:
+            raise ConfigError(f"scenarios {by_stem[stem]} and {path} would write the same "
+                              f"{stem}-sweep files")
+        by_stem[stem] = path
     config = _build_config(args, tuple(args.scenarios))
     # every scenario is read and validated before the first solve
     scenarios = [_load(config, path) for path in config.scenario_paths]

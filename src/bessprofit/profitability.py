@@ -23,9 +23,9 @@ fixed during the search so the cycle count responds to friction alone.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,8 +50,6 @@ __all__ = [
     "tune_friction",
     "HOURS_PER_YEAR",
 ]
-
-logger = logging.getLogger(__name__)
 
 HOURS_PER_YEAR = 365.25 * 24.0
 
@@ -246,17 +244,18 @@ def tune_friction(
     a given one must be finite and > 0. The search starts from the
     candidate as ``evaluate_candidate`` scores it at eta_fric = 1 (so
     ``conventions.eta_fric`` is not used); if that dispatch is already
-    inside the budget, its report is returned unchanged. Otherwise
-    eta_fric is bisected on (ETA_MIN, 1], assuming cycles non-decreasing
-    in eta_fric, and the first sample within CYCLE_TOL of the budget is
-    returned. If the bracket closes without one, a scan of it follows,
-    and the under-budget sample with the most cycles (the largest
-    eta_fric among ties) is returned with a warning; a sampled pair that
-    contradicts monotonicity beyond CYCLE_TOL is logged and named in that
-    warning. When even ETA_MIN cannot reach the budget, the boundary
-    result is returned with a warning. The contract level is
-    selected once at eta_fric = 1 and every re-solve holds it, with the
-    conventions' epsilon and terminal_soc.
+    inside the budget, its report is returned unchanged. Otherwise it
+    samples ETA_MIN, then bisects (ETA_MIN, 1] while the bracket is wider
+    than INTERVAL_TOL, assuming cycles non-decreasing in eta_fric, then
+    scans five interior points of the last bracket, and returns the first
+    sample within CYCLE_TOL of the budget. When ETA_MIN is already over
+    budget, it is returned with a warning. When no sample hits, the
+    under-budget sample with the most cycles (the largest eta_fric among
+    ties) is returned with a warning, which also says the cycle count was
+    not monotone when some sample has more than CYCLE_TOL cycles above a
+    sample at a larger eta_fric. The contract level is selected once at
+    eta_fric = 1 and every re-solve holds it, with the conventions'
+    epsilon and terminal_soc.
     """
     if target_cycles is None:
         target_cycles = break_even_cycles(
@@ -269,7 +268,7 @@ def tune_friction(
     untuned = replace(conventions, eta_fric=1.0)
     untuned_report, untuned_dispatch, selection = evaluate_candidate(scenario, spec, ppc, untuned)
     capped = replace(_problem(scenario, spec, untuned), p_max_set=selection.level.kva)
-    n_solves = 1
+    samples = [(1.0, untuned_report.n_cyc_100)]  # (eta_fric, cycles) of every solve
 
     def result(eta: float, dispatch: DispatchSolution, warning: str | None,
                report: ProfitabilityReport | None = None) -> TuningResult:
@@ -281,79 +280,46 @@ def tune_friction(
             untuned_dispatch=untuned_dispatch,
             target_cycles=target_cycles,
             warning=warning,
-            n_solves=n_solves,
+            n_solves=len(samples),
         )
 
-    cycles_1 = untuned_report.n_cyc_100
-    if cycles_1 <= target_cycles + CYCLE_TOL:
+    if untuned_report.n_cyc_100 <= target_cycles + CYCLE_TOL:
         return result(1.0, untuned_dispatch, None, untuned_report)
 
-    def solve_at(eta: float) -> tuple[DispatchSolution, float]:
-        nonlocal n_solves
-        dispatch = solve_dispatch(replace(capped, eta_fric=eta))
-        n_solves += 1
-        return dispatch, _cycles_of(dispatch, spec, conventions)
-
-    samples: list[tuple[float, float]] = [(1.0, cycles_1)]
-    non_monotone = False
-
-    def record(eta: float, cycles: float):
-        nonlocal non_monotone
-        samples.append((eta, cycles))
-        samples.sort()
-        for (e1, c1), (e2, c2) in zip(samples, samples[1:]):
-            if c1 > c2 + CYCLE_TOL:
-                if not non_monotone:
-                    logger.warning(
-                        "cycle count not monotone in eta_fric: %.4f->%.2f vs %.4f->%.2f",
-                        e1, c1, e2, c2,
-                    )
-                non_monotone = True
-
-    dispatch_lo, cycles_lo = solve_at(ETA_MIN)
-    record(ETA_MIN, cycles_lo)
-    if cycles_lo > target_cycles + CYCLE_TOL:
-        warning = (
-            f"cycle budget {target_cycles:.2f} unreachable: {cycles_lo:.2f} cycles "
-            f"at eta_fric = {ETA_MIN}"
-        )
-        logger.warning(warning)
-        return result(ETA_MIN, dispatch_lo, warning)
-    if abs(cycles_lo - target_cycles) <= CYCLE_TOL:
-        return result(ETA_MIN, dispatch_lo, None)
-
     lo, hi = ETA_MIN, 1.0
-    best: tuple[float, DispatchSolution, float] = (ETA_MIN, dispatch_lo, cycles_lo)
-    while hi - lo > INTERVAL_TOL:
-        mid = 0.5 * (lo + hi)
-        dispatch_mid, cycles_mid = solve_at(mid)
-        record(mid, cycles_mid)
-        if abs(cycles_mid - target_cycles) <= CYCLE_TOL:
-            return result(mid, dispatch_mid, None)
-        if cycles_mid > target_cycles:
-            hi = mid
-        else:
-            lo = mid
-            if cycles_mid >= best[2]:
-                best = (mid, dispatch_mid, cycles_mid)
+    best: tuple[float, DispatchSolution, float] | None = None  # most cycles under budget
 
-    # Bisection ran out without landing inside the tolerance: scan the
-    # remaining bracket for the closest under-budget point.
-    scan_etas = np.linspace(lo, hi, 7)[1:-1]
-    for eta in scan_etas:
-        dispatch_eta, cycles_eta = solve_at(float(eta))
-        record(float(eta), cycles_eta)
-        if abs(cycles_eta - target_cycles) <= CYCLE_TOL:
-            return result(float(eta), dispatch_eta, None)
-        if cycles_eta <= target_cycles and cycles_eta >= best[2]:
-            best = (float(eta), dispatch_eta, cycles_eta)
+    def etas():
+        # reads lo and hi as the loop below narrows them; the scan points
+        # come from the bracket the bisection left
+        yield ETA_MIN
+        while hi - lo > INTERVAL_TOL:
+            yield 0.5 * (lo + hi)
+        yield from map(float, np.linspace(lo, hi, 7)[1:-1])
+
+    for eta in etas():
+        dispatch = solve_dispatch(replace(capped, eta_fric=eta))
+        cycles = _cycles_of(dispatch, spec, conventions)
+        samples.append((eta, cycles))
+        if abs(cycles - target_cycles) <= CYCLE_TOL:
+            return result(eta, dispatch, None)
+        if cycles > target_cycles:
+            if best is None:
+                return result(eta, dispatch, f"cycle budget {target_cycles:.2f} unreachable: "
+                                             f"{cycles:.2f} cycles at eta_fric = {eta}")
+            hi = eta
+        else:
+            lo = eta
+            if best is None or cycles >= best[2]:
+                best = (eta, dispatch, cycles)
+
+    eta, dispatch, cycles = best
     warning = (
         f"bisection finished without meeting |cycles - target| <= {CYCLE_TOL}; "
-        f"returning eta_fric = {best[0]:.6f} with {best[2]:.2f} cycles "
+        f"returning eta_fric = {eta:.6f} with {cycles:.2f} cycles "
         f"(target {target_cycles:.2f})"
     )
-    if non_monotone:
+    by_eta = [c for _, c in sorted(samples)]
+    if any(peak > c + CYCLE_TOL for peak, c in zip(accumulate(by_eta, max), by_eta[1:])):
         warning += "; cycle count was not monotone in eta_fric"
-    logger.warning(warning)
-    return result(best[0], best[1], warning)
-
+    return result(eta, dispatch, warning)

@@ -75,13 +75,14 @@ class TariffSchedule:
     fallback_price: float
 
     def __post_init__(self):
-        if self.fallback_price < 0:
-            raise ConfigError("fallback_price must be >= 0")
+        # written so that a NaN price fails the checks
+        if not 0 <= self.fallback_price < math.inf:
+            raise ConfigError("fallback_price must be finite and >= 0")
         table = np.full(MINUTES_PER_DAY, self.fallback_price, dtype=float)
         claimed = np.zeros(MINUTES_PER_DAY, dtype=bool)
         for period in self.periods:
-            if period.price < 0:
-                raise ConfigError("tariff prices must be >= 0")
+            if not 0 <= period.price < math.inf:
+                raise ConfigError("tariff prices must be finite and >= 0")
             if not (0 <= period.start_minute < MINUTES_PER_DAY):
                 raise ConfigError(f"period start {period.start_minute} out of range")
             if not (0 <= period.end_minute <= MINUTES_PER_DAY):
@@ -322,15 +323,14 @@ def load_scenario(
     times: list[datetime] = []
     load_w: list[float] = []
     pv_w: list[float] = []
+    linenos: list[int] = []  # file line of each kept row, for errors found after the parse
 
     stream = _open_csv(csv_source)
     reader = csv.reader(stream)
     try:
         # leading '#' lines are generator provenance, not data
         header = None
-        lineno = 0
         for row in reader:
-            lineno += 1
             if not row or row[0].lstrip().startswith("#"):
                 continue
             header = row
@@ -338,7 +338,7 @@ def load_scenario(
         if header is None or [c.strip().lower() for c in header] != ["timestamp", "load_w", "pv_w"]:
             raise ScenarioError("expected CSV header 'timestamp,load_w,pv_w'")
         for row in reader:
-            lineno += 1
+            lineno = reader.line_num
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if len(row) != 3:
@@ -358,6 +358,7 @@ def load_scenario(
             times.append(stamp)
             load_w.append(lw)
             pv_w.append(pw)
+            linenos.append(lineno)
     except csv.Error as exc:
         raise ScenarioError(f"line {reader.line_num}: {exc}") from exc
     finally:
@@ -371,12 +372,12 @@ def load_scenario(
         deltas = list(map(operator.sub, times[1:], times[:-1]))
     except TypeError as exc:  # raised only between a naive and an offset-aware timestamp
         i = next(i for i, t in enumerate(times) if (t.tzinfo is None) != (times[0].tzinfo is None))
-        raise ScenarioError(f"line {i + 2}: timestamps mix naive and UTC-offset times") from exc
+        raise ScenarioError(f"line {linenos[i]}: timestamps mix naive and UTC-offset times") from exc
     spacing = deltas[0]
     if spacing <= timedelta(0) or deltas.count(spacing) != len(deltas):
         # the first pair is diagnosed first, else the first row off the spacing
         k = 0 if spacing <= timedelta(0) else next(k for k, d in enumerate(deltas) if d != spacing)
-        delta, lineno = deltas[k], k + 3
+        delta, lineno = deltas[k], linenos[k + 1]
         if delta == timedelta(0):
             raise ScenarioError(f"line {lineno}: duplicate timestamp {times[k + 1].isoformat()}")
         if delta < timedelta(0):

@@ -19,8 +19,8 @@ import pytest
 from _support import subprocess_env
 from bessprofit import cli
 from bessprofit.battery import catalog_by_name, default_catalog
-from bessprofit.profitability import Conventions, evaluate_candidate
-from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, load_scenario
+from bessprofit.profitability import Conventions, evaluate_candidate, tune_friction
+from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, load_scenario, load_tariff
 
 
 def run_cli(*args, cwd):
@@ -31,6 +31,17 @@ def run_cli(*args, cwd):
         cwd=cwd,
         env=subprocess_env(),
     )
+
+
+def spread_tariff(tmp_path):
+    """Write a wide day/night tariff; the shipped one has too small a spread
+    to make any candidate over-cycle."""
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({
+        "periods": [{"start": "08:00", "end": "22:00", "price": 0.30}],
+        "fallback_price": 0.08,
+    }))
+    return path
 
 
 def data_lines(text: str) -> list[str]:
@@ -233,6 +244,20 @@ class TestSweepCommand:
         assert made == [(2, "fork"), (9, "fork")]
         assert stdout["1"] == stdout["2"] == stdout["12"]
 
+    def test_scenarios_with_the_same_file_name_are_refused(self, tmp_path, fixture_dir):
+        # both would write c1-sweep.csv and c1-sweep.txt
+        other = tmp_path / "b" / "c1.csv"
+        other.parent.mkdir()
+        other.write_bytes((fixture_dir / "c1.csv").read_bytes())
+        out = tmp_path / "out"
+        proc = run_cli("sweep", fixture_dir / "c1.csv", other, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: scenarios {fixture_dir / 'c1.csv'} and {other} would write the same c1-sweep files"
+        ]
+        assert proc.stdout == ""
+        assert not out.exists()
+
 
 class TestTuneCommand:
     def test_under_budget_battery_prints_identity_row(self, tmp_path, fixture_dir):
@@ -253,17 +278,10 @@ class TestTuneCommand:
             assert (out / f"c2-1kwh-0.25c-{suffix}").exists()
 
     def test_over_budget_battery_is_throttled(self, tmp_path, fixture_dir):
-        # The shipped tariff's spread is too small to make any candidate
-        # over-cycle, so hand the run a wide day/night tariff instead.
-        tariff = tmp_path / "spread.json"
-        tariff.write_text(json.dumps({
-            "periods": [{"start": "08:00", "end": "22:00", "price": 0.30}],
-            "fallback_price": 0.08,
-        }))
         out = tmp_path / "out"
         proc = run_cli(
             "tune", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
-            "--tariff", tariff, "--target", "5", "--out", out, cwd=tmp_path,
+            "--tariff", spread_tariff(tmp_path), "--target", "5", "--out", out, cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
@@ -274,6 +292,39 @@ class TestTuneCommand:
         assert float(table["cycles_before"]) > 5.5
         assert float(table["cycles_after"]) <= 5.5
         assert (out / "c1-2kwh-1c-tuned-dispatch.csv").exists()
+
+    @pytest.mark.parametrize(
+        "case,battery,eta_fric,warning",
+        [
+            ("c2", "1kwh-0.25c", "0.543578", "warning: bisection finished without meeting "
+             "|cycles - target| <= 0.5; returning eta_fric = 0.543578 with 0.20 cycles "
+             "(target 3.00)"),
+            ("c3", "2kwh-1c", "0.001000",
+             "warning: cycle budget 3.00 unreachable: 8.31 cycles at eta_fric = 0.001"),
+        ],
+        ids=["bracket-scan", "unreachable"],
+    )
+    def test_tuning_warning_is_one_stderr_line(self, tmp_path, fixture_dir, case, battery,
+                                               eta_fric, warning):
+        proc = run_cli(
+            "tune", fixture_dir / f"{case}.csv", "--battery", battery,
+            "--tariff", spread_tariff(tmp_path), "--target", "3", "--out", tmp_path / "out",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [warning]
+        table = dict(ln.split(None, 1) for ln in proc.stdout.splitlines())
+        assert table["eta_fric"] == eta_fric
+
+    def test_real_dispatches_reach_the_bracket_scan(self, tmp_path, fixture_dir):
+        # on the c2 month the cycle count jumps across the budget, so the
+        # bisection closes without a hit and all five scan points run
+        scenario = load_scenario(fixture_dir / "c2.csv", tariff=load_tariff(spread_tariff(tmp_path)))
+        spec = catalog_by_name(default_catalog())["1kwh-0.25c"]
+        res = tune_friction(scenario, spec, DEFAULT_PPC_SCHEDULE, target_cycles=3.0)
+        assert res.n_solves == 21  # untuned, ETA_MIN, 14 bisection steps, 5 scan points
+        assert res.warning.startswith("bisection finished")
+        assert res.report.n_cyc_100 < 3.0
 
     def test_terminal_soc_holds_in_the_tuned_dispatch(self, tmp_path, fixture_dir):
         # five days of c1, over budget, so the friction search re-solves;
@@ -369,6 +420,28 @@ class TestFailureModes:
         )
         assert proc.returncode == 1
         assert "error: cannot read tariff file" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "tariff,message",
+        [
+            ({"periods": [], "fallback_price": "nan"},
+             "error: fallback_price must be finite and >= 0"),
+            # 03:01-03:02 holds no 5-minute step, so no price ever reads it
+            ({"periods": [{"start": "03:01", "end": "03:02", "price": "inf"}],
+              "fallback_price": 0.1},
+             "error: tariff prices must be finite and >= 0"),
+        ],
+        ids=["fallback-nan", "unused-period-inf"],
+    )
+    def test_non_finite_tariff_price_is_rejected(self, tmp_path, fixture_dir, tariff, message):
+        path = tmp_path / "tariff.json"
+        path.write_text(json.dumps(tariff))
+        out = tmp_path / "out"
+        proc = run_cli("evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
+                       "--tariff", path, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
+        assert not out.exists()
 
     def test_missing_required_battery_flag(self, tmp_path, fixture_dir):
         proc = run_cli("evaluate", fixture_dir / "c1.csv", cwd=tmp_path)

@@ -331,8 +331,12 @@ class TestFrictionTuning:
             (lambda eta: 30.0 if eta > 0.4 else 2.0, (0.4 - 1e-4, 0.4), True),
             (lambda eta: 5.0 if eta < 0.2 else 2.0 if eta <= 0.4 else 30.0,
              (ETA_MIN - 1e-12, ETA_MIN), False),
+            # falls by 0.72 cycles below the jump, but by under CYCLE_TOL
+            # between any two neighbouring samples
+            (lambda eta: 30.0 if eta > 0.4 else 2.0 + 1.8 * (0.4 - eta),
+             (ETA_MIN - 1e-12, ETA_MIN), False),
         ],
-        ids=["step", "non-monotone"],
+        ids=["step", "non-monotone", "spread-descent"],
     )
     def test_fallback_keeps_the_largest_coefficient_on_ties(
         self, monkeypatch, cycles_at, eta_range, monotone

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -284,6 +285,27 @@ def test_load_scenario_spacing_errors(second, third, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["# a", "# b", "timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0",
+          "2019-06-01T00:05:00,100,0", "2019-06-01T00:15:00,100,0"],
+         "line 6: gap in measurements (0:10:00 vs expected 0:05:00)"),
+        (["# a", "timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0",
+          "2019-06-01T00:05:00+00:00,100,0"],
+         "line 4: timestamps mix naive and UTC-offset times"),
+        (["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", "",
+          "# note", "2019-06-01T00:00:00,100,0"],
+         "line 5: duplicate timestamp 2019-06-01T00:00:00"),
+    ],
+    ids=["gap-after-comments", "mixed-after-comment", "duplicate-after-blank"],
+)
+def test_load_scenario_errors_count_comment_and_blank_lines(rows, message):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(_csv(rows))
+    assert str(info.value) == message
+
+
 def test_load_scenario_step_must_match_file():
     rows = [
         "timestamp,load_w,pv_w",
@@ -348,6 +370,21 @@ def test_tariff_rejects_overlap_and_empties():
         TariffSchedule(periods=(), fallback_price=-0.1)
     with pytest.raises(ConfigError):
         TariffSchedule(periods=(TariffPeriod(0, 60, -0.5),), fallback_price=0.1)
+
+
+@pytest.mark.parametrize(
+    "periods,fallback",
+    [
+        ((), math.nan),
+        ((), math.inf),
+        ((TariffPeriod(3 * 60 + 1, 3 * 60 + 2, math.inf),), 0.1),
+        ((TariffPeriod(0, 60, math.nan),), 0.1),
+    ],
+    ids=["fallback-nan", "fallback-inf", "period-inf", "period-nan"],
+)
+def test_tariff_rejects_non_finite_prices(periods, fallback):
+    with pytest.raises(ConfigError, match="must be finite"):
+        TariffSchedule(periods=periods, fallback_price=fallback)
 
 
 def test_load_tariff_roundtrip(tmp_path):
