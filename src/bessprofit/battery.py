@@ -161,13 +161,22 @@ def default_catalog() -> tuple[BatterySpec, ...]:
     return tuple(specs)
 
 
+# keys a catalog entry may leave out; make_spec holds their defaults
+_OPTIONAL_KEYS = (
+    "soc_min_frac", "soc_init_frac", "soc_max_frac", "eta_ch", "eta_dis",
+    "cycle_life_100dod", "calendar_life_years", "cost_per_kwh", "inverter_cost_per_kwh",
+)
+_KEYS = {"name", "b_rated_kwh", "charge_rate_c", "discharge_rate_c", *_OPTIONAL_KEYS}
+
+
 def load_catalog(path: str | Path) -> tuple[BatterySpec, ...]:
     """Read a battery catalog: {"batteries": [{name, b_rated_kwh, ...}, ...]}.
 
     Per-entry optional keys (defaults in parentheses): soc_min_frac (0.10),
     soc_init_frac (0.50), soc_max_frac (1.00), eta_ch (0.95), eta_dis (0.95),
     cycle_life_100dod (4000), calendar_life_years (7), cost_per_kwh and
-    inverter_cost_per_kwh (by ramp class when omitted).
+    inverter_cost_per_kwh (by ramp class when omitted). Any other key is
+    an error.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -176,9 +185,14 @@ def load_catalog(path: str | Path) -> tuple[BatterySpec, ...]:
     entries = raw.get("batteries") if isinstance(raw, dict) else None
     if not entries:
         raise ConfigError(f"catalog file {path} has no 'batteries' entries")
+    if not isinstance(entries, list):
+        raise ConfigError(f"catalog file {path}: 'batteries' must be a list")
     specs = []
     seen: set[str] = set()
     for entry in entries:
+        unknown = sorted(entry.keys() - _KEYS) if isinstance(entry, dict) else ()
+        if unknown:
+            raise ConfigError(f"catalog file {path}: unknown key {unknown[0]!r} in entry {entry!r}")
         try:
             name = str(entry["name"])
             spec = make_spec(
@@ -186,17 +200,7 @@ def load_catalog(path: str | Path) -> tuple[BatterySpec, ...]:
                 float(entry["b_rated_kwh"]),
                 float(entry["charge_rate_c"]),
                 float(entry["discharge_rate_c"]),
-                soc_min_frac=float(entry.get("soc_min_frac", 0.10)),
-                soc_init_frac=float(entry.get("soc_init_frac", 0.50)),
-                soc_max_frac=float(entry.get("soc_max_frac", 1.00)),
-                eta_ch=float(entry.get("eta_ch", DEFAULT_ETA_CH)),
-                eta_dis=float(entry.get("eta_dis", DEFAULT_ETA_DIS)),
-                cycle_life_100dod=float(entry.get("cycle_life_100dod", DEFAULT_CYCLE_LIFE_100DOD)),
-                calendar_life_years=float(entry.get("calendar_life_years", DEFAULT_CALENDAR_LIFE_YEARS)),
-                cost_per_kwh=float(entry["cost_per_kwh"]) if "cost_per_kwh" in entry else None,
-                inverter_cost_per_kwh=(
-                    float(entry["inverter_cost_per_kwh"]) if "inverter_cost_per_kwh" in entry else None
-                ),
+                **{key: float(entry[key]) for key in _OPTIONAL_KEYS if key in entry},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad catalog entry {entry!r}: {exc}") from exc

@@ -58,20 +58,18 @@ class _UsageError(Exception):
 class SweepConfig:
     """Resolved inputs for one run."""
 
-    scenario_paths: tuple[str, ...]
     tariff_path: str | None
     ppc_path: str | None
     catalog_path: str | None
     conventions: Conventions
     out_dir: Path
-    jobs: int = 1
 
     tariff: TariffSchedule = field(default=DEFAULT_TOU_TARIFF, compare=False)
     ppc: PpcSchedule = field(default=DEFAULT_PPC_SCHEDULE, compare=False)
     catalog: tuple[BatterySpec, ...] = field(default=(), compare=False)
 
 
-def _build_config(args, scenario_paths: tuple[str, ...]) -> SweepConfig:
+def _build_config(args) -> SweepConfig:
     conventions = Conventions(
         step_minutes=args.step_minutes,
         months_12=args.months_12,
@@ -89,24 +87,23 @@ def _build_config(args, scenario_paths: tuple[str, ...]) -> SweepConfig:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return SweepConfig(
-        scenario_paths=scenario_paths,
         tariff_path=args.tariff,
         ppc_path=args.ppc,
         catalog_path=args.catalog,
         conventions=conventions,
         out_dir=out_dir,
-        jobs=getattr(args, "jobs", 1),
         tariff=tariff,
         ppc=ppc,
         catalog=catalog,
     )
 
 
-def _config_hash(config: SweepConfig, *extra: str) -> str:
+def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
+    """Hash of the inputs behind one scenario's files: the scenario's bytes,
+    the tariff, PPC and catalog bytes, the conventions and ``extra``."""
     digest = hashlib.sha256()
     digest.update(f"bessprofit {__version__}".encode())
-    for path in config.scenario_paths:
-        digest.update(Path(path).read_bytes())
+    digest.update(Path(path).read_bytes())
     for blob in (config.tariff_path, config.ppc_path, config.catalog_path):
         if blob:
             digest.update(Path(blob).read_bytes())
@@ -139,6 +136,7 @@ def _write_candidate(
     scenario: ScenarioSeries,
     report: ProfitabilityReport,
     dispatch: DispatchSolution,
+    path: str,
     infix: str,
     *hash_extra: str,
 ) -> str:
@@ -147,7 +145,7 @@ def _write_candidate(
     spec = report.battery
     header = ReportHeader(
         scenario=scenario.name,
-        config_hash=_config_hash(config, *hash_extra),
+        config_hash=_config_hash(config, path, *hash_extra),
         conventions=config.conventions.lines(),
     )
     base = baseline_metrics(scenario)
@@ -168,11 +166,12 @@ def _write_candidate(
 
 
 def cmd_evaluate(args) -> int:
-    config = _build_config(args, (args.scenario,))
+    config = _build_config(args)
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
     report, dispatch, _ = evaluate_candidate(scenario, spec, config.ppc, config.conventions)
-    print(_write_candidate(config, scenario, report, dispatch, "", "evaluate", spec.name), end="")
+    print(_write_candidate(config, scenario, report, dispatch, args.scenario, "",
+                           "evaluate", spec.name), end="")
     return 0
 
 
@@ -190,7 +189,7 @@ def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outco
     base = baseline_metrics(scenario)
     header = ReportHeader(
         scenario=scenario.name,
-        config_hash=_config_hash(config, "sweep", path),
+        config_hash=_config_hash(config, path, "sweep"),
         conventions=config.conventions.lines(),
     )
     ordered = [report for report, _ in outcomes if report is not None]
@@ -213,12 +212,12 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"scenarios {by_stem[stem]} and {path} would write the same "
                               f"{stem}-sweep files")
         by_stem[stem] = path
-    config = _build_config(args, tuple(args.scenarios))
+    config = _build_config(args)
     # every scenario is read and validated before the first solve
-    scenarios = [_load(config, path) for path in config.scenario_paths]
+    scenarios = [_load(config, path) for path in args.scenarios]
     tasks = [(scenario, spec) for scenario in scenarios for spec in config.catalog]
     columns = (repeat(config), *zip(*tasks))
-    if config.jobs == 1:
+    if args.jobs == 1:
         outcomes = list(map(_sweep_one, *columns))
     else:
         import multiprocessing  # imported here: evaluate, tune and --jobs 1 need no pool
@@ -228,12 +227,12 @@ def cmd_sweep(args) -> int:
         # A fork pool starts all its workers at once, hence the cap. The CLI
         # runs no other thread when the pool forks.
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(config.jobs, len(tasks)),
+            max_workers=min(args.jobs, len(tasks)),
             mp_context=multiprocessing.get_context("fork"),
         ) as pool:
             outcomes = list(pool.map(_sweep_one, *columns))
     n = len(config.catalog)
-    for k, (path, scenario) in enumerate(zip(config.scenario_paths, scenarios)):
+    for k, (path, scenario) in enumerate(zip(args.scenarios, scenarios)):
         print(_write_sweep(config, path, scenario, outcomes[k * n:(k + 1) * n]), end="")
     return 0
 
@@ -241,11 +240,11 @@ def cmd_sweep(args) -> int:
 def cmd_tune(args) -> int:
     if args.target is not None and not (math.isfinite(args.target) and args.target > 0):
         raise _UsageError(f"--target must be > 0 and finite, got {args.target:g}")
-    config = _build_config(args, (args.scenario,))
+    config = _build_config(args)
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
     result = tune_friction(scenario, spec, config.ppc, config.conventions, target_cycles=args.target)
-    _write_candidate(config, scenario, result.report, result.dispatch, "tuned-",
+    _write_candidate(config, scenario, result.report, result.dispatch, args.scenario, "tuned-",
                      "tune", spec.name, f"{result.target_cycles:.6f}")
 
     if result.eta_fric == 1.0:

@@ -1,19 +1,14 @@
-"""Linear programs with certified optimality.
+"""The dispatch LP's solver, the reference the tests hold the dynamic program to.
 
 The problem form is
 
-    min c·v   subject to   A_ub·v <= b_ub,   lo <= v <= hi.
+    min c·v   subject to   A_ub·v <= b_ub,   lo <= v <= hi,
 
-``solve`` delegates the vertex search to a mature simplex/IPM backend
-(HiGHS via scipy), then certifies the answer itself: primal feasibility
-residuals and a duality-gap bound are recomputed here from the returned
-multipliers rather than trusted from the backend, and a result is only
-reported "optimal" if the recomputed certificate passes. ``check_solution``
-runs the same audit for an arbitrary candidate point and never invokes the
-solver, so it stays an independent validation path.
-
-Correctness is defined by the dense semantics of (c, A_ub, b_ub, bounds);
-A_ub may be held as a scipy.sparse matrix purely as a storage optimization.
+with A_ub held as a scipy.sparse CSR matrix. ``solve`` delegates the
+vertex search to HiGHS via scipy, then certifies the answer itself: the
+primal residuals and a duality-gap bound are recomputed here from the
+returned multipliers rather than trusted from the backend, and a result
+is only reported "optimal" if that certificate passes.
 """
 
 from __future__ import annotations
@@ -29,9 +24,7 @@ from .errors import SolverError
 __all__ = [
     "LinearProgram",
     "LpSolution",
-    "CheckReport",
     "solve",
-    "check_solution",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -41,11 +34,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-
-def _as_matrix(a) -> sp.csr_matrix | np.ndarray:
-    if sp.issparse(a):
-        return a.tocsr()
-    return np.asarray(a, dtype=float)
+# bound on the normalized primal residuals, and relative bound on the
+# recomputed duality gap: 1e-7·(1+|objective|)
+TOL_FEAS = 1e-9
+TOL_GAP_REL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class LinearProgram:
     """Immutable LP in inequality form; bounds row j is [lo_j, hi_j]."""
 
     c: np.ndarray
-    A_ub: object  # (n_rows, n_vars) ndarray or scipy.sparse matrix
+    A_ub: sp.csr_matrix  # (n_rows, n_vars); a dense array is converted
     b_ub: np.ndarray
     bounds: np.ndarray  # (n_vars, 2); +-inf allowed
     n_vars: int = field(init=False)
@@ -61,21 +53,20 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        a = _as_matrix(self.A_ub)
+        a = sp.csr_matrix(self.A_ub, dtype=float)
         b = np.asarray(self.b_ub, dtype=float)
         bounds = np.asarray(self.bounds, dtype=float)
         n_vars = c.shape[0]
         n_rows = a.shape[0]
         if c.ndim != 1:
             raise ValueError("c must be one-dimensional")
-        if a.ndim != 2 or a.shape[1] != n_vars:
+        if a.shape[1] != n_vars:
             raise ValueError(f"A_ub must be (n_rows, {n_vars})")
         if b.shape != (n_rows,):
             raise ValueError("b_ub length must match A_ub rows")
         if bounds.shape != (n_vars, 2):
             raise ValueError("bounds must be (n_vars, 2)")
-        data = a.data if sp.issparse(a) else a
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(data)) and np.all(np.isfinite(b))):
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a.data)) and np.all(np.isfinite(b))):
             raise ValueError("c, A_ub, b_ub must be finite")
         if np.any(np.isnan(bounds)) or np.any(bounds[:, 0] > bounds[:, 1]):
             raise ValueError("bounds must satisfy lo <= hi")
@@ -85,10 +76,6 @@ class LinearProgram:
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "n_rows", n_rows)
-
-    def dense_A(self) -> np.ndarray:
-        a = self.A_ub
-        return a.toarray() if sp.issparse(a) else np.array(a)
 
 
 @dataclass(frozen=True)
@@ -108,28 +95,9 @@ class LpSolution:
     dual_upper: np.ndarray | None = None  # multipliers for v <= hi, >= 0
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Independent audit of a candidate solution."""
-
-    violations: tuple[str, ...]
-    max_primal_violation: float
-    duality_gap_bound: float | None
-    ok: bool
-
-
 def _row_scales(lp: LinearProgram) -> np.ndarray:
     """Per-row normalization max(1, |b_i|, max_j |A_ij|)."""
-    a = lp.A_ub
-    if lp.n_rows == 0:
-        return np.ones(0)
-    if sp.issparse(a):
-        absmax = np.zeros(lp.n_rows)
-        abs_a = abs(a)
-        row_max = abs_a.max(axis=1)
-        absmax = row_max.toarray().ravel() if sp.issparse(row_max) else np.asarray(row_max).ravel()
-    else:
-        absmax = np.max(np.abs(a), axis=1) if lp.n_vars else np.zeros(lp.n_rows)
+    absmax = abs(lp.A_ub).max(axis=1).toarray().ravel()
     return np.maximum(1.0, np.maximum(np.abs(lp.b_ub), absmax))
 
 
@@ -187,11 +155,11 @@ def _certified_gap(
     return max(0.0, primal_obj - dual_obj) + leak
 
 
-def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_gap: float | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve to certified optimality.
 
-    tol_feas bounds the normalized primal residuals; tol_gap bounds the
-    recomputed duality gap and defaults to 1e-7·(1+|objective|). Infeasible
+    The normalized primal residuals must stay within TOL_FEAS and the
+    recomputed duality gap within TOL_GAP_REL·(1+|objective|). Infeasible
     and unbounded problems come back as a status, numerical failures raise
     SolverError — never a silent wrong answer.
     """
@@ -204,8 +172,8 @@ def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_gap: float | None = Non
         bounds=lp.bounds,
         method="highs",
         options={
-            "primal_feasibility_tolerance": min(tol_feas, 1e-9),
-            "dual_feasibility_tolerance": min(tol_feas, 1e-9),
+            "primal_feasibility_tolerance": TOL_FEAS,
+            "dual_feasibility_tolerance": TOL_FEAS,
         },
     )
     if res.status == 2:
@@ -227,11 +195,11 @@ def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_gap: float | None = Non
 
     rows, bnds = _primal_violations(lp, v)
     worst = max(rows.max() if rows.size else 0.0, bnds.max() if bnds.size else 0.0)
-    if worst > tol_feas:
+    if worst > TOL_FEAS:
         raise SolverError(f"backend returned primal-infeasible point (normalized violation {worst:.3e})")
 
     gap = _certified_gap(lp, v, lam, mu_lo, mu_hi)
-    limit = tol_gap if tol_gap is not None else 1e-7 * (1.0 + abs(objective))
+    limit = TOL_GAP_REL * (1.0 + abs(objective))
     if gap > limit:
         raise SolverError(f"optimality certificate failed: gap bound {gap:.3e} > {limit:.3e}")
 
@@ -244,53 +212,3 @@ def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_gap: float | None = Non
         dual_lower=mu_lo,
         dual_upper=mu_hi,
     )
-
-
-def check_solution(
-    lp: LinearProgram,
-    sol: LpSolution,
-    tol_feas: float = 1e-9,
-    tol_gap: float | None = None,
-) -> CheckReport:
-    """Audit a candidate point without calling the solver.
-
-    Recomputes primal residuals row by row; when the solution carries dual
-    multipliers, also recomputes the duality-gap bound and the complementary
-    slackness residuals. Violations are returned as human-readable strings.
-    """
-    violations: list[str] = []
-    v = np.asarray(sol.v, dtype=float)
-    if v.shape != (lp.n_vars,):
-        return CheckReport(
-            violations=(f"solution has shape {v.shape}, expected ({lp.n_vars},)",),
-            max_primal_violation=np.inf,
-            duality_gap_bound=None,
-            ok=False,
-        )
-
-    rows, bnds = _primal_violations(lp, v)
-    for i in np.flatnonzero(rows > tol_feas):
-        violations.append(f"row {i}: violation {rows[i]:.3e}")
-    for j in np.flatnonzero(bnds > tol_feas):
-        violations.append(f"bound {j}: violation {bnds[j]:.3e}")
-    worst = max(rows.max() if rows.size else 0.0, bnds.max() if bnds.size else 0.0)
-
-    gap = None
-    if sol.dual_ineq is not None and sol.dual_lower is not None and sol.dual_upper is not None:
-        gap = _certified_gap(lp, v, sol.dual_ineq, sol.dual_lower, sol.dual_upper)
-        limit = tol_gap if tol_gap is not None else 1e-7 * (1.0 + abs(float(lp.c @ v)))
-        if gap > limit:
-            violations.append(f"duality gap bound {gap:.3e} > {limit:.3e}")
-        if lp.n_rows:
-            slack = lp.b_ub - lp.A_ub @ v
-            comp = np.abs(sol.dual_ineq * slack) / _row_scales(lp)
-            for i in np.flatnonzero(comp > np.sqrt(max(tol_feas, 1e-16))):
-                violations.append(f"complementary slackness row {i}: {comp[i]:.3e}")
-
-    return CheckReport(
-        violations=tuple(violations),
-        max_primal_violation=float(worst),
-        duality_gap_bound=gap,
-        ok=not violations,
-    )
-

@@ -22,9 +22,10 @@ state of charge, one per step, and recovers the dispatch in a backward
 pass of O(1) work per step; the SoC is the only state, so no LP is
 needed.
 
-``build_lp`` states the same problem as a linear program with variables
-(x_plus_i, x_minus_i, theta_i, b_i) per step for ``lp.solve``; it is the
-reference the tests hold the dynamic program to, and it needs SciPy.
+``build_lp`` states the same problem as a sparse linear program with
+variables (x_plus_i, x_minus_i, theta_i, b_i) per step; ``lp.solve``
+certifies its optimum. That LP is the reference the tests hold the
+dynamic program to, and only it needs SciPy.
 ``validate_dispatch`` re-derives every constraint from the returned
 arrays with plain numpy. ``select_ppc`` solves one problem at each
 candidate contract level.

@@ -93,16 +93,12 @@ class ProfitabilityReport:
     g_pd: float
     g_t: float
     n_cyc_100: float
-    g_cyc: float
     p_cyc: float
     expb_years: float
     ss: float
     waste: float
     profitable: bool
     eta_fric_used: float
-    c_cyc: float
-    b_cost: float
-    expb_convention: str
     level_kva: float
 
     @property
@@ -162,8 +158,8 @@ def evaluate(
     g_t = g_arb + g_pd
 
     n_cyc = _cycles_of(dispatch, spec, conventions)
-    g_cyc = g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0
-    p_cyc = g_cyc - cost.c_cyc
+    # gain per cycle per kWh (0 without cycles) minus the cost of one
+    p_cyc = (g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0) - cost.c_cyc
 
     expb = _expected_payback_years(cost.b_cost, g_t, scenario.total_hours, conventions)
 
@@ -180,16 +176,12 @@ def evaluate(
         g_pd=g_pd,
         g_t=g_t,
         n_cyc_100=n_cyc,
-        g_cyc=g_cyc,
         p_cyc=p_cyc,
         expb_years=expb,
         ss=ss,
         waste=waste,
         profitable=profitable,
         eta_fric_used=dispatch.eta_fric,
-        c_cyc=cost.c_cyc,
-        b_cost=cost.b_cost,
-        expb_convention="months-12" if conventions.months_12 else "calendar",
         level_kva=selection.level.kva,
     )
 

@@ -10,7 +10,6 @@ against kW assuming unity power factor.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import operator
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 MINUTES_PER_DAY = 1440
+# how close a kVA value must be to a PPC level's ceiling to name it
+KVA_TOL = 1e-9
 
 
 def _parse_daily_minute(text: str) -> int:
@@ -139,9 +140,9 @@ class PpcSchedule:
                 return level
         return None
 
-    def level_for(self, kva: float, tol: float = 1e-9) -> PpcLevel:
+    def level_for(self, kva: float) -> PpcLevel:
         for level in self.levels:
-            if abs(level.kva - kva) <= tol:
+            if abs(level.kva - kva) <= KVA_TOL:
                 return level
         raise ConfigError(f"no PPC level with ceiling {kva} kVA")
 
@@ -179,8 +180,15 @@ def load_tariff(path: str | Path) -> TariffSchedule:
         raise ConfigError(f"cannot read tariff file {path}: {exc}") from exc
     if not isinstance(raw, dict) or "fallback_price" not in raw:
         raise ConfigError(f"tariff file {path} must be an object with 'fallback_price'")
+    entries = raw.get("periods", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"tariff file {path}: 'periods' must be a list")
+    try:
+        fallback_price = float(raw["fallback_price"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tariff file {path}: bad fallback_price {raw['fallback_price']!r}") from exc
     periods = []
-    for entry in raw.get("periods", []):
+    for entry in entries:
         try:
             periods.append(
                 TariffPeriod(
@@ -189,9 +197,9 @@ def load_tariff(path: str | Path) -> TariffSchedule:
                     price=float(entry["price"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad tariff period entry {entry!r}") from exc
-    return TariffSchedule(periods=tuple(periods), fallback_price=float(raw["fallback_price"]))
+        except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a non-string time
+            raise ConfigError(f"tariff file {path}: bad period entry {entry!r}") from exc
+    return TariffSchedule(periods=tuple(periods), fallback_price=fallback_price)
 
 
 def load_ppc(path: str | Path) -> PpcSchedule:
@@ -292,24 +300,18 @@ def peak_import_kw(s: ScenarioSeries) -> float:
     return float(np.max(s.z)) / s.h
 
 
-def _open_csv(csv_source) -> io.TextIOBase:
-    if hasattr(csv_source, "read"):
-        return csv_source
-    return open(csv_source, "r", encoding="utf-8", newline="")
-
-
 def load_scenario(
-    csv_source,
+    path: str | Path,
     h: float | None = None,
     tariff: TariffSchedule | None = None,
-    name: str | None = None,
 ) -> ScenarioSeries:
     """Load a measurement CSV with header ``timestamp,load_w,pv_w``.
 
     Rows carry instantaneous power in W at uniform spacing; per-step energy
     is power·h/1000 kWh. When h (hours) is given it must match the file
     spacing; otherwise the spacing is inferred. Prices come from the tariff
-    (default: the shipped two-period schedule) by time of day.
+    (default: the shipped two-period schedule) by time of day. The
+    scenario is named after the file stem.
 
     Raises ScenarioError on duplicate/backward timestamps, naive and
     UTC-offset timestamps mixed, gaps, non-uniform spacing, negative or
@@ -317,53 +319,48 @@ def load_scenario(
     """
     if tariff is None:
         tariff = DEFAULT_TOU_TARIFF
-    if name is None:
-        name = Path(csv_source).stem if not hasattr(csv_source, "read") else ""
 
     times: list[datetime] = []
     load_w: list[float] = []
     pv_w: list[float] = []
     linenos: list[int] = []  # file line of each kept row, for errors found after the parse
 
-    stream = _open_csv(csv_source)
-    reader = csv.reader(stream)
-    try:
-        # leading '#' lines are generator provenance, not data
-        header = None
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            header = row
-            break
-        if header is None or [c.strip().lower() for c in header] != ["timestamp", "load_w", "pv_w"]:
-            raise ScenarioError("expected CSV header 'timestamp,load_w,pv_w'")
-        for row in reader:
-            lineno = reader.line_num
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
-                raise ScenarioError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            try:
-                stamp = datetime.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ScenarioError(f"line {lineno}: bad timestamp {row[0]!r}") from exc
-            try:
-                lw, pw = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ScenarioError(f"line {lineno}: bad power value") from exc
-            if not (math.isfinite(lw) and math.isfinite(pw)):
-                raise ScenarioError(f"line {lineno}: non-finite measurement")
-            if lw < 0 or pw < 0:
-                raise ScenarioError(f"line {lineno}: negative measurement")
-            times.append(stamp)
-            load_w.append(lw)
-            pv_w.append(pw)
-            linenos.append(lineno)
-    except csv.Error as exc:
-        raise ScenarioError(f"line {reader.line_num}: {exc}") from exc
-    finally:
-        if stream is not csv_source:
-            stream.close()
+    with open(path, "r", encoding="utf-8", newline="") as stream:
+        reader = csv.reader(stream)
+        try:
+            # leading '#' lines are generator provenance, not data
+            header = None
+            for row in reader:
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                header = row
+                break
+            if header is None or [c.strip().lower() for c in header] != ["timestamp", "load_w", "pv_w"]:
+                raise ScenarioError("expected CSV header 'timestamp,load_w,pv_w'")
+            for row in reader:
+                lineno = reader.line_num
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if len(row) != 3:
+                    raise ScenarioError(f"line {lineno}: expected 3 columns, got {len(row)}")
+                try:
+                    stamp = datetime.fromisoformat(row[0].strip())
+                except ValueError as exc:
+                    raise ScenarioError(f"line {lineno}: bad timestamp {row[0]!r}") from exc
+                try:
+                    lw, pw = float(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise ScenarioError(f"line {lineno}: bad power value") from exc
+                if not (math.isfinite(lw) and math.isfinite(pw)):
+                    raise ScenarioError(f"line {lineno}: non-finite measurement")
+                if lw < 0 or pw < 0:
+                    raise ScenarioError(f"line {lineno}: negative measurement")
+                times.append(stamp)
+                load_w.append(lw)
+                pv_w.append(pw)
+                linenos.append(lineno)
+        except csv.Error as exc:
+            raise ScenarioError(f"line {reader.line_num}: {exc}") from exc
 
     if len(times) < 2:
         raise ScenarioError("scenario needs at least two rows to establish spacing")
@@ -400,5 +397,5 @@ def load_scenario(
         load=load_kwh,
         pv=pv_kwh,
         price=np.asarray(price, dtype=float),
-        name=name,
+        name=Path(path).stem,
     )

@@ -258,6 +258,17 @@ class TestSweepCommand:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_config_hash_depends_on_the_inputs_only(self, tmp_path, fixture_dir):
+        # neither the spelling of the path nor the other scenarios enter c1's files
+        for name in ("c1.csv", "c2.csv"):
+            (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
+        alone = run_cli("sweep", "c1.csv", "--out", "alone", cwd=tmp_path)
+        paired = run_cli("sweep", "./c1.csv", "c2.csv", "--out", "paired", cwd=tmp_path)
+        assert alone.returncode == 0, alone.stderr
+        assert paired.returncode == 0, paired.stderr
+        for name in ("c1-sweep.csv", "c1-sweep.txt"):
+            assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "paired" / name).read_bytes()
+
 
 class TestTuneCommand:
     def test_under_budget_battery_prints_identity_row(self, tmp_path, fixture_dir):
@@ -439,6 +450,34 @@ class TestFailureModes:
         out = tmp_path / "out"
         proc = run_cli("evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
                        "--tariff", path, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,content,message",
+        [
+            ("--tariff", {"periods": 5, "fallback_price": 0.1},
+             "error: tariff file bad.json: 'periods' must be a list"),
+            ("--tariff", {"fallback_price": None},
+             "error: tariff file bad.json: bad fallback_price None"),
+            ("--tariff", {"periods": [{"start": 8, "end": "10:00", "price": 0.2}], "fallback_price": 0.1},
+             "error: tariff file bad.json: bad period entry {'start': 8, 'end': '10:00', 'price': 0.2}"),
+            ("--catalog", {"batteries": 5},
+             "error: catalog file bad.json: 'batteries' must be a list"),
+            ("--catalog", {"batteries": [{"name": "x", "b_rated_kwh": 1, "charge_rate_c": 1,
+                                          "discharge_rate_c": 1, "soc_min_fraction": 0.5}]},
+             "error: catalog file bad.json: unknown key 'soc_min_fraction' in entry {'name': 'x', "
+             "'b_rated_kwh': 1, 'charge_rate_c': 1, 'discharge_rate_c': 1, 'soc_min_fraction': 0.5}"),
+        ],
+        ids=["periods-not-a-list", "null-fallback", "numeric-start", "batteries-not-a-list",
+             "unknown-catalog-key"],
+    )
+    def test_malformed_config_json_is_one_error_line(self, tmp_path, fixture_dir, flag, content,
+                                                     message):
+        (tmp_path / "bad.json").write_text(json.dumps(content))
+        out = tmp_path / "out"
+        proc = run_cli("sweep", fixture_dir / "c1.csv", flag, "bad.json", "--out", out, cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [message]
         assert not out.exists()

@@ -287,7 +287,7 @@ def test_friction_tightens_billing_coefficients():
 
     def billing_coeffs(eta_fric):
         lp = build_lp(DispatchProblem(scenario, spec, eta_fric=eta_fric))
-        a = lp.dense_A()
+        a = lp.A_ub.toarray()
         coeffs = {}
         for i in range(n):
             rows = np.flatnonzero(a[:, 2 * n + i] == -1.0)  # rows lower-bounding theta_i

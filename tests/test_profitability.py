@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bessprofit import profitability
-from bessprofit.battery import catalog_by_name, make_spec
+from bessprofit.battery import battery_cost, catalog_by_name, make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
 from bessprofit.profitability import (
@@ -80,14 +80,13 @@ class TestScoringClosure:
         rep = closure_report(10.13, 37.01)
         assert rep.g_t == approx(10.13, abs=1e-9)
         assert rep.n_cyc_100 == approx(37.01, abs=1e-9)
-        assert rep.c_cyc == approx(0.10625, abs=1e-12)
-        assert rep.b_cost == approx(425.0, abs=1e-9)
+        assert battery_cost(rep.battery).c_cyc == approx(0.10625, abs=1e-12)
+        assert battery_cost(rep.battery).b_cost == approx(425.0, abs=1e-9)
         assert rep.p_cyc == approx(0.1675, abs=5e-4)
         assert rep.expb_years == approx(3.50, abs=0.01)
         # frozen exact arithmetic: 10.13/37.01 - 0.10625 and 425/(12*10.13)
         assert rep.p_cyc == approx(0.1674598081599568, rel=1e-9)
         assert rep.expb_years == approx(3.496215860480421, rel=1e-9)
-        assert rep.expb_convention == "months-12"
         assert rep.profitable == (
             rep.p_cyc > 0 and rep.expb_years < rep.battery.calendar_life_years
         )
@@ -104,8 +103,6 @@ class TestScoringClosure:
         # 365.25 days (8766 h). Payback therefore stretches by 8766/8640.
         cal = closure_report(10.13, 37.01, months_12=False)
         m12 = closure_report(10.13, 37.01, months_12=True)
-        assert cal.expb_convention == "calendar"
-        assert m12.expb_convention == "months-12"
         assert m12.expb_years == approx(cal.expb_years * 8766.0 / 8640.0, rel=1e-12)
         assert m12.expb_years == approx(425.0 / (12.0 * 10.13), rel=1e-9)
         assert cal.expb_years == approx(
@@ -126,12 +123,12 @@ class TestPanelIdentities:
     def test_per_cycle_profit_identities(self, panel):
         for entry in panel.values():
             rep = entry.report
+            c_cyc = battery_cost(rep.battery).c_cyc
             if rep.n_cyc_100 > 0:
-                want = rep.g_t / (rep.n_cyc_100 * entry.spec.b_rated)
-                assert rep.g_cyc == approx(want, rel=1e-12)
+                want = rep.g_t / (rep.n_cyc_100 * entry.spec.b_rated) - c_cyc
+                assert rep.p_cyc == approx(want, rel=1e-12, abs=1e-12)
             else:
-                assert rep.g_cyc == 0.0
-            assert rep.p_cyc == approx(rep.g_cyc - rep.c_cyc, rel=1e-12, abs=1e-12)
+                assert rep.p_cyc == -c_cyc
 
     def test_verdict_rule(self, panel):
         for entry in panel.values():
@@ -142,11 +139,10 @@ class TestPanelIdentities:
     def test_payback_times_annualized_gain_is_battery_cost(self, panel):
         for entry in panel.values():
             rep = entry.report
-            assert rep.expb_convention == "calendar"
             if rep.g_t > 0:
                 window_hours = entry.scenario.n * entry.scenario.h
                 annualized = rep.g_t * HOURS_PER_YEAR / window_hours
-                assert rep.expb_years * annualized == approx(rep.b_cost, rel=1e-9)
+                assert rep.expb_years * annualized == approx(battery_cost(rep.battery).b_cost, rel=1e-9)
             else:
                 assert math.isinf(rep.expb_years)
                 assert not rep.profitable
@@ -380,7 +376,6 @@ class TestPipelineEdges:
         assert math.isinf(rep.expb_years)
         assert not rep.profitable
         assert rep.n_cyc_100 == approx(0.0, abs=1e-9)
-        assert rep.g_cyc == 0.0
-        assert rep.p_cyc == approx(-rep.c_cyc, rel=1e-12)
+        assert rep.p_cyc == approx(-battery_cost(spec).c_cyc, rel=1e-12)
         assert selection.level == selection.old_level
 

@@ -7,10 +7,10 @@ lookup) so a regression in the vectorized path cannot hide.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,24 +201,26 @@ def test_scenario_validation_errors():
 # ---------------------------------------------------------------- loading
 
 
-def _csv(rows: list[str]) -> io.StringIO:
-    return io.StringIO("\n".join(rows) + "\n")
+def _csv(tmp_path: Path, rows: list[str]) -> Path:
+    path = tmp_path / "scenario.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
-def test_load_scenario_converts_power_to_energy():
+def test_load_scenario_converts_power_to_energy(tmp_path):
     rows = ["timestamp,load_w,pv_w"]
     start = datetime(2019, 6, 1)
     for i in range(12):
         t = start + i * timedelta(minutes=5)
         rows.append(f"{t.isoformat()},300,120")
-    scenario = load_scenario(_csv(rows), name="tiny")
+    scenario = load_scenario(_csv(tmp_path, rows))
     assert scenario.h == pytest.approx(H)
     assert float(np.sum(scenario.load)) == pytest.approx(0.3)  # 300 W for 1 h
     assert float(np.sum(scenario.pv)) == pytest.approx(0.12)
     assert scenario.price[0] == pytest.approx(0.185)  # midnight: off-peak
 
 
-def test_load_scenario_skips_comment_rows_anywhere():
+def test_load_scenario_skips_comment_rows_anywhere(tmp_path):
     rows = [
         "# generated for testing",
         "timestamp,load_w,pv_w",
@@ -226,13 +228,13 @@ def test_load_scenario_skips_comment_rows_anywhere():
         "# mid-file note",
         "2019-06-01T00:05:00,200,0",
     ]
-    scenario = load_scenario(_csv(rows), name="c")
+    scenario = load_scenario(_csv(tmp_path, rows))
     assert scenario.n == 2
 
 
-def test_load_scenario_header_must_match():
+def test_load_scenario_header_must_match(tmp_path):
     with pytest.raises(ScenarioError, match="header"):
-        load_scenario(_csv(["time,load,pv", "2019-06-01T00:00:00,1,2"]))
+        load_scenario(_csv(tmp_path, ["time,load,pv", "2019-06-01T00:00:00,1,2"]))
 
 
 @pytest.mark.parametrize(
@@ -245,15 +247,15 @@ def test_load_scenario_header_must_match():
         ("2019-06-01T00:05:00,inf,0", "non-finite"),
     ],
 )
-def test_load_scenario_reports_bad_lines(row, pattern):
+def test_load_scenario_reports_bad_lines(row, pattern, tmp_path):
     rows = ["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", row]
     with pytest.raises(ScenarioError, match=pattern):
-        load_scenario(_csv(rows))
+        load_scenario(_csv(tmp_path, rows))
 
 
-def test_load_scenario_needs_two_rows():
+def test_load_scenario_needs_two_rows(tmp_path):
     with pytest.raises(ScenarioError, match="two rows"):
-        load_scenario(_csv(["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0"]))
+        load_scenario(_csv(tmp_path, ["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0"]))
 
 
 def _spacing_case(second: str, third: str, message: str, kind: str):
@@ -278,10 +280,10 @@ def _spacing_case(second: str, third: str, message: str, kind: str):
                       "first-pair-not-increasing"),
     ],
 )
-def test_load_scenario_spacing_errors(second, third, message):
+def test_load_scenario_spacing_errors(second, third, message, tmp_path):
     rows = ["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", second, third]
     with pytest.raises(ScenarioError) as info:
-        load_scenario(_csv(rows))
+        load_scenario(_csv(tmp_path, rows))
     assert str(info.value) == message
 
 
@@ -300,21 +302,21 @@ def test_load_scenario_spacing_errors(second, third, message):
     ],
     ids=["gap-after-comments", "mixed-after-comment", "duplicate-after-blank"],
 )
-def test_load_scenario_errors_count_comment_and_blank_lines(rows, message):
+def test_load_scenario_errors_count_comment_and_blank_lines(rows, message, tmp_path):
     with pytest.raises(ScenarioError) as info:
-        load_scenario(_csv(rows))
+        load_scenario(_csv(tmp_path, rows))
     assert str(info.value) == message
 
 
-def test_load_scenario_step_must_match_file():
+def test_load_scenario_step_must_match_file(tmp_path):
     rows = [
         "timestamp,load_w,pv_w",
         "2019-06-01T00:00:00,100,0",
         "2019-06-01T00:05:00,100,0",
     ]
     with pytest.raises(ScenarioError, match="does not match file spacing"):
-        load_scenario(_csv(rows), h=0.25)
-    assert load_scenario(_csv(rows), h=H).n == 2
+        load_scenario(_csv(tmp_path, rows), h=0.25)
+    assert load_scenario(_csv(tmp_path, rows), h=H).n == 2
 
 
 def test_load_scenario_reads_generated_files(fixture_dir, scenarios):
