@@ -9,12 +9,12 @@ discharging delivers eta_dis of what storage releases.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .timeseries import read_config
 
 __all__ = [
     "BatterySpec",
@@ -166,7 +166,8 @@ _OPTIONAL_KEYS = (
     "soc_min_frac", "soc_init_frac", "soc_max_frac", "eta_ch", "eta_dis",
     "cycle_life_100dod", "calendar_life_years", "cost_per_kwh", "inverter_cost_per_kwh",
 )
-_KEYS = {"name", "b_rated_kwh", "charge_rate_c", "discharge_rate_c", *_OPTIONAL_KEYS}
+_FIELDS = {"name": str,
+           **dict.fromkeys(("b_rated_kwh", "charge_rate_c", "discharge_rate_c", *_OPTIONAL_KEYS), float)}
 
 
 def load_catalog(path: str | Path) -> tuple[BatterySpec, ...]:
@@ -178,32 +179,18 @@ def load_catalog(path: str | Path) -> tuple[BatterySpec, ...]:
     inverter_cost_per_kwh (by ramp class when omitted). Any other key is
     an error.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read catalog file {path}: {exc}") from exc
-    entries = raw.get("batteries") if isinstance(raw, dict) else None
+    values, entries = read_config(path, "catalog", {}, "batteries", _FIELDS, _OPTIONAL_KEYS)
     if not entries:
         raise ConfigError(f"catalog file {path} has no 'batteries' entries")
-    if not isinstance(entries, list):
-        raise ConfigError(f"catalog file {path}: 'batteries' must be a list")
     specs = []
     seen: set[str] = set()
-    for entry in entries:
-        unknown = sorted(entry.keys() - _KEYS) if isinstance(entry, dict) else ()
-        if unknown:
-            raise ConfigError(f"catalog file {path}: unknown key {unknown[0]!r} in entry {entry!r}")
+    for raw, entry in zip(values["batteries"], entries):
+        name = entry.pop("name")
         try:
-            name = str(entry["name"])
-            spec = make_spec(
-                name,
-                float(entry["b_rated_kwh"]),
-                float(entry["charge_rate_c"]),
-                float(entry["discharge_rate_c"]),
-                **{key: float(entry[key]) for key in _OPTIONAL_KEYS if key in entry},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad catalog entry {entry!r}: {exc}") from exc
+            spec = make_spec(name, entry.pop("b_rated_kwh"), entry.pop("charge_rate_c"),
+                             entry.pop("discharge_rate_c"), **entry)
+        except ConfigError as exc:
+            raise ConfigError(f"bad catalog entry {raw!r}: {exc}") from exc
         if name in seen:
             raise ConfigError(f"duplicate battery name {name!r} in catalog")
         seen.add(name)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .battery import BatterySpec, catalog_by_name, default_catalog, load_catalog
-from .errors import ConfigError, InfeasibleDispatchError, ScenarioError
+from .errors import ConfigError, InfeasibleDispatchError
 from .fixtures import DEFAULT_SEED, gen_fixtures
 from .optimizer import DEFAULT_EPSILON, DispatchSolution
 from .profitability import Conventions, ProfitabilityReport, evaluate_candidate, tune_friction
@@ -341,10 +341,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ScenarioError, ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleDispatchError as exc:

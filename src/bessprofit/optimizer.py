@@ -224,7 +224,9 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     step, so step i costs f_i(x) = price_i·max(0, z_i + s_fric(x)) +
     epsilon·|x| for a stored-energy change x in [l, u_i]: the discharge
     ramp below, the charge ramp and the peak cap above. f_i is convex and
-    piecewise linear with at most 3 pieces. The minimal cost of reaching
+    piecewise linear with at most 3 pieces, split at x = 0 and at the
+    billing kink where z_i + s_fric(x) = 0, with slope −epsilon below both
+    kinks. The minimal cost of reaching
     SoC b after step i, V_i, is V_{i-1} infimally convolved with f_i and
     clipped to [b_min, b_max]; the convolution merges sorted slope lists.
     For every piece j of f_i the forward pass records where it sits in the
@@ -257,11 +259,13 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
         spec.delta_max_kw * h, np.where(head >= 0, head * spec.eta_ch, head / spec.eta_dis)
     )
 
-    # f_i's top and middle slopes and its billing kink, each step at once
+    # f_i's top and middle slopes and its two kinks, x = 0 and the billing
+    # kink where z_i + s_fric(x) = 0, each step at once
     eps = float(prob.epsilon)
     tops = (scenario.price * a_ch + eps).tolist()
     mids = np.where(z > 0.0, scenario.price * a_dis - eps, eps).tolist()
-    kinks = np.where(z > 0.0, -z / a_dis, -z / a_ch).tolist()
+    kinks = np.where(z > 0.0, -z / a_dis, -z / a_ch)
+    lows, highs = np.minimum(kinks, 0.0).tolist(), np.maximum(kinks, 0.0).tolist()
     b_min, b_max, x_floor = spec.b_min, spec.b_max, lo_x - _DUST
 
     # V_i as its domain start `lo` plus segments sorted by slope
@@ -269,18 +273,15 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     slopes: list[float] = []
     lens: list[float] = []
     plan: list[list[tuple[float, float]]] = []
-    for i, (zi, ui, top, mid, kink) in enumerate(zip(z.tolist(), hi_x.tolist(), tops, mids, kinks)):
+    for i, (ui, top, mid, low, high) in enumerate(zip(hi_x.tolist(), tops, mids, lows, highs)):
         if ui < x_floor:
             raise _unreachable(prob, i)
         # pieces of f_i, highest slope first, so a piece inserted into V
         # never shifts the crossing point of a lower-sloped piece of the
-        # same step; the kinks sit at x = 0 and where z_i + s_fric(x) = 0
-        if zi > 0.0:
-            pieces, bottom_end = ((0.0, ui, top), (kink, 0.0, mid)), kink
-        else:
-            pieces, bottom_end = ((kink, ui, top), (0.0, kink, mid)), 0.0
+        # same step; every slope in V is >= -eps, so the bottom piece
+        # lands at the front
         step = []
-        for start, end, slope in pieces:
+        for start, end, slope in ((high, ui, top), (low, high, mid), (lo_x, low, -eps)):
             if start < lo_x:
                 start = lo_x
             if end > ui:
@@ -289,22 +290,13 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
                 continue
             length = end - start
             k = bisect_left(slopes, slope)
-            step.append((lo + sum(lens[:k]) + start, length))
+            # k = 0 needs no sum; the bottom piece of most steps lands there
+            step.append((lo + (sum(lens[:k]) if k else 0) + start, length))
             if k < len(slopes) and slopes[k] == slope:
                 lens[k] += length
             else:
                 slopes.insert(k, slope)
                 lens.insert(k, length)
-        # the bottom piece, slope -eps, goes first in V: prices and eps are
-        # >= 0, so no slope lies below it
-        length = (ui if bottom_end > ui else bottom_end) - lo_x
-        if length > 0.0:
-            step.append((lo + lo_x, length))
-            if slopes and slopes[0] == -eps:
-                lens[0] += length
-            else:
-                slopes.insert(0, -eps)
-                lens.insert(0, length)
         plan.append(step)
 
         lo += lo_x
@@ -327,7 +319,8 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
                 slopes.pop()
             if lens:
                 lens[-1] -= cut
-            lo = min(lo, b_max)  # a domain within _DUST above the box
+            if lo > b_max:  # a domain within _DUST above the box
+                lo = b_max
 
     b_i = lo + sum(lens[: bisect_left(slopes, 0.0)])
     x = [0.0] * n

@@ -163,11 +163,7 @@ def evaluate(
 
     expb = _expected_payback_years(cost.b_cost, g_t, scenario.total_hours, conventions)
 
-    with_batt = scenario.z + dispatch.s
-    waste = float(np.sum(np.maximum(0.0, -with_batt)))
-    grid_import = float(np.sum(np.maximum(0.0, with_batt)))
-    total_load = float(np.sum(scenario.load))
-    ss = (total_load - grid_import) / total_load
+    with_batt = baseline_metrics(scenario, dispatch.s)
 
     profitable = p_cyc > 0 and expb < spec.calendar_life_years
     return ProfitabilityReport(
@@ -178,8 +174,8 @@ def evaluate(
         n_cyc_100=n_cyc,
         p_cyc=p_cyc,
         expb_years=expb,
-        ss=ss,
-        waste=waste,
+        ss=with_batt.ss,
+        waste=with_batt.waste,
         profitable=profitable,
         eta_fric_used=dispatch.eta_fric,
         level_kva=selection.level.kva,

@@ -44,16 +44,52 @@ KVA_TOL = 1e-9
 
 def _parse_daily_minute(text: str) -> int:
     """Parse 'HH:MM' into a minute-of-day; '24:00' is accepted as end of day."""
-    parts = text.strip().split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"bad time of day {text!r}, expected HH:MM")
-    try:
-        hour, minute = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad time of day {text!r}, expected HH:MM") from exc
-    if not (0 <= minute < 60) or not (0 <= hour <= 24) or (hour == 24 and minute != 0):
-        raise ConfigError(f"time of day {text!r} out of range")
+    hour, minute = map(int, text.split(":"))
+    if not (0 <= minute < 60 and 0 <= hour <= 24) or (hour == 24 and minute != 0):
+        raise ValueError(f"time of day {text!r} out of range")
     return hour * 60 + minute
+
+
+def _convert(where: str, obj, fields: dict, optional: tuple, context: str = "") -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: entry {obj!r} must be an object")
+    unknown = sorted(obj.keys() - fields.keys())
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}{context}")
+    missing = [key for key in fields if key not in obj and key not in optional]
+    if missing:
+        raise ConfigError(f"{where}: missing key {missing[0]!r}{context}")
+    values = {}
+    for key, value in obj.items():
+        try:
+            values[key] = fields[key](value)
+        except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: a non-string time
+            raise ConfigError(f"{where}: bad {key} {value!r}") from exc
+    return values
+
+
+def read_config(path: str | Path, kind: str, top: dict, list_key: str, fields: dict,
+                optional: tuple = ()) -> tuple[dict, list[dict]]:
+    """Read a JSON object with the keys of ``top`` and an optional list
+    ``list_key`` of objects with the keys of ``fields``, less any of
+    ``optional``; each dict maps a key to the converter of its value.
+
+    Returns the converted top-level values, holding the list as read, and
+    the converted entries. A bad file, key or value is one ConfigError that
+    names the file, as "{kind} file {path}", and the key.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    where = f"{kind} file {path}"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    entries = raw.get(list_key, [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{where}: {list_key!r} must be a list")
+    values = _convert(where, raw, {**top, list_key: list}, (list_key,))
+    return values, [_convert(where, entry, fields, optional, f" in entry {entry!r}") for entry in entries]
 
 
 @dataclass(frozen=True)
@@ -173,46 +209,17 @@ DEFAULT_TOU_TARIFF = TariffSchedule(
 
 
 def load_tariff(path: str | Path) -> TariffSchedule:
-    """Read a tariff config: {"periods": [{"start","end","price"}...], "fallback_price": x}."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read tariff file {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "fallback_price" not in raw:
-        raise ConfigError(f"tariff file {path} must be an object with 'fallback_price'")
-    entries = raw.get("periods", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"tariff file {path}: 'periods' must be a list")
-    try:
-        fallback_price = float(raw["fallback_price"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tariff file {path}: bad fallback_price {raw['fallback_price']!r}") from exc
-    periods = []
-    for entry in entries:
-        try:
-            periods.append(
-                TariffPeriod(
-                    start_minute=_parse_daily_minute(entry["start"]),
-                    end_minute=_parse_daily_minute(entry["end"]),
-                    price=float(entry["price"]),
-                )
-            )
-        except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a non-string time
-            raise ConfigError(f"tariff file {path}: bad period entry {entry!r}") from exc
-    return TariffSchedule(periods=tuple(periods), fallback_price=fallback_price)
+    """Read {"periods": [{"start","end","price"}...], "fallback_price": x}; "periods" is optional."""
+    values, entries = read_config(path, "tariff", {"fallback_price": float}, "periods",
+                                  {"start": _parse_daily_minute, "end": _parse_daily_minute, "price": float})
+    periods = tuple(TariffPeriod(e["start"], e["end"], e["price"]) for e in entries)
+    return TariffSchedule(periods=periods, fallback_price=values["fallback_price"])
 
 
 def load_ppc(path: str | Path) -> PpcSchedule:
     """Read a PPC config: {"levels": [{"kva": x, "eur_per_day": y}, ...]}."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read PPC file {path}: {exc}") from exc
-    try:
-        levels = tuple(PpcLevel(kva=float(e["kva"]), eur_per_day=float(e["eur_per_day"])) for e in raw["levels"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad PPC file {path}") from exc
-    return PpcSchedule(levels=levels)
+    _, entries = read_config(path, "PPC", {}, "levels", {"kva": float, "eur_per_day": float})
+    return PpcSchedule(levels=tuple(PpcLevel(e["kva"], e["eur_per_day"]) for e in entries))
 
 
 @dataclass(frozen=True)
@@ -277,14 +284,15 @@ class BaselineMetrics:
     energy_cost: float
 
 
-def baseline_metrics(s: ScenarioSeries) -> BaselineMetrics:
-    """Metrics of the scenario without storage.
+def baseline_metrics(s: ScenarioSeries, storage: np.ndarray | None = None) -> BaselineMetrics:
+    """Metrics of the scenario without storage, or with a battery whose
+    grid-side energy per step is ``storage`` (net load z + storage).
 
     waste is the surplus PV energy (exports earn nothing and are lost),
     self-sufficiency the share of consumption not imported, energy_cost the
     per-step-priced cost of all imports.
     """
-    z = s.z
+    z = s.z if storage is None else s.z + storage
     waste = float(np.sum(np.maximum(0.0, -z)))
     grid_import = float(np.sum(np.maximum(0.0, z)))
     total_load = float(np.sum(s.load))

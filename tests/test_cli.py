@@ -462,7 +462,19 @@ class TestFailureModes:
             ("--tariff", {"fallback_price": None},
              "error: tariff file bad.json: bad fallback_price None"),
             ("--tariff", {"periods": [{"start": 8, "end": "10:00", "price": 0.2}], "fallback_price": 0.1},
-             "error: tariff file bad.json: bad period entry {'start': 8, 'end': '10:00', 'price': 0.2}"),
+             "error: tariff file bad.json: bad start 8"),
+            ("--tariff", {"period": [{"start": "08:00", "end": "22:00", "price": 0.5}], "fallback_price": 0.1},
+             "error: tariff file bad.json: unknown key 'period'"),
+            ("--tariff", {"periods": [{"start": "08:00", "end": "22:00", "price": "cheap"}], "fallback_price": 0.1},
+             "error: tariff file bad.json: bad price 'cheap'"),
+            ("--tariff", {"periods": [{"start": "08:00", "end": "22:00"}], "fallback_price": 0.1},
+             "error: tariff file bad.json: missing key 'price' in entry {'start': '08:00', 'end': '22:00'}"),
+            ("--ppc", {"levels": [{"kva": "big", "eur_per_day": 0.1}]},
+             "error: PPC file bad.json: bad kva 'big'"),
+            ("--ppc", {"levels": [{"kva": lv.kva, "eur_per_day": lv.eur_per_day, "eur_per_month": 99}
+                                  for lv in DEFAULT_PPC_SCHEDULE.levels]},
+             "error: PPC file bad.json: unknown key 'eur_per_month' in entry "
+             "{'kva': 3.45, 'eur_per_day': 0.1643, 'eur_per_month': 99}"),
             ("--catalog", {"batteries": 5},
              "error: catalog file bad.json: 'batteries' must be a list"),
             ("--catalog", {"batteries": [{"name": "x", "b_rated_kwh": 1, "charge_rate_c": 1,
@@ -470,8 +482,8 @@ class TestFailureModes:
              "error: catalog file bad.json: unknown key 'soc_min_fraction' in entry {'name': 'x', "
              "'b_rated_kwh': 1, 'charge_rate_c': 1, 'discharge_rate_c': 1, 'soc_min_fraction': 0.5}"),
         ],
-        ids=["periods-not-a-list", "null-fallback", "numeric-start", "batteries-not-a-list",
-             "unknown-catalog-key"],
+        ids=["periods-not-a-list", "null-fallback", "numeric-start", "misspelt-periods", "string-price",
+             "missing-price", "string-kva", "unknown-ppc-key", "batteries-not-a-list", "unknown-catalog-key"],
     )
     def test_malformed_config_json_is_one_error_line(self, tmp_path, fixture_dir, flag, content,
                                                      message):
