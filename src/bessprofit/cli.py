@@ -18,7 +18,6 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +33,7 @@ from .timeseries import (
     PpcSchedule,
     ScenarioSeries,
     TariffSchedule,
-    baseline_metrics,
+    baseline_metrics,  # unused here; perfbench's tracer wraps it in this module
     load_ppc,
     load_scenario,
     load_tariff,
@@ -148,7 +147,7 @@ def _write_candidate(
         config_hash=_config_hash(config, path, *hash_extra),
         conventions=config.conventions.lines(),
     )
-    base = baseline_metrics(scenario)
+    base = scenario.baseline
     text = render_table(header, base, [report])
     lines = header.lines()
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
@@ -175,10 +174,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_one(
-    config: SweepConfig, scenario: ScenarioSeries, spec: BatterySpec
-) -> tuple[ProfitabilityReport | None, tuple[str, str] | None]:
-    """One sweep task: the report, or the battery name and reason it is infeasible."""
+# The sweep's tasks, set before the pool forks: a worker inherits them and gets an index.
+_SWEEP_TASKS: list[tuple[SweepConfig, ScenarioSeries, BatterySpec]] = []
+
+
+def _sweep_one(k: int) -> tuple[ProfitabilityReport | None, tuple[str, str] | None]:
+    """Sweep task k: the report, or the battery name and reason it is infeasible."""
+    config, scenario, spec = _SWEEP_TASKS[k]
     try:
         return evaluate_candidate(scenario, spec, config.ppc, config.conventions)[0], None
     except InfeasibleDispatchError as exc:
@@ -186,7 +188,7 @@ def _sweep_one(
 
 
 def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outcomes) -> str:
-    base = baseline_metrics(scenario)
+    base = scenario.baseline
     header = ReportHeader(
         scenario=scenario.name,
         config_hash=_config_hash(config, path, "sweep"),
@@ -215,22 +217,26 @@ def cmd_sweep(args) -> int:
     config = _build_config(args)
     # every scenario is read and validated before the first solve
     scenarios = [_load(config, path) for path in args.scenarios]
-    tasks = [(scenario, spec) for scenario in scenarios for spec in config.catalog]
-    columns = (repeat(config), *zip(*tasks))
-    if args.jobs == 1:
-        outcomes = list(map(_sweep_one, *columns))
-    else:
-        import multiprocessing  # imported here: evaluate, tune and --jobs 1 need no pool
+    _SWEEP_TASKS[:] = [(config, scenario, spec) for scenario in scenarios for spec in config.catalog]
+    indices = range(len(_SWEEP_TASKS))
+    try:
+        if args.jobs == 1:
+            outcomes = list(map(_sweep_one, indices))
+        else:
+            import multiprocessing  # imported here: evaluate, tune and --jobs 1 need no pool
 
-        # Fork by name: a spawn or forkserver (Python 3.14's default) worker
-        # re-imports numpy and bessprofit, about the cost of a 3-day sweep.
-        # A fork pool starts all its workers at once, hence the cap. The CLI
-        # runs no other thread when the pool forks.
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(tasks)),
-            mp_context=multiprocessing.get_context("fork"),
-        ) as pool:
-            outcomes = list(pool.map(_sweep_one, *columns))
+            # Fork by name: a spawn or forkserver (Python 3.14's default)
+            # worker re-imports numpy and bessprofit, about the cost of a
+            # 3-day sweep, and would not inherit the tasks. A fork pool
+            # starts all its workers at once, hence the cap. The CLI runs no
+            # other thread when the pool forks.
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(indices)),
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                outcomes = list(pool.map(_sweep_one, indices))
+    finally:
+        _SWEEP_TASKS.clear()
     n = len(config.catalog)
     for k, (path, scenario) in enumerate(zip(args.scenarios, scenarios)):
         print(_write_sweep(config, path, scenario, outcomes[k * n:(k + 1) * n]), end="")

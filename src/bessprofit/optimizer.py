@@ -18,9 +18,11 @@ A ``DispatchProblem`` holds the whole statement: scenario, battery, cap,
 friction, epsilon and terminal_soc. Every route reads it from that one
 value. ``solve_dispatch`` solves the problem exactly with a forward
 dynamic program over convex piecewise-linear value functions of the
-state of charge, one per step, and recovers the dispatch in a backward
-pass of O(1) work per step; the SoC is the only state, so no LP is
-needed.
+state of charge, one per step, and recovers the dispatch in one shared
+backward pass of O(1) work per step; the SoC is the only state, so no LP
+is needed. By the count S of distinct cost slopes, the forward pass is a
+vectorised slope-domain scan when S is small, as under any time-of-use
+tariff, and a list DP of sorted slope lists otherwise (per-step prices).
 
 ``build_lp`` states the same problem as a sparse linear program with
 variables (x_plus_i, x_minus_i, theta_i, b_i) per step; ``lp.solve``
@@ -33,6 +35,7 @@ candidate contract level.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -59,6 +62,7 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-6  # €/kWh tie-break on battery movement
 _DUST = 1e-12  # kWh; solver residue below this is treated as zero
+_SCAN_MAX_SLOPES = 48  # scan/list-DP crossover in distinct slopes, measured at 576-864 steps
 
 
 @dataclass(frozen=True)
@@ -226,19 +230,26 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     ramp below, the charge ramp and the peak cap above. f_i is convex and
     piecewise linear with at most 3 pieces, split at x = 0 and at the
     billing kink where z_i + s_fric(x) = 0, with slope −epsilon below both
-    kinks. The minimal cost of reaching
-    SoC b after step i, V_i, is V_{i-1} infimally convolved with f_i and
-    clipped to [b_min, b_max]; the convolution merges sorted slope lists.
-    For every piece j of f_i the forward pass records where it sits in the
-    merged list, q_j = beta_j + p_j, where p_j is the piece's start and
-    beta_j the SoC at which V_{i-1}'s slope reaches the piece's slope, so
-    the backward pass recovers x_i = l + Σ_j clip(b_i − q_j, 0, len_j).
+    kinks. The minimal cost of reaching SoC b after step i, V_i, is V_{i-1}
+    infimally convolved with f_i and clipped to [L_i, b_max], where L_i is
+    b_min, or b_0 at the last step under terminal_soc. Let G_i(σ) be the
+    SoC at which V_i's slope reaches σ. For every piece j of f_i the
+    forward pass records q_j = G_{i-1}(slope_j) + start_j, and the shared
+    backward pass recovers x_i = l + Σ_j clip(b_i − q_j, 0, len_j).
+
+    The forward route depends only on S, the count of distinct slopes over
+    all pieces. Up to _SCAN_MAX_SLOPES it is the slope-domain scan:
+    G_i(σ) = clip(G_{i-1}(σ) + F_i(σ), L_i, b_max), with F_i(σ) = l plus the
+    length of f_i's pieces with slope below σ, for σ in {−∞, each slope, 0,
+    +∞}; clip maps compose associatively, so NumPy runs the n steps as a
+    blocked scan of about 2√n iterations. Above it (per-step prices) it is
+    the list DP, which keeps V_i as slope-sorted segment lists. The two
+    round differently: x may differ by about 1e-14 kWh.
 
     Tie rule: the final SoC is the smallest minimiser of V_n on
-    [b_0 if terminal_soc else b_min, b_max], and going backward each
-    b_{i-1} is the smallest SoC from which reaching b_i stays optimal, so
-    where a step's own move and an earlier one cost the same, the
-    step's own move is taken.
+    [L_n, b_max], and going backward each b_{i-1} is the smallest SoC from
+    which reaching b_i stays optimal, so where a step's own move and an
+    earlier one cost the same, the step's own move is taken.
 
     Raises InfeasibleDispatchError naming the first step after which no SoC path
     meets the peak cap. The returned energy_cost uses the true billing
@@ -246,58 +257,100 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     cost when the no-battery plan meets the peak cap, since that plan is
     then feasible; a cap below the baseline peak can force a dearer bill.
     """
+    return _solve(prob)
+
+
+def _solve(prob: DispatchProblem, forward=None) -> DispatchSolution:
+    """solve_dispatch with its forward route, when given, forced."""
     scenario, spec = prob.scenario, prob.spec
-    n, h = scenario.n, scenario.h
-    z = scenario.z
+    n, z = scenario.n, scenario.z
+    lo_x, hi_x, start, length, slope = steps = _pieces(prob)
+    if forward is None:
+        forward = _scan_forward if np.unique(slope).size <= _SCAN_MAX_SLOPES else _list_forward
+    b_i, q = forward(prob, *steps)
+
+    # x_i = l + Σ_j clip(b_i − q_j, 0, len_j), the top, mid and bottom
+    # pieces in that order
+    x = [0.0] * n
+    rows = zip(range(n - 1, -1, -1), *map(reversed, q), *map(reversed, length.tolist()))
+    for i, q0, q1, q2, l0, l1, l2 in rows:
+        d0, d1, d2 = b_i - q0, b_i - q1, b_i - q2
+        x_i = (lo_x + (l0 if d0 >= l0 else (d0 if d0 > 0.0 else 0.0))
+               + (l1 if d1 >= l1 else (d1 if d1 > 0.0 else 0.0))
+               + (l2 if d2 >= l2 else (d2 if d2 > 0.0 else 0.0)))
+        x[i] = x_i
+        b_i -= x_i
+
+    x_arr = np.asarray(x)
+    x_plus = np.maximum(x_arr, 0.0)
+    x_minus = np.maximum(-x_arr, 0.0)
+    x_plus[x_plus < _DUST] = 0.0
+    x_minus[x_minus < _DUST] = 0.0
+
+    s = x_plus / spec.eta_ch - spec.eta_dis * x_minus
+    b = spec.b_0 + np.cumsum(x_plus - x_minus)
+    if prob.terminal_soc:
+        # the DP's final SoC is >= b_0 exactly; the running sum can round below it
+        b[-1] = max(b[-1], spec.b_0)
+    theta = np.maximum(0.0, z + s)
+    energy_cost = float(np.sum(scenario.price * theta))
+    return DispatchSolution(x_plus, x_minus, s, b, theta, energy_cost, prob.eta_fric)
+
+
+def _pieces(prob: DispatchProblem):
+    """Every step's move range [lo_x, hi_x_i] and f_i's top, middle and
+    bottom pieces as (3, n) start, length and slope arrays, in that order;
+    an absent piece has length 0."""
+    scenario, spec = prob.scenario, prob.spec
+    h, z = scenario.h, scenario.z
     a_ch = 1.0 / (spec.eta_ch * prob.eta_fric)
     a_dis = spec.eta_dis * prob.eta_fric
 
     lo_x = spec.delta_min_kw * h
     # peak cap on the true grid side: z + s(x) <= p_max_set·h
     head = prob.p_max_set * h - z
-    hi_x = np.minimum(
-        spec.delta_max_kw * h, np.where(head >= 0, head * spec.eta_ch, head / spec.eta_dis)
-    )
+    hi_x = np.minimum(spec.delta_max_kw * h, np.where(head >= 0, head * spec.eta_ch, head / spec.eta_dis))
 
-    # f_i's top and middle slopes and its two kinks, x = 0 and the billing
-    # kink where z_i + s_fric(x) = 0, each step at once
+    # f_i's kinks are x = 0 and the billing kink where z_i + s_fric(x) = 0
     eps = float(prob.epsilon)
-    tops = (scenario.price * a_ch + eps).tolist()
-    mids = np.where(z > 0.0, scenario.price * a_dis - eps, eps).tolist()
     kinks = np.where(z > 0.0, -z / a_dis, -z / a_ch)
-    lows, highs = np.minimum(kinks, 0.0).tolist(), np.maximum(kinks, 0.0).tolist()
-    b_min, b_max, x_floor = spec.b_min, spec.b_max, lo_x - _DUST
+    low, high = np.minimum(kinks, 0.0), np.maximum(kinks, 0.0)
+    start = np.maximum(np.stack((high, low, np.full(scenario.n, lo_x))), lo_x)
+    end = np.minimum(np.stack((hi_x, high, low)), hi_x)
+    mid = np.where(z > 0.0, scenario.price * a_dis - eps, eps)
+    slope = np.stack((scenario.price * a_ch + eps, mid, np.full(scenario.n, -eps)))
+    return lo_x, hi_x, start, np.where(end > start, end - start, 0.0), slope
 
-    # V_i as its domain start `lo` plus segments sorted by slope
+
+def _list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
+    """The list DP: V_i as its domain start `lo` plus segments sorted by
+    slope. Returns the final SoC and the q_j of each piece, as in _pieces."""
+    spec, n = prob.spec, prob.scenario.n
+    b_min, b_max, x_floor = spec.b_min, spec.b_max, lo_x - _DUST
     lo = spec.b_0
     slopes: list[float] = []
     lens: list[float] = []
-    plan: list[list[tuple[float, float]]] = []
-    for i, (ui, top, mid, low, high) in enumerate(zip(hi_x.tolist(), tops, mids, lows, highs)):
+    q: tuple[list[float], ...] = ([], [], [])
+    rows = zip(hi_x.tolist(), *start.tolist(), *length.tolist(), *slope.tolist())
+    for i, (ui, p0, p1, p2, l0, l1, l2, s0, s1, s2) in enumerate(rows):
         if ui < x_floor:
             raise _unreachable(prob, i)
-        # pieces of f_i, highest slope first, so a piece inserted into V
-        # never shifts the crossing point of a lower-sloped piece of the
-        # same step; every slope in V is >= -eps, so the bottom piece
-        # lands at the front
-        step = []
-        for start, end, slope in ((high, ui, top), (low, high, mid), (lo_x, low, -eps)):
-            if start < lo_x:
-                start = lo_x
-            if end > ui:
-                end = ui
-            if end <= start:
+        # pieces highest slope first, so a piece inserted into V never
+        # shifts the crossing point of a lower-sloped piece of the same
+        # step; every slope in V is >= -eps, so the bottom piece lands at
+        # the front
+        for p, len_j, s, q_j in ((p0, l0, s0, q[0]), (p1, l1, s1, q[1]), (p2, l2, s2, q[2])):
+            if not len_j:
+                q_j.append(0.0)  # an absent piece moves nothing
                 continue
-            length = end - start
-            k = bisect_left(slopes, slope)
+            k = bisect_left(slopes, s)
             # k = 0 needs no sum; the bottom piece of most steps lands there
-            step.append((lo + (sum(lens[:k]) if k else 0) + start, length))
-            if k < len(slopes) and slopes[k] == slope:
-                lens[k] += length
+            q_j.append(lo + (sum(lens[:k]) if k else 0) + p)
+            if k < len(slopes) and slopes[k] == s:
+                lens[k] += len_j
             else:
-                slopes.insert(k, slope)
-                lens.insert(k, length)
-        plan.append(step)
+                slopes.insert(k, s)
+                lens.insert(k, len_j)
 
         lo += lo_x
         hi = lo + sum(lens)
@@ -321,40 +374,47 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
                 lens[-1] -= cut
             if lo > b_max:  # a domain within _DUST above the box
                 lo = b_max
+    return lo + sum(lens[: bisect_left(slopes, 0.0)]), q
 
-    b_i = lo + sum(lens[: bisect_left(slopes, 0.0)])
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        x_i = lo_x
-        for q, length in plan[i]:
-            d = b_i - q
-            x_i += length if d >= length else (d if d > 0.0 else 0.0)
-        x[i] = x_i
-        b_i -= x_i
 
-    x_arr = np.asarray(x)
-    x_plus = np.maximum(x_arr, 0.0)
-    x_minus = np.maximum(-x_arr, 0.0)
-    x_plus[x_plus < _DUST] = 0.0
-    x_minus[x_minus < _DUST] = 0.0
+def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
+    """The slope-domain scan: G_i(σ) for σ in {−∞, every slope, 0, +∞},
+    each column a clip-map recursion. Returns the final SoC and the q_j
+    of each piece, as in _pieces."""
+    spec, n, b_max = prob.spec, prob.scenario.n, prob.spec.b_max
+    cols = np.unique(np.concatenate((slope.ravel(), (-np.inf, 0.0, np.inf))))
+    f = lo_x + sum(len_j[:, None] * (slope_j[:, None] < cols) for len_j, slope_j in zip(length, slope))
+    floor = np.full(n, spec.b_min)
+    floor[-1] = spec.b_0 if prob.terminal_soc else spec.b_min
 
-    s = x_plus / spec.eta_ch - spec.eta_dis * x_minus
-    b = spec.b_0 + np.cumsum(x_plus - x_minus)
-    if prob.terminal_soc:
-        # the DP's final SoC is >= b_0 exactly; the running sum can round below it
-        b[-1] = max(b[-1], spec.b_0)
-    theta = np.maximum(0.0, z + s)
-    energy_cost = float(np.sum(scenario.price * theta))
+    # The map y ↦ clip(y + a, lo, hi) followed by (a2, l2, u2) is
+    # (a + a2, clip(lo + a2, l2, u2), clip(hi + a2, l2, u2)). Compose the
+    # prefix maps within blocks of about √(n/2) steps, carry the SoC across
+    # the blocks in turn, then apply every prefix map to its block's entry.
+    size = max(1, math.isqrt(n // 2))
+    m = -(-n // size) * size  # the padded tail steps are discarded
+    a = np.concatenate((f, np.zeros((m - n, cols.size)))).reshape(-1, size, 1, cols.size)
+    l_step = np.resize(floor, m).reshape(-1, size, 1, 1)
+    bounds = np.empty((a.shape[0], size, 2, cols.size))  # lo and hi of each prefix map
+    bounds[:, 0, 0], bounds[:, 0, 1] = l_step[:, 0, 0], b_max
+    for k in range(1, size):
+        np.minimum(np.maximum(bounds[:, k - 1] + a[:, k], l_step[:, k]), b_max, out=bounds[:, k])
+        a[:, k] += a[:, k - 1]
+    entry = np.empty((a.shape[0], 1, 1, cols.size))
+    y = np.full(cols.size, spec.b_0)
+    for blk, (a_blk, (lo, hi)) in enumerate(zip(a[:, -1, 0], bounds[:, -1])):
+        entry[blk] = y
+        y = np.minimum(np.maximum(y + a_blk, lo), hi)
+    g = np.minimum(np.maximum(entry + a, bounds[:, :, :1]), bounds[:, :, 1:]).reshape(m, -1)
+    g_prev = np.vstack((np.full(cols.size, spec.b_0), g[: n - 1]))
 
-    return DispatchSolution(
-        x_plus=x_plus,
-        x_minus=x_minus,
-        s=s,
-        b=b,
-        theta=theta,
-        energy_cost=energy_cost,
-        eta_fric=prob.eta_fric,
-    )
+    # the first step with no move, or whose pre-clip domain misses the box
+    bad = ((hi_x < lo_x - _DUST) | (g_prev[:, -1] + f[:, -1] < floor - _DUST)
+           | (g_prev[:, 0] + f[:, 0] > b_max + _DUST))
+    if bad.any():
+        raise _unreachable(prob, int(bad.argmax()))
+    q = g_prev[np.arange(n), np.searchsorted(cols, slope)] + start
+    return g[n - 1, np.searchsorted(cols, 0.0)], q.tolist()
 
 
 def _unreachable(prob: DispatchProblem, step: int) -> InfeasibleDispatchError:

@@ -150,7 +150,7 @@ def evaluate(
     on the with-battery net load z + s. A non-positive total gain yields
     an infinite payback and an unprofitable verdict.
     """
-    base = baseline_metrics(scenario)
+    base = scenario.baseline
     cost = battery_cost(spec)
 
     g_arb = base.energy_cost - dispatch.energy_cost

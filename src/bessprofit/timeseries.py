@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -213,13 +214,19 @@ def load_tariff(path: str | Path) -> TariffSchedule:
     values, entries = read_config(path, "tariff", {"fallback_price": float}, "periods",
                                   {"start": _parse_daily_minute, "end": _parse_daily_minute, "price": float})
     periods = tuple(TariffPeriod(e["start"], e["end"], e["price"]) for e in entries)
-    return TariffSchedule(periods=periods, fallback_price=values["fallback_price"])
+    try:
+        return TariffSchedule(periods=periods, fallback_price=values["fallback_price"])
+    except ConfigError as exc:
+        raise ConfigError(f"tariff file {path}: {exc}") from exc
 
 
 def load_ppc(path: str | Path) -> PpcSchedule:
     """Read a PPC config: {"levels": [{"kva": x, "eur_per_day": y}, ...]}."""
     _, entries = read_config(path, "PPC", {}, "levels", {"kva": float, "eur_per_day": float})
-    return PpcSchedule(levels=tuple(PpcLevel(e["kva"], e["eur_per_day"]) for e in entries))
+    try:
+        return PpcSchedule(levels=tuple(PpcLevel(e["kva"], e["eur_per_day"]) for e in entries))
+    except ConfigError as exc:
+        raise ConfigError(f"PPC file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -273,6 +280,11 @@ class ScenarioSeries:
     def step_times(self) -> list[datetime]:
         step = timedelta(hours=self.h)
         return [self.start_time + i * step for i in range(self.n)]
+
+    @cached_property
+    def baseline(self) -> BaselineMetrics:
+        """The no-battery ``baseline_metrics``, derived on first use."""
+        return baseline_metrics(self)
 
 
 @dataclass(frozen=True)

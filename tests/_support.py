@@ -6,12 +6,14 @@ tests, a seeded generator of small dispatch instances, the two
 references the solver is held to (the LP solve and the grid
 dynamic-programming oracle), the billing recomputed from a dispatch's
 arrays, and the environment for running the CLI as a subprocess.
+Random instances come with per-step prices or, repriced by
+``tariff_priced``, with a two-period tariff.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.fixtures import fixture_arrays
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, build_lp
-from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries
+from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries, TariffPeriod, TariffSchedule
 
 H = 1.0 / 12.0  # fixture sample spacing, hours
 
@@ -128,6 +130,19 @@ def random_dispatch_instance(rng: np.random.Generator) -> DispatchProblem:
         name=f"rand{n}",
     )
     return DispatchProblem(scenario, spec, p_max_set=p_max, eta_fric=eta_fric)
+
+
+def tariff_priced(prob: DispatchProblem, rng: np.random.Generator) -> DispatchProblem:
+    """``prob`` repriced by a random two-period daily tariff, as the CLI
+    prices every scenario, so that its step costs have at most six
+    distinct slopes."""
+    scenario = prob.scenario
+    start, end = np.sort(rng.choice(round(scenario.total_hours * 60), 2, replace=False))
+    tariff = TariffSchedule(
+        periods=(TariffPeriod(int(start), int(end), float(rng.uniform(0.05, 0.5))),),
+        fallback_price=float(rng.uniform(0.05, 0.5)),
+    )
+    return replace(prob, scenario=replace(scenario, price=tariff.prices(scenario.step_times())))
 
 
 def dp_gap_bound(prob: DispatchProblem, grid: float = DP_GRID) -> float:

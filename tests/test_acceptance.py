@@ -26,6 +26,7 @@ from _support import (
     noisy_price_slice,
     random_dispatch_instance,
     subprocess_env,
+    tariff_priced,
 )
 from test_optimizer import assert_routes_agree
 from test_profitability import closure_report
@@ -69,22 +70,25 @@ def test_a3_monthly_break_even_budget():
 
 
 def test_a4_lp_objective_matches_dp_oracle():
-    # Three-route check: on randomized small instances, with and without
-    # the terminal-SoC constraint, the exact solver and the certified LP
-    # agree on feasibility, on the objective to 1e-9 relative and on the
-    # linear cycle count; an independent dynamic program on a 0.01-kWh SoC
-    # grid comes within five times its discretization bound; the dispatch
-    # passes the validator and never bills more than the no-battery plan
-    # when that plan meets the cap. All in under 30 s.
+    # Three-route check: on randomized small instances, priced per step
+    # and by a two-period tariff, with and without the terminal-SoC
+    # constraint, both forward routes of the exact solver and the
+    # certified LP agree on feasibility, on the objective to 1e-9 relative
+    # and on the linear cycle count; an independent dynamic program on a
+    # 0.01-kWh SoC grid comes within five times its discretization bound;
+    # the dispatch passes the validator and never bills more than the
+    # no-battery plan when that plan meets the cap. All in under 30 s.
     start = time.perf_counter()
     rng = np.random.default_rng(424242)
+    tariffs = np.random.default_rng(2019)  # its own stream: the tariffs draw nothing from rng
     for k in range(24):
         prob = random_dispatch_instance(rng)
-        for terminal_soc in (False, True):
-            held = replace(prob, terminal_soc=terminal_soc)
-            assert_routes_agree(held, f"instance {k}, terminal_soc={terminal_soc}")
+        for priced, variant in (("per step", prob), ("tariff", tariff_priced(prob, tariffs))):
+            for terminal_soc in (False, True):
+                held = replace(variant, terminal_soc=terminal_soc)
+                assert_routes_agree(held, f"instance {k}, {priced}, terminal_soc={terminal_soc}")
     elapsed = time.perf_counter() - start
-    assert elapsed < 30.0, f"24 instances x 2 by three routes took {elapsed:.1f}s"
+    assert elapsed < 30.0, f"24 instances x 4 by three routes took {elapsed:.1f}s"
 
 
 def test_a5_every_panel_dispatch_passes_the_validator(panel):

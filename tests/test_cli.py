@@ -436,11 +436,11 @@ class TestFailureModes:
         "tariff,message",
         [
             ({"periods": [], "fallback_price": "nan"},
-             "error: fallback_price must be finite and >= 0"),
+             "error: tariff file tariff.json: fallback_price must be finite and >= 0"),
             # 03:01-03:02 holds no 5-minute step, so no price ever reads it
             ({"periods": [{"start": "03:01", "end": "03:02", "price": "inf"}],
               "fallback_price": 0.1},
-             "error: tariff prices must be finite and >= 0"),
+             "error: tariff file tariff.json: tariff prices must be finite and >= 0"),
         ],
         ids=["fallback-nan", "unused-period-inf"],
     )
@@ -449,7 +449,7 @@ class TestFailureModes:
         path.write_text(json.dumps(tariff))
         out = tmp_path / "out"
         proc = run_cli("evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
-                       "--tariff", path, "--out", out, cwd=tmp_path)
+                       "--tariff", path.name, "--out", out, cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [message]
         assert not out.exists()
@@ -475,6 +475,12 @@ class TestFailureModes:
                                   for lv in DEFAULT_PPC_SCHEDULE.levels]},
              "error: PPC file bad.json: unknown key 'eur_per_month' in entry "
              "{'kva': 3.45, 'eur_per_day': 0.1643, 'eur_per_month': 99}"),
+            ("--tariff", {"periods": [{"start": "08:00", "end": "12:00", "price": 0.2},
+                                      {"start": "10:00", "end": "14:00", "price": 0.3}],
+                          "fallback_price": 0.1},
+             "error: tariff file bad.json: tariff periods overlap at minute 600"),
+            ("--ppc", {"levels": [{"kva": 5.75, "eur_per_day": 0.2}, {"kva": 3.45, "eur_per_day": 0.3}]},
+             "error: PPC file bad.json: PPC levels must be strictly increasing in kVA and cost"),
             ("--catalog", {"batteries": 5},
              "error: catalog file bad.json: 'batteries' must be a list"),
             ("--catalog", {"batteries": [{"name": "x", "b_rated_kwh": 1, "charge_rate_c": 1,
@@ -483,7 +489,8 @@ class TestFailureModes:
              "'b_rated_kwh': 1, 'charge_rate_c': 1, 'discharge_rate_c': 1, 'soc_min_fraction': 0.5}"),
         ],
         ids=["periods-not-a-list", "null-fallback", "numeric-start", "misspelt-periods", "string-price",
-             "missing-price", "string-kva", "unknown-ppc-key", "batteries-not-a-list", "unknown-catalog-key"],
+             "missing-price", "string-kva", "unknown-ppc-key", "overlapping-periods", "unordered-ppc-levels",
+             "batteries-not-a-list", "unknown-catalog-key"],
     )
     def test_malformed_config_json_is_one_error_line(self, tmp_path, fixture_dir, flag, content,
                                                      message):

@@ -1,13 +1,14 @@
 """Dispatch optimization: the exact solver, its LP and grid-DP cross-checks,
 the independent dispatch validator, and peak-contract selection.
 
-The central guarantee is three-route: ``assert_routes_agree`` holds the
-solver's optimum to the certified LP and, within its discretization
-error, to a grid-search dynamic program (gate a4 runs it on randomized
-instances); on the fixture panel the solver matches the LP at every
-selected cap; and every dispatch is re-audited with plain array
-arithmetic. Bills are recomputed from the returned arrays, never taken
-from the solver.
+The central guarantee is three-route: ``assert_routes_agree`` holds both
+forward routes of the solver, the slope-domain scan and the list DP, to
+the certified LP and, within its discretization error, to a grid-search
+dynamic program (gate a4 runs it on randomized instances); on the
+fixture panel the solver matches the LP at every selected cap, and the
+two forward routes print the same reports; and every dispatch is
+re-audited with plain array arithmetic. Bills are recomputed from the
+returned arrays, never taken from the solver.
 """
 
 from __future__ import annotations
@@ -19,17 +20,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bessprofit import optimizer
 from bessprofit.battery import make_spec
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.optimizer import (
     DispatchProblem,
     DispatchSolution,
+    _list_forward,
+    _scan_forward,
+    _solve,
     build_lp,
     select_ppc,
     solve_dispatch,
     validate_dispatch,
 )
-from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE
+from bessprofit.profitability import Conventions, evaluate
+from bessprofit.report import ReportHeader, render_csv
+from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, baseline_metrics, peak_import_kw
 
 from _support import (
     DP_GRID,
@@ -41,54 +48,72 @@ from _support import (
     linear_cycles,
     lp_reference,
     mini_scenario,
+    noisy_price_slice,
     random_dispatch_instance,
+    scenario_from_fixture,
+    tariff_priced,
 )
+
+FORWARD_ROUTES = {"scan": _scan_forward, "list DP": _list_forward}
 
 
 # --------------------------------------------------- solver vs LP vs grid DP
 
 
-def assert_routes_agree(prob: DispatchProblem, label: str) -> None:
-    """Solve one instance by the exact solver, the LP and the grid oracle.
+def assert_routes_agree(prob: DispatchProblem, label: str) -> bool:
+    """Solve one instance by both forward routes of the exact solver, the
+    LP and the grid oracle; return whether it is feasible.
 
-    They agree on feasibility; the solver's objective equals the LP's to
-    1e-9 relative with the same linear cycle count; the grid optimum is
-    no better than the solver's and within five discretization bounds of
-    it; the dispatch passes the validator, final SoC included, at 1e-9;
-    and it never bills more than the no-battery plan when that plan meets
-    the peak cap. All three routes read epsilon and terminal_soc from
-    ``prob``. The cycle count is compared only when epsilon > 0: without
-    the tie-break, optima that move different amounts cost the same.
+    They agree on feasibility, and the two solver routes fail at the same
+    step with the same message. For each route: the solver's objective
+    equals the LP's to 1e-9 relative with the same linear cycle count; the
+    grid optimum is no better than the solver's and within five
+    discretization bounds of it; the dispatch passes the validator, final
+    SoC included, at 1e-9; and it never bills more than the no-battery
+    plan when that plan meets the peak cap. All references read epsilon
+    and terminal_soc from ``prob``. The cycle count is compared only when
+    epsilon > 0: without the tie-break, optima that move different
+    amounts cost the same.
     """
     ref = lp_reference(prob)
-    try:
-        sol = solve_dispatch(prob)
-    except InfeasibleDispatchError:
-        assert ref is None, f"{label}: the LP is feasible"
+    outcomes = {}
+    for route, forward in FORWARD_ROUTES.items():
+        try:
+            outcomes[route] = _solve(prob, forward)
+        except InfeasibleDispatchError as exc:
+            outcomes[route] = (str(exc), exc.step)
+    if ref is None:
+        failures = list(outcomes.values())
+        assert all(isinstance(f, tuple) for f in failures), f"{label}: the LP is infeasible"
+        assert failures[0] == failures[1], label
         with pytest.raises(InfeasibleDispatchError):
             dp_oracle(prob, DP_GRID)
-        return
-    assert ref is not None, f"{label}: the LP is infeasible"
-    assert dispatch_objective(prob, sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), label
-    b_rated = prob.spec.b_rated
-    if prob.epsilon > 0:
-        assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
-            linear_cycles(ref.soc, b_rated), abs=1e-9
-        ), label
+        return False
 
     dp = dp_oracle(prob, DP_GRID)
     bound = dp_gap_bound(prob)
-    diff = dp.cost - billed_cost(prob, sol)
-    # the grid policy is a feasible policy, so it can never beat the solver...
-    assert diff >= -1e-7 * (1.0 + abs(dp.cost)), label
-    # ...and must come within the discretization error of it
-    assert abs(diff) <= 5.0 * bound, f"{label}: {diff} vs {bound}"
-
-    assert not validate_dispatch(prob, sol, tol=1e-9), label
+    b_rated = prob.spec.b_rated
     z = prob.scenario.load - prob.scenario.pv
-    if np.max(z) / prob.scenario.h <= prob.p_max_set:
-        baseline = float(np.sum(prob.scenario.price * np.maximum(0.0, z)))
-        assert sol.energy_cost <= baseline + 1e-9 * (1.0 + baseline), label
+    for route, sol in outcomes.items():
+        where = f"{label}, {route}"
+        assert isinstance(sol, DispatchSolution), f"{where}: the LP is feasible"
+        assert dispatch_objective(prob, sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), where
+        if prob.epsilon > 0:
+            assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
+                linear_cycles(ref.soc, b_rated), abs=1e-9
+            ), where
+
+        diff = dp.cost - billed_cost(prob, sol)
+        # the grid policy is a feasible policy, so it can never beat the solver...
+        assert diff >= -1e-7 * (1.0 + abs(dp.cost)), where
+        # ...and must come within the discretization error of it
+        assert abs(diff) <= 5.0 * bound, f"{where}: {diff} vs {bound}"
+
+        assert not validate_dispatch(prob, sol, tol=1e-9), where
+        if np.max(z) / prob.scenario.h <= prob.p_max_set:
+            baseline = float(np.sum(prob.scenario.price * np.maximum(0.0, z)))
+            assert sol.energy_cost <= baseline + 1e-9 * (1.0 + baseline), where
+    return True
 
 
 def test_panel_dispatches_match_the_lp_at_the_selected_caps(panel):
@@ -112,6 +137,80 @@ def test_panel_dispatches_match_the_lp_at_the_selected_caps(panel):
         assert linear_cycles(entry.dispatch.soc_trajectory(entry.spec.b_0), b_rated) == (
             pytest.approx(linear_cycles(ref.soc, b_rated), abs=1e-9)
         ), (case, name)
+
+
+def test_tariff_priced_instances_agree_across_routes():
+    # A two-period tariff leaves at most six distinct slopes, so
+    # solve_dispatch takes the scan. Each instance also runs under
+    # terminal_soc, without the tie-break, and at a cap that takes away
+    # 20-120 % of the battery's discharge power from the baseline peak,
+    # which ranges from barely feasible to infeasible.
+    rng = np.random.default_rng(1405)
+    feasible = []
+    for k in range(12):
+        prob = tariff_priced(random_dispatch_instance(rng), rng)
+        assert np.unique(prob.scenario.price).size <= 2
+        peak = float(np.max(prob.scenario.z)) / prob.scenario.h
+        cap = max(0.0, peak + prob.spec.delta_min_kw * float(rng.uniform(0.2, 1.2)))
+        for changes in ({}, {"terminal_soc": True}, {"epsilon": 0.0}, {"p_max_set": cap}):
+            variant = replace(prob, **changes)
+            feasible.append(assert_routes_agree(variant, f"instance {k}, {changes}"))
+    assert 0 < feasible.count(False) < len(feasible) / 2
+
+
+def test_per_step_prices_take_the_list_dp(monkeypatch):
+    # one tariff-priced day has 6 distinct slopes; the same day with
+    # per-step noisy prices has hundreds
+    taken = []
+    for name in ("_scan_forward", "_list_forward"):
+        def spy(*args, name=name, forward=getattr(optimizer, name)):
+            taken.append(name)
+            return forward(*args)
+
+        monkeypatch.setattr(optimizer, name, spy)
+    spec = make_spec("2kwh-1c", 2.0, 1.0, 1.0)
+    tariff_day = scenario_from_fixture("c1")
+    tariff_day = replace(tariff_day, load=tariff_day.load[:288], pv=tariff_day.pv[:288],
+                         price=tariff_day.price[:288])
+    solve_dispatch(DispatchProblem(tariff_day, spec))
+    solve_dispatch(DispatchProblem(noisy_price_slice(days=1), spec))
+    assert taken == ["_scan_forward", "_list_forward"]
+
+
+def test_panel_routes_print_the_same_reports(panel):
+    # Both forward routes round the same exact optimum. On all 36 fixture
+    # pairs their x agrees to 1e-12 kWh, the report CSV is byte-identical,
+    # and x, s, b and theta as the dispatch CSV prints them (6 decimals)
+    # differ by at most one unit in the last digit. Every level that the
+    # contract search rejected fails by both routes at the same step with
+    # the same message.
+    conventions = Conventions()
+    header = ReportHeader(scenario="pin", config_hash="0" * 12, conventions=conventions.lines())
+    rejected = 0
+    for (case, name), entry in panel.items():
+        level = entry.selection.level
+        prob = DispatchProblem(entry.scenario, entry.spec, p_max_set=level.kva)
+        routes = [_solve(prob, forward) for forward in FORWARD_ROUTES.values()]
+        np.testing.assert_allclose(routes[0].x, routes[1].x, rtol=0, atol=1e-12, err_msg=str((case, name)))
+        csvs = {render_csv(header, baseline_metrics(entry.scenario),
+                           [evaluate(entry.scenario, entry.spec, d, entry.selection, conventions)])
+                for d in routes}
+        assert len(csvs) == 1, (case, name)
+        for field in ("x", "s", "b", "theta"):
+            printed = [np.array([float(f"{v:.6f}") for v in getattr(d, field).tolist()]) for d in routes]
+            assert np.max(np.abs(printed[0] - printed[1])) <= 1.5e-6, (case, name, field)
+
+        threshold = peak_import_kw(entry.scenario) + entry.spec.delta_min_kw
+        for lower in DEFAULT_PPC_SCHEDULE.levels:
+            if threshold <= lower.kva < level.kva:
+                failures = []
+                for forward in FORWARD_ROUTES.values():
+                    with pytest.raises(InfeasibleDispatchError) as exc_info:
+                        _solve(replace(prob, p_max_set=lower.kva), forward)
+                    failures.append((str(exc_info.value), exc_info.value.step))
+                assert failures[0] == failures[1], (case, name, lower.kva)
+                rejected += 1
+    assert rejected == 8
 
 
 def test_dp_policy_is_feasible_for_the_lp():
