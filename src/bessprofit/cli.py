@@ -13,9 +13,10 @@ hash plus the conventions in force.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import math
+import os
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -174,17 +175,61 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The sweep's tasks, set before the pool forks: a worker inherits them and gets an index.
-_SWEEP_TASKS: list[tuple[SweepConfig, ScenarioSeries, BatterySpec]] = []
-
-
-def _sweep_one(k: int) -> tuple[ProfitabilityReport | None, tuple[str, str] | None]:
-    """Sweep task k: the report, or the battery name and reason it is infeasible."""
-    config, scenario, spec = _SWEEP_TASKS[k]
+def _sweep_one(task) -> tuple[ProfitabilityReport | None, tuple[str, str] | None]:
+    """One (scenario, battery) pair: the report, or the battery name and reason it is infeasible."""
+    config, scenario, spec = task
     try:
         return evaluate_candidate(scenario, spec, config.ppc, config.conventions)[0], None
     except InfeasibleDispatchError as exc:
         return None, (spec.name, str(exc))
+
+
+def _forked_map(fn, tasks: list, workers: int) -> list:
+    """``list(map(fn, tasks))`` on ``workers`` forked processes. Worker w maps tasks w,
+    w + workers, ... and writes one pickle, of its results or its exception, to its own pipe.
+    This process reads the pipes in worker order and reaps every worker on every path."""
+    children = []  # (pid, read end of its pipe), one per worker
+    results: list = [None] * len(tasks)
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            # Fork, not spawn: a spawned worker re-imports numpy and
+            # bessprofit, about the cost of a 3-day sweep, and would not
+            # inherit the tasks. The CLI runs no other thread when it forks.
+            pid = os.fork()
+            if pid == 0:  # the worker; it never returns
+                try:
+                    os.close(read_fd)  # read ends stay open in the parent alone, see finally
+                    for _, pipe in children:
+                        pipe.close()
+                    try:
+                        reply = pickle.dumps([fn(task) for task in tasks[w::workers]])
+                    except Exception as exc:
+                        reply = pickle.dumps(exc)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(reply)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for w, (_, pipe) in enumerate(children):
+            reply = pipe.read()
+            if not reply:  # the worker died before it wrote
+                break
+            reply = pickle.loads(reply)
+            if isinstance(reply, BaseException):
+                raise reply
+            results[w::workers] = reply
+        else:
+            return results
+    finally:
+        # unread pipes close first, so a worker blocked writing to one gets EPIPE and exits
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    raise ChildProcessError(f"sweep worker {w} exited with status "
+                            f"{os.waitstatus_to_exitcode(statuses[w])}")
 
 
 def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outcomes) -> str:
@@ -217,26 +262,10 @@ def cmd_sweep(args) -> int:
     config = _build_config(args)
     # every scenario is read and validated before the first solve
     scenarios = [_load(config, path) for path in args.scenarios]
-    _SWEEP_TASKS[:] = [(config, scenario, spec) for scenario in scenarios for spec in config.catalog]
-    indices = range(len(_SWEEP_TASKS))
-    try:
-        if args.jobs == 1:
-            outcomes = list(map(_sweep_one, indices))
-        else:
-            import multiprocessing  # imported here: evaluate, tune and --jobs 1 need no pool
-
-            # Fork by name: a spawn or forkserver (Python 3.14's default)
-            # worker re-imports numpy and bessprofit, about the cost of a
-            # 3-day sweep, and would not inherit the tasks. A fork pool
-            # starts all its workers at once, hence the cap. The CLI runs no
-            # other thread when the pool forks.
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(args.jobs, len(indices)),
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                outcomes = list(pool.map(_sweep_one, indices))
-    finally:
-        _SWEEP_TASKS.clear()
+    tasks = [(config, scenario, spec) for scenario in scenarios for spec in config.catalog]
+    workers = min(args.jobs, len(tasks))
+    outcomes = (list(map(_sweep_one, tasks)) if workers == 1
+                else _forked_map(_sweep_one, tasks, workers))
     n = len(config.catalog)
     for k, (path, scenario) in enumerate(zip(args.scenarios, scenarios)):
         print(_write_sweep(config, path, scenario, outcomes[k * n:(k + 1) * n]), end="")
@@ -305,8 +334,9 @@ def _add_common(sub: argparse.ArgumentParser, *, jobs: bool = False, eta: bool =
                          help="friction coefficient in (0, 1] (default 1: no friction)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
-                         help="worker processes over the (scenario x battery) pairs; POSIX fork "
-                              "(default 1: in-process)")
+                         help="forked workers; worker k of N takes (scenario x battery) pairs k, k+N, "
+                              "...; the parent only waits, then writes in catalog order (default 1: "
+                              "in-process)")
 
 
 def _build_parser() -> _Parser:

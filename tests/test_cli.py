@@ -3,14 +3,15 @@
 Covers the four subcommands, the documented exit-code contract (0 ok,
 1 usage/config/parse, 2 unsolvable dispatch), convention echoing in the
 output headers, and byte-for-byte reproducibility of generated files.
-The sweep's worker-count check calls ``cli.main`` in-process instead, so
-that it can stand in for the process pool.
+The sweep's fork-count and dying-worker checks call ``cli.main``
+in-process instead, so that they can wrap ``os.fork`` and stand in for
+``_sweep_one`` in the forked workers.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 
@@ -56,7 +57,8 @@ def test_version_flag(tmp_path):
 
 def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
     # SciPy is a test-only dependency: only the LP reference needs it, so
-    # evaluate, tune and a forked sweep all run with every SciPy import failing
+    # evaluate, tune and a forked sweep all run with every SciPy import
+    # failing; none of them loads multiprocessing or concurrent.futures either
     c1 = str(fixture_dir / "c1.csv")
     argvs = [
         ["evaluate", c1, "--battery", "2kwh-1c", "--out", str(tmp_path / "evaluate")],
@@ -69,7 +71,7 @@ def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
         "import bessprofit, bessprofit.cli\n"
         f"rcs = [bessprofit.cli.main(argv) for argv in {argvs!r}]\n"
         "print(json.dumps([rcs, sys.modules['scipy'], sorted(m for m in sys.modules"
-        " if m.startswith('scipy.'))]))\n"
+        " if m.startswith(('scipy.', 'multiprocessing', 'concurrent')))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=subprocess_env())
@@ -218,31 +220,74 @@ class TestSweepCommand:
 
     def test_workers_are_capped_at_the_task_count(self, tmp_path, fixture_dir, monkeypatch,
                                                   capsys):
-        made = []
+        fork, forks = os.fork, {}
 
-        class InProcessPool:
-            def __init__(self, max_workers, mp_context):
-                made.append((max_workers, mp_context.get_start_method()))
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks[jobs] += 1
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "fork", counted_fork)
         stdout = {}
         for jobs in ("1", "2", "12"):
+            forks[jobs] = 0
             argv = ["sweep", str(fixture_dir / "c2.csv"), "--jobs", jobs,
                     "--out", str(tmp_path / jobs)]
             assert cli.main(argv) == 0
             stdout[jobs] = capsys.readouterr().out
-        # one scenario x 9 catalog batteries; --jobs 1 builds no pool
-        assert made == [(2, "fork"), (9, "fork")]
+            with pytest.raises(ChildProcessError):  # every worker was reaped
+                os.waitpid(-1, os.WNOHANG)
+        # one scenario x 9 catalog batteries; --jobs 1 forks none
+        assert forks == {"1": 0, "2": 2, "12": 9}
         assert stdout["1"] == stdout["2"] == stdout["12"]
+
+    def test_dying_worker_is_one_error_line(self, tmp_path, fixture_dir, monkeypatch, capsys):
+        sweep_one = cli._sweep_one
+
+        def dies_on_the_second_pair(task):
+            config, _, spec = task
+            if spec is config.catalog[1]:
+                os._exit(3)
+            return sweep_one(task)
+
+        monkeypatch.setattr(cli, "_sweep_one", dies_on_the_second_pair)
+        out = tmp_path / "out"
+        argv = ["sweep", str(fixture_dir / "c2.csv"), "--jobs", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        # worker 1 takes pairs 1, 3, 5 and 7
+        assert captured.err.splitlines() == ["error: sweep worker 1 exited with status 3"]
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_sweep_cannot_hang(self, tmp_path, fixture_dir):
+        # Worker 0 fails at once while worker 1 blocks writing more than a
+        # pipe buffer (64 KiB) that is never read; once its pipe is closed
+        # it gets EPIPE and exits, so the run ends.
+        argv = ["sweep", str(fixture_dir / "c2.csv"), "--jobs", "2", "--out", "out"]
+        code = (
+            "import os\n"
+            "from bessprofit import cli\n"
+            "def fails_or_floods(task):\n"
+            "    config, _, spec = task\n"
+            "    if spec is config.catalog[0]:\n"
+            "        raise ValueError('worker 0 failed')\n"
+            "    return None, (spec.name, 'x' * 100_000)\n"
+            "cli._sweep_one = fails_or_floods\n"
+            f"print(cli.main({argv!r}))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('reaped')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env=subprocess_env(), timeout=60)
+        assert proc.stderr.splitlines() == ["error: worker 0 failed"]
+        assert proc.stdout.splitlines() == ["1", "reaped"]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_scenarios_with_the_same_file_name_are_refused(self, tmp_path, fixture_dir):
         # both would write c1-sweep.csv and c1-sweep.txt
@@ -562,7 +607,7 @@ class TestFailureModes:
         assert list(out.rglob("*")) == []
 
     def test_worker_error_keeps_the_exit_contract(self, tmp_path, fixture_dir):
-        # raised in a worker process and re-raised by the pool, traceback-free
+        # raised in a worker process and re-raised from its pipe, traceback-free
         proc = run_cli(
             "sweep", fixture_dir / "c2.csv", "--jobs", "2", "--epsilon", "-0.5",
             "--out", tmp_path / "out", cwd=tmp_path,
