@@ -7,12 +7,17 @@ one battery, ``fixtures`` to (re)generate the bundled synthetic cases.
 Exit codes: 0 success, 1 usage/config/parse problems, 2 when a dispatch
 cannot be solved (the peak target is unreachable). Output files are
 byte-identical across reruns with the same inputs; each embeds a config
-hash plus the conventions in force.
+hash plus the conventions in force. The output directory is made when the
+first file is written, so a run that fails before that leaves none.
+
+``main`` builds its argument parser once per process and reuses it on
+every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -84,14 +89,12 @@ def _build_config(args) -> SweepConfig:
     catalog = tuple(load_catalog(args.catalog) if args.catalog else default_catalog())
     if not catalog:
         raise ConfigError("battery catalog is empty")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     return SweepConfig(
         tariff_path=args.tariff,
         ppc_path=args.ppc,
         catalog_path=args.catalog,
         conventions=conventions,
-        out_dir=out_dir,
+        out_dir=Path(args.out),
         tariff=tariff,
         ppc=ppc,
         catalog=catalog,
@@ -154,11 +157,10 @@ def _write_candidate(
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
     # Python floats format exactly as np.float64 does; b is the SoC after each step
     columns = (scenario.z, dispatch.x, dispatch.s, dispatch.b, dispatch.theta, scenario.price)
-    lines += [
-        f"{stamp.isoformat()},{z:.6f},{x:.6f},{s:.6f},{b:.6f},{theta:.6f},{price:.4f}"
-        for stamp, z, x, s, b, theta, price in zip(scenario.step_times(), *(c.tolist() for c in columns))
-    ]
+    lines += map("%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.4f".__mod__,
+                 zip(scenario.step_stamps(), *(c.tolist() for c in columns)))
     stem = f"{scenario.name}-{spec.name}-{infix}"
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / f"{stem}dispatch.csv").write_text("\n".join(lines) + "\n", newline="")
     (config.out_dir / f"{stem}report.txt").write_text(text, newline="")
     write_report(config.out_dir / f"{stem}report.csv", header, base, [report])
@@ -243,6 +245,7 @@ def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outco
     failures = sorted(failure for _, failure in outcomes if failure is not None)
     text = render_table(header, base, ordered)
     text += "".join(f"# failed: {name}: {msg}\n" for name, msg in failures)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     write_report(config.out_dir / f"{scenario.name}-sweep.csv", header, base, ordered)
     (config.out_dir / f"{scenario.name}-sweep.txt").write_text(text, newline="")
     return text
@@ -339,6 +342,7 @@ def _add_common(sub: argparse.ArgumentParser, *, jobs: bool = False, eta: bool =
                               "in-process)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bessprofit",
                      description="Battery dispatch and profitability for ToU prosumers")

@@ -72,6 +72,9 @@ class Conventions:
     contracted_kva: float | None = None
     terminal_soc: bool = False
 
+    def __post_init__(self):
+        DamageModel(kp=self.damage_exp)  # a bad exponent fails here, before any solve
+
     def lines(self) -> tuple[str, ...]:
         return (
             f"step_minutes: {'auto' if self.step_minutes is None else f'{self.step_minutes:g}'}",

@@ -14,7 +14,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from functools import cached_property
 from pathlib import Path
 
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MINUTES_PER_DAY = 1440
+US_PER_DAY = 86_400_000_000
 # how close a kVA value must be to a PPC level's ceiling to name it
 KVA_TOL = 1e-9
 
@@ -277,9 +278,28 @@ class ScenarioSeries:
         """Length of the window in days; drives €/day PPC accounting."""
         return self.total_hours / 24.0
 
-    def step_times(self) -> list[datetime]:
-        step = timedelta(hours=self.h)
-        return [self.start_time + i * step for i in range(self.n)]
+    def step_stamps(self) -> list[str]:
+        """``[(start_time + i * timedelta(hours=h)).isoformat() for i in range(n)]``:
+        microseconds only when not zero, and the UTC offset of start_time (a
+        scenario file holds one fixed offset) on every stamp.
+
+        Each distinct date and time of day is rendered once and the stamps
+        are joined from those strings; the offsets are whole microseconds,
+        as timedelta rounds them, so this is exact for any step.
+        """
+        start = self.start_time
+        step_us = timedelta(hours=self.h) // timedelta(microseconds=1)
+        start_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 + start.microsecond
+        day, tod = np.divmod(start_us + step_us * np.arange(self.n, dtype=np.int64), US_PER_DAY)
+        days, day_at = np.unique(day, return_inverse=True)
+        tods, tod_at = np.unique(tod, return_inverse=True)
+        first = start.toordinal()
+        offset = start.isoformat()[len(start.replace(tzinfo=None).isoformat()):]
+        dates = np.array([date.fromordinal(first + d).isoformat() + "T" for d in days.tolist()], dtype=object)
+        # the time of day us microseconds after midnight
+        times = np.array([(datetime.min + timedelta(microseconds=us)).time().isoformat() + offset
+                          for us in tods.tolist()], dtype=object)
+        return (dates[day_at] + times[tod_at]).tolist()
 
     @cached_property
     def baseline(self) -> BaselineMetrics:

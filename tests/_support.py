@@ -53,6 +53,12 @@ def subprocess_env() -> dict[str, str]:
     return env
 
 
+def step_times(scenario: ScenarioSeries) -> list[datetime]:
+    """The datetime of each step: start_time + i * timedelta(hours=h)."""
+    step = timedelta(hours=scenario.h)
+    return [scenario.start_time + i * step for i in range(scenario.n)]
+
+
 def scenario_from_fixture(name: str) -> ScenarioSeries:
     """Synthetic month as the CLI would load it: W -> kWh, tariff prices."""
     start, load_w, pv_w = fixture_arrays(name)
@@ -142,7 +148,7 @@ def tariff_priced(prob: DispatchProblem, rng: np.random.Generator) -> DispatchPr
         periods=(TariffPeriod(int(start), int(end), float(rng.uniform(0.05, 0.5))),),
         fallback_price=float(rng.uniform(0.05, 0.5)),
     )
-    return replace(prob, scenario=replace(scenario, price=tariff.prices(scenario.step_times())))
+    return replace(prob, scenario=replace(scenario, price=tariff.prices(step_times(scenario))))
 
 
 def dp_gap_bound(prob: DispatchProblem, grid: float = DP_GRID) -> float:

@@ -5,7 +5,8 @@ Covers the four subcommands, the documented exit-code contract (0 ok,
 output headers, and byte-for-byte reproducibility of generated files.
 The sweep's fork-count and dying-worker checks call ``cli.main``
 in-process instead, so that they can wrap ``os.fork`` and stand in for
-``_sweep_one`` in the forked workers.
+``_sweep_one`` in the forked workers, and one test runs a series of
+commands both in-process and in fresh processes to compare their files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from _support import subprocess_env
+from _support import step_times, subprocess_env
 from bessprofit import cli
 from bessprofit.battery import catalog_by_name, default_catalog
 from bessprofit.profitability import Conventions, evaluate_candidate, tune_friction
@@ -78,6 +79,52 @@ def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], None, []]
     assert (tmp_path / "sweep" / "c1-sweep.csv").is_file()
+
+
+def test_in_process_runs_match_fresh_processes(tmp_path, fixture_dir, capsys):
+    # main reuses one parser for every call in a process: no flag value may
+    # carry over from one call to the next, and a usage error leaves it usable
+    lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
+    scenario = tmp_path / "c1.csv"
+    scenario.write_text("".join(lines[: 3 + 3 * 288]))
+
+    def argvs(root):
+        return [
+            ["evaluate", str(scenario), "--battery", "2kwh-1c", "--eta-fric", "0.8",
+             "--out", str(root / "friction")],
+            ["evaluate", str(scenario), "--battery"],
+            ["sweep", str(scenario), "--jobs", "2", "--out", str(root / "sweep")],
+            ["tune", str(scenario), "--battery", "2kwh-1c", "--out", str(root / "tune")],
+            ["evaluate", str(scenario), "--battery", "2kwh-1c", "--out", str(root / "plain")],
+        ]
+
+    runs = {}
+    for where in ("in-process", "fresh"):
+        root = tmp_path / where
+        outcomes = []
+        for argv in argvs(root):
+            if where == "in-process":
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+            else:
+                proc = run_cli(*argv, cwd=tmp_path)
+                outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        files = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+        runs[where] = outcomes, files
+    (outcomes, files), (fresh_outcomes, fresh_files) = runs["in-process"], runs["fresh"]
+    assert files == fresh_files
+    assert len(files) == 3 + 2 + 3 + 3
+    code, _, err = outcomes[1]
+    assert code == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: argument --battery: expected one argument"]
+    # the usage line above it wraps at the terminal width, which differs in-process
+    for k, ((code, out, err), (fresh_code, fresh_out, fresh_err)) in enumerate(zip(outcomes, fresh_outcomes)):
+        assert (code, out) == (fresh_code, fresh_out), k
+        assert err.splitlines()[-1:] == fresh_err.splitlines()[-1:], k
+    assert b"# eta_fric: 0.8\n" in files["friction/c1-2kwh-1c-report.txt"]
+    assert b"# eta_fric: 1\n" in files["plain/c1-2kwh-1c-report.txt"]
 
 
 class TestFixturesCommand:
@@ -152,7 +199,7 @@ class TestEvaluateCommand:
         expected = [
             f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{s[i]:.6f},{soc[i + 1]:.6f},"
             f"{theta[i]:.6f},{price[i]:.4f}"
-            for i, stamp in enumerate(scenario.step_times())
+            for i, stamp in enumerate(step_times(scenario))
         ]
         steps = data_lines((out / "c1-2kwh-1c-dispatch.csv").read_text())
         assert steps[1:] == expected
@@ -259,7 +306,7 @@ class TestSweepCommand:
         # worker 1 takes pairs 1, 3, 5 and 7
         assert captured.err.splitlines() == ["error: sweep worker 1 exited with status 3"]
         assert captured.out == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -287,7 +334,7 @@ class TestSweepCommand:
                               cwd=tmp_path, env=subprocess_env(), timeout=60)
         assert proc.stderr.splitlines() == ["error: worker 0 failed"]
         assert proc.stdout.splitlines() == ["1", "reaped"]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_scenarios_with_the_same_file_name_are_refused(self, tmp_path, fixture_dir):
         # both would write c1-sweep.csv and c1-sweep.txt
@@ -418,17 +465,19 @@ class TestTuneCommand:
 
 class TestFailureModes:
     def test_missing_scenario_file(self, tmp_path):
-        proc = run_cli("evaluate", "missing.csv", "--battery", "2kwh-1c", cwd=tmp_path)
+        proc = run_cli("evaluate", "missing.csv", "--battery", "2kwh-1c", "--out", "out", cwd=tmp_path)
         assert proc.returncode == 1
         assert "error: scenario file not found" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_battery_name(self, tmp_path, fixture_dir):
         proc = run_cli(
-            "evaluate", fixture_dir / "c1.csv", "--battery", "42kwh-9c", cwd=tmp_path
+            "evaluate", fixture_dir / "c1.csv", "--battery", "42kwh-9c", "--out", "out", cwd=tmp_path
         )
         assert proc.returncode == 1
         assert "unknown battery" in proc.stderr
         assert "42kwh-9c" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_scenario_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -465,7 +514,7 @@ class TestFailureModes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: bad catalog entry ")
         assert proc.stderr.rstrip().endswith("b_rated must be > 0 and finite")
-        assert list(out.rglob("*")) == []
+        assert not out.exists()
 
     def test_unreadable_tariff_file(self, tmp_path, fixture_dir):
         tariff = tmp_path / "tariff.json"
@@ -584,7 +633,7 @@ class TestFailureModes:
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
-        assert not (tmp_path / "out" / "c1-1kwh-1c-report.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -604,7 +653,7 @@ class TestFailureModes:
         assert proc.returncode == 1
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
-        assert list(out.rglob("*")) == []
+        assert not out.exists()
 
     def test_worker_error_keeps_the_exit_contract(self, tmp_path, fixture_dir):
         # raised in a worker process and re-raised from its pipe, traceback-free
@@ -614,7 +663,7 @@ class TestFailureModes:
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_missing_later_scenario_fails_before_any_output(self, tmp_path, fixture_dir):
         out = tmp_path / "out"
@@ -625,7 +674,7 @@ class TestFailureModes:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: scenario file not found: missing.csv"]
         assert proc.stdout == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_non_positive_jobs_is_a_usage_error(self, tmp_path, fixture_dir):
         proc = run_cli("sweep", fixture_dir / "c1.csv", "--jobs", "0", cwd=tmp_path)

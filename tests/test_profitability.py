@@ -18,6 +18,7 @@ import pytest
 from bessprofit import profitability
 from bessprofit.battery import battery_cost, catalog_by_name, make_spec
 from bessprofit.cycles import DamageModel, count_cycles
+from bessprofit.errors import ConfigError
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
 from bessprofit.profitability import (
     HOURS_PER_YEAR,
@@ -379,3 +380,9 @@ class TestPipelineEdges:
         assert rep.p_cyc == approx(-battery_cost(spec).c_cyc, rel=1e-12)
         assert selection.level == selection.old_level
 
+
+    @pytest.mark.parametrize("kp", [math.nan, math.inf, 0.5])
+    def test_bad_damage_exponent_fails_before_any_solve(self, kp):
+        # the same error the cycle count would raise, but when the conventions are made
+        with pytest.raises(ConfigError, match="damage exponent kp must be >= 1 and finite"):
+            Conventions(damage_exp=kp)

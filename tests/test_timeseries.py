@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from datetime import datetime, timedelta
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from bessprofit.timeseries import (
     peak_import_kw,
 )
 
-from _support import H, mini_scenario
+from _support import H, mini_scenario, step_times
 
 # Direct-summation reference values for the shipped synthetic months
 # (plain-float loop over steps, tariff looked up per timestamp).
@@ -55,7 +56,7 @@ def direct_summation(scenario: ScenarioSeries) -> dict:
     imported = 0.0
     cost = 0.0
     peak = 0.0
-    times = scenario.step_times()
+    times = step_times(scenario)
     for i in range(scenario.n):
         load = float(scenario.load[i])
         pv = float(scenario.pv[i])
@@ -326,6 +327,28 @@ def test_load_scenario_reads_generated_files(fixture_dir, scenarios):
         np.testing.assert_allclose(scenario.load, scenarios[name].load, atol=1e-12)
         np.testing.assert_allclose(scenario.pv, scenarios[name].pv, atol=1e-12)
         np.testing.assert_allclose(scenario.price, scenarios[name].price)
+
+
+@pytest.mark.parametrize(
+    "start,h,n",
+    [
+        (datetime(2019, 12, 31, 22, 0), 7 / 60, 60),
+        (datetime(2019, 6, 1, 23, 59, 58, 123), 1.5 / 3600, 10),
+        (datetime(2019, 6, 1), 1 / 7, 3 * 24 * 7 + 5),
+        (datetime(2019, 6, 1), 2 / 7, 3 * 24 * 7 + 5),
+        (datetime(2019, 6, 1, 0, 10, tzinfo=timezone(-timedelta(hours=5, minutes=30))), 0.25, 200),
+        (datetime(2020, 2, 28, 20, 0, tzinfo=timezone(timedelta(hours=1))), 1.0, 60),
+        (datetime(2019, 6, 1, 3, 0, tzinfo=timezone(timedelta(hours=5, seconds=30))), 1.0, 30),
+        (datetime(2019, 6, 1, 5, 30), 26.0, 40),
+        (datetime(2019, 6, 1, 12, 0, 0, 500), H, 1),
+    ],
+    ids=["7-min-over-year-end", "1.5-s-from-123-us", "1/7-h-rounded-us", "2/7-h-rounded-up-us",
+         "offset-minus-05:30", "offset-plus-01:00-over-29-feb", "offset-with-seconds", "26-h",
+         "one-step"],
+)
+def test_step_stamps_are_the_isoformat_of_each_step(start, h, n):
+    scenario = replace(mini_scenario(np.ones(n), np.zeros(n), h=h), start_time=start)
+    assert scenario.step_stamps() == [t.isoformat() for t in step_times(scenario)]
 
 
 # ----------------------------------------------------------------- tariff
