@@ -309,6 +309,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     paths = gen_fixtures(seed=args.seed, out_dir=args.out)
     for path in paths:
         print(path)

@@ -8,9 +8,10 @@ consumes (c4). Each day carries an evening needle or block so
 peak-contract selection has something to shave.
 
 Generation is reproducible byte for byte for a given seed: every random
-draw comes from one ``default_rng(seed + case index)`` stream, values
-are rounded to 0.1 W before totals are taken, and files are written
-with fixed formats and "\n" newlines.
+draw comes from one ``default_rng(seed + case index)`` stream, and the
+powers are rounded to 0.1 W after the scaling to each case's totals.
+Each "\n"-ended row is one ``"%s,%.1f,%.1f"`` %-format of a stamp from
+the ``timeseries.iso_stamps`` table and the two powers in W.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
+
+from .timeseries import iso_stamps
 
 __all__ = ["FIXTURE_NAMES", "DEFAULT_SEED", "fixture_arrays", "gen_fixtures"]
 
@@ -47,14 +50,13 @@ _BLOCK_NEEDLE_SLOTS = tuple(range(220, 260))
 
 def _smooth_noise(rng: np.random.Generator, n: int, rho: float = 0.96) -> np.ndarray:
     """Zero-mean AR(1) series, unit-ish scale."""
-    shocks = rng.standard_normal(n)
-    out = np.empty(n)
+    out = []
     acc = 0.0
-    gain = np.sqrt(1.0 - rho * rho)
-    for i in range(n):
-        acc = rho * acc + gain * shocks[i]
-        out[i] = acc
-    return out
+    gain = float(np.sqrt(1.0 - rho * rho))
+    for shock in rng.standard_normal(n).tolist():
+        acc = rho * acc + gain * shock
+        out.append(acc)
+    return np.array(out)
 
 
 def _gauss_bump(hour: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -163,23 +165,16 @@ def _fixture_hash(name: str, seed: int) -> str:
 
 
 def gen_fixtures(seed: int = DEFAULT_SEED, out_dir: str | Path = ".") -> list[Path]:
-    """Write c1.csv .. c4.csv into out_dir; returns the paths written."""
+    """Write c1.csv .. c4.csv into out_dir, made at the first write; returns the paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    stamps = iso_stamps(_START, timedelta(minutes=5), _N)
     paths = []
     for name in FIXTURE_NAMES:
-        start, load_w, pv_w = fixture_arrays(name, seed)
-        lines = [
-            f"# fixture: {name} seed={seed}",
-            f"# config_hash: {_fixture_hash(name, seed)}",
-            "timestamp,load_w,pv_w",
-        ]
-        t = start
-        step = timedelta(minutes=5)
-        for lw, pw in zip(load_w, pv_w):
-            lines.append(f"{t.isoformat()},{lw:.1f},{pw:.1f}")
-            t += step
+        _, load_w, pv_w = fixture_arrays(name, seed)
+        rows = map("%s,%.1f,%.1f".__mod__, zip(stamps, load_w.tolist(), pv_w.tolist()))
+        head = f"# fixture: {name} seed={seed}\n# config_hash: {_fixture_hash(name, seed)}\ntimestamp,load_w,pv_w\n"
+        out.mkdir(parents=True, exist_ok=True)
         path = out / f"{name}.csv"
-        path.write_text("\n".join(lines) + "\n", newline="")
+        path.write_text(head + "\n".join(rows) + "\n", newline="")
         paths.append(path)
     return paths

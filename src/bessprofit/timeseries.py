@@ -230,6 +230,28 @@ def load_ppc(path: str | Path) -> PpcSchedule:
         raise ConfigError(f"PPC file {path}: {exc}") from exc
 
 
+def iso_stamps(start: datetime, step: timedelta, n: int) -> list[str]:
+    """``[(start + i * step).isoformat() for i in range(n)]``: microseconds
+    only when not zero, and the UTC offset of start (a scenario file holds
+    one fixed offset) on every stamp.
+
+    Each distinct date and time of day is rendered once and the two joined;
+    a timedelta is whole microseconds, so this is exact for any step.
+    """
+    step_us = step // timedelta(microseconds=1)
+    start_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 + start.microsecond
+    day, tod = np.divmod(start_us + step_us * np.arange(n, dtype=np.int64), US_PER_DAY)
+    days, day_at = np.unique(day, return_inverse=True)
+    tods, tod_at = np.unique(tod, return_inverse=True)
+    first = start.toordinal()
+    offset = start.isoformat()[len(start.replace(tzinfo=None).isoformat()):]
+    dates = np.array([date.fromordinal(first + d).isoformat() + "T" for d in days.tolist()], dtype=object)
+    # the time of day us microseconds after midnight
+    times = np.array([(datetime.min + timedelta(microseconds=us)).time().isoformat() + offset
+                      for us in tods.tolist()], dtype=object)
+    return (dates[day_at] + times[tod_at]).tolist()
+
+
 @dataclass(frozen=True)
 class ScenarioSeries:
     """Aligned per-step energy series over a uniform-step horizon.
@@ -279,27 +301,8 @@ class ScenarioSeries:
         return self.total_hours / 24.0
 
     def step_stamps(self) -> list[str]:
-        """``[(start_time + i * timedelta(hours=h)).isoformat() for i in range(n)]``:
-        microseconds only when not zero, and the UTC offset of start_time (a
-        scenario file holds one fixed offset) on every stamp.
-
-        Each distinct date and time of day is rendered once and the stamps
-        are joined from those strings; the offsets are whole microseconds,
-        as timedelta rounds them, so this is exact for any step.
-        """
-        start = self.start_time
-        step_us = timedelta(hours=self.h) // timedelta(microseconds=1)
-        start_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 + start.microsecond
-        day, tod = np.divmod(start_us + step_us * np.arange(self.n, dtype=np.int64), US_PER_DAY)
-        days, day_at = np.unique(day, return_inverse=True)
-        tods, tod_at = np.unique(tod, return_inverse=True)
-        first = start.toordinal()
-        offset = start.isoformat()[len(start.replace(tzinfo=None).isoformat()):]
-        dates = np.array([date.fromordinal(first + d).isoformat() + "T" for d in days.tolist()], dtype=object)
-        # the time of day us microseconds after midnight
-        times = np.array([(datetime.min + timedelta(microseconds=us)).time().isoformat() + offset
-                          for us in tods.tolist()], dtype=object)
-        return (dates[day_at] + times[tod_at]).tolist()
+        """``iso_stamps(start_time, timedelta(hours=h), n)``."""
+        return iso_stamps(self.start_time, timedelta(hours=self.h), self.n)
 
     @cached_property
     def baseline(self) -> BaselineMetrics:

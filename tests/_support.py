@@ -2,29 +2,33 @@
 
 Everything here is deterministic: fixture-backed scenarios priced by the
 shipped tariff, a seeded noisy-price series used by the friction-tuning
-tests, a seeded generator of small dispatch instances, the two
-references the solver is held to (the LP solve and the grid
-dynamic-programming oracle), the billing recomputed from a dispatch's
-arrays, and the environment for running the CLI as a subprocess.
+tests, the per-row fixture writer and NumPy-scalar AR(1) noise that the
+fixture generator is held to, a seeded generator of small dispatch
+instances, the two references the solver is held to (the LP solve and
+the grid dynamic-programming oracle), the billing recomputed from a
+dispatch's arrays, and the environment for running the CLI as a
+subprocess.
 Random instances come with per-step prices or, repriced by
 ``tariff_priced``, with a two-period tariff.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import bessprofit
-from bessprofit import lp
+from bessprofit import fixtures, lp
 from bessprofit.battery import make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.errors import InfeasibleDispatchError
-from bessprofit.fixtures import fixture_arrays
+from bessprofit.fixtures import FIXTURE_NAMES, fixture_arrays
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, build_lp
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries, TariffPeriod, TariffSchedule
 
@@ -107,6 +111,36 @@ def noisy_price_slice(days: int = 10, seed: int = 7) -> ScenarioSeries:
     return ScenarioSeries(
         start_time=start, h=H, load=load, pv=pv, price=price, name="c1noisy"
     )
+
+
+def reference_smooth_noise(rng: np.random.Generator, n: int, rho: float = 0.96) -> np.ndarray:
+    """The fixtures' AR(1) noise stepped on NumPy scalars into a preallocated array."""
+    shocks = rng.standard_normal(n)
+    out = np.empty(n)
+    acc = 0.0
+    gain = np.sqrt(1.0 - rho * rho)
+    for i in range(n):
+        acc = rho * acc + gain * shocks[i]
+        out[i] = acc
+    return out
+
+
+def reference_fixture_texts(seed: int) -> dict[str, str]:
+    """Each fixture file's text from a per-row writer: a running datetime's
+    isoformat() and f-strings over np.float64, with the noise drawn by
+    ``reference_smooth_noise``."""
+    texts = {}
+    for name in FIXTURE_NAMES:
+        with mock.patch.object(fixtures, "_smooth_noise", reference_smooth_noise):
+            start, load_w, pv_w = fixture_arrays(name, seed)
+        digest = hashlib.sha256(f"fixture:{name}:{seed}".encode()).hexdigest()[:12]
+        lines = [f"# fixture: {name} seed={seed}", f"# config_hash: {digest}", "timestamp,load_w,pv_w"]
+        t = start
+        for lw, pw in zip(load_w, pv_w):
+            lines.append(f"{t.isoformat()},{lw:.1f},{pw:.1f}")
+            t += timedelta(minutes=5)
+        texts[name] = "\n".join(lines) + "\n"
+    return texts
 
 
 def random_dispatch_instance(rng: np.random.Generator) -> DispatchProblem:

@@ -16,10 +16,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from _support import step_times, subprocess_env
-from bessprofit import cli
+from _support import reference_fixture_texts, reference_smooth_noise, step_times, subprocess_env
+from bessprofit import cli, fixtures
 from bessprofit.battery import catalog_by_name, default_catalog
 from bessprofit.profitability import Conventions, evaluate_candidate, tune_friction
 from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, load_scenario, load_tariff
@@ -153,6 +154,27 @@ class TestFixturesCommand:
         assert (tmp_path / "s0" / "c1.csv").read_bytes() != (
             tmp_path / "s7" / "c1.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2019])
+    def test_files_equal_the_per_row_writer(self, tmp_path, seed):
+        proc = run_cli("fixtures", "--seed", seed, "--out", tmp_path / "f", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        for name, text in reference_fixture_texts(seed).items():
+            assert (tmp_path / "f" / f"{name}.csv").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("rho", [0.96, 0.5])
+    def test_noise_equals_the_numpy_scalar_loop(self, rho):
+        for seed in (0, 1, 7, 2019, 12345):
+            got = fixtures._smooth_noise(np.random.default_rng(seed), 2000, rho)
+            want = reference_smooth_noise(np.random.default_rng(seed), 2000, rho)
+            assert np.array_equal(got, want)
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        proc = run_cli("fixtures", "--seed", "-1", "--out", tmp_path / "newdir", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")] == [
+            "error: --seed must be >= 0"]
+        assert not (tmp_path / "newdir").exists()
 
 
 class TestEvaluateCommand:

@@ -27,6 +27,7 @@ from bessprofit.timeseries import (
     TariffPeriod,
     TariffSchedule,
     baseline_metrics,
+    iso_stamps,
     load_ppc,
     load_scenario,
     load_tariff,
@@ -341,14 +342,17 @@ def test_load_scenario_reads_generated_files(fixture_dir, scenarios):
         (datetime(2019, 6, 1, 3, 0, tzinfo=timezone(timedelta(hours=5, seconds=30))), 1.0, 30),
         (datetime(2019, 6, 1, 5, 30), 26.0, 40),
         (datetime(2019, 6, 1, 12, 0, 0, 500), H, 1),
+        (datetime(2019, 6, 1), H, 8640),
     ],
     ids=["7-min-over-year-end", "1.5-s-from-123-us", "1/7-h-rounded-us", "2/7-h-rounded-up-us",
          "offset-minus-05:30", "offset-plus-01:00-over-29-feb", "offset-with-seconds", "26-h",
-         "one-step"],
+         "one-step", "fixture-grid"],
 )
 def test_step_stamps_are_the_isoformat_of_each_step(start, h, n):
     scenario = replace(mini_scenario(np.ones(n), np.zeros(n), h=h), start_time=start)
-    assert scenario.step_stamps() == [t.isoformat() for t in step_times(scenario)]
+    want = [t.isoformat() for t in step_times(scenario)]
+    assert scenario.step_stamps() == want
+    assert iso_stamps(start, timedelta(hours=h), n) == want
 
 
 # ----------------------------------------------------------------- tariff
