@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .timeseries import read_config
+from .timeseries import json_number, json_str, read_config
 
 __all__ = [
     "BatterySpec",
@@ -166,8 +166,8 @@ _OPTIONAL_KEYS = (
     "soc_min_frac", "soc_init_frac", "soc_max_frac", "eta_ch", "eta_dis",
     "cycle_life_100dod", "calendar_life_years", "cost_per_kwh", "inverter_cost_per_kwh",
 )
-_FIELDS = {"name": str,
-           **dict.fromkeys(("b_rated_kwh", "charge_rate_c", "discharge_rate_c", *_OPTIONAL_KEYS), float)}
+_FIELDS = {"name": json_str,
+           **dict.fromkeys(("b_rated_kwh", "charge_rate_c", "discharge_rate_c", *_OPTIONAL_KEYS), json_number)}
 
 
 def load_catalog(path: str | Path) -> tuple[BatterySpec, ...]:

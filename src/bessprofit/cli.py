@@ -22,8 +22,9 @@ import hashlib
 import math
 import os
 import pickle
+import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +33,7 @@ from .errors import ConfigError, InfeasibleDispatchError
 from .fixtures import DEFAULT_SEED, gen_fixtures
 from .optimizer import DEFAULT_EPSILON, DispatchSolution
 from .profitability import Conventions, ProfitabilityReport, evaluate_candidate, tune_friction
-from .report import ReportHeader, render_table, write_report
+from .report import ReportHeader, fmt_payback, render_table, write_report
 from .timeseries import (
     DEFAULT_PPC_SCHEDULE,
     DEFAULT_TOU_TARIFF,
@@ -61,20 +62,37 @@ class _UsageError(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved inputs for one run."""
+    """Resolved inputs for one run, with the config paths the hash reads."""
 
     tariff_path: str | None
     ppc_path: str | None
     catalog_path: str | None
     conventions: Conventions
     out_dir: Path
+    tariff: TariffSchedule
+    ppc: PpcSchedule
+    catalog: tuple[BatterySpec, ...]
 
-    tariff: TariffSchedule = field(default=DEFAULT_TOU_TARIFF, compare=False)
-    ppc: PpcSchedule = field(default=DEFAULT_PPC_SCHEDULE, compare=False)
-    catalog: tuple[BatterySpec, ...] = field(default=(), compare=False)
+
+def _require_file(kind: str, path: str) -> None:
+    """Refuse a path that is missing or not a regular file, without opening it:
+    the config hash reads every input again after the solve, when a pipe is
+    drained, and a FIFO with no writer would block the run."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        raise ConfigError(f"{kind} file not found: {path}") from None
+    if not stat.S_ISREG(mode):
+        raise ConfigError(f"{kind} file {path} is not a regular file")
 
 
-def _build_config(args) -> SweepConfig:
+def _build_config(args, scenario_paths: list[str]) -> SweepConfig:
+    # every input path is checked before any input is read
+    for path in scenario_paths:
+        _require_file("scenario", path)
+    for kind, path in (("tariff", args.tariff), ("PPC", args.ppc), ("catalog", args.catalog)):
+        if path:
+            _require_file(kind, path)
     conventions = Conventions(
         step_minutes=args.step_minutes,
         months_12=args.months_12,
@@ -89,16 +107,7 @@ def _build_config(args) -> SweepConfig:
     catalog = tuple(load_catalog(args.catalog) if args.catalog else default_catalog())
     if not catalog:
         raise ConfigError("battery catalog is empty")
-    return SweepConfig(
-        tariff_path=args.tariff,
-        ppc_path=args.ppc,
-        catalog_path=args.catalog,
-        conventions=conventions,
-        out_dir=Path(args.out),
-        tariff=tariff,
-        ppc=ppc,
-        catalog=catalog,
-    )
+    return SweepConfig(args.tariff, args.ppc, args.catalog, conventions, Path(args.out), tariff, ppc, catalog)
 
 
 def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
@@ -108,10 +117,7 @@ def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
     digest.update(f"bessprofit {__version__}".encode())
     digest.update(Path(path).read_bytes())
     for blob in (config.tariff_path, config.ppc_path, config.catalog_path):
-        if blob:
-            digest.update(Path(blob).read_bytes())
-        else:
-            digest.update(b"<default>")
+        digest.update(Path(blob).read_bytes() if blob else b"<default>")
     for line in config.conventions.lines():
         digest.update(line.encode())
     for item in extra:
@@ -120,8 +126,6 @@ def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
 
 
 def _load(config: SweepConfig, path: str) -> ScenarioSeries:
-    if not Path(path).exists():
-        raise ConfigError(f"scenario file not found: {path}")
     h = None if config.conventions.step_minutes is None else config.conventions.step_minutes / 60.0
     return load_scenario(path, h=h, tariff=config.tariff)
 
@@ -134,41 +138,36 @@ def _battery(config: SweepConfig, name: str) -> BatterySpec:
     return by_name[name]
 
 
-def _write_candidate(
-    config: SweepConfig,
-    scenario: ScenarioSeries,
-    report: ProfitabilityReport,
-    dispatch: DispatchSolution,
-    path: str,
-    infix: str,
-    *hash_extra: str,
-) -> str:
-    """Write ``{scenario}-{battery}-{infix}`` + ``dispatch.csv``, ``report.txt`` and
-    ``report.csv``; return the table."""
-    spec = report.battery
-    header = ReportHeader(
-        scenario=scenario.name,
-        config_hash=_config_hash(config, path, *hash_extra),
-        conventions=config.conventions.lines(),
-    )
-    base = scenario.baseline
-    text = render_table(header, base, [report])
+def _write_tables(config: SweepConfig, path: str, scenario: ScenarioSeries, reports: list[ProfitabilityReport],
+                  stem: str, *hash_extra: str, tail: str = "") -> tuple[ReportHeader, str]:
+    """Write the report table of ``reports`` to ``{stem}.csv`` and, with ``tail``
+    after it, to ``{stem}.txt``; return the header and the text."""
+    header = ReportHeader(scenario.name, _config_hash(config, path, *hash_extra), config.conventions.lines())
+    text = render_table(header, scenario.baseline, reports) + tail
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    write_report(config.out_dir / f"{stem}.csv", header, scenario.baseline, reports)
+    (config.out_dir / f"{stem}.txt").write_text(text, newline="")
+    return header, text
+
+
+def _write_candidate(config: SweepConfig, scenario: ScenarioSeries, report: ProfitabilityReport,
+                     dispatch: DispatchSolution, path: str, infix: str, *hash_extra: str) -> str:
+    """Write ``{scenario}-{battery}-{infix}`` + ``report.txt``, ``report.csv`` and
+    ``dispatch.csv``; return the table."""
+    stem = f"{scenario.name}-{report.battery.name}-{infix}"
+    header, text = _write_tables(config, path, scenario, [report], f"{stem}report", *hash_extra)
     lines = header.lines()
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
     # Python floats format exactly as np.float64 does; b is the SoC after each step
     columns = (scenario.z, dispatch.x, dispatch.s, dispatch.b, dispatch.theta, scenario.price)
     lines += map("%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.4f".__mod__,
                  zip(scenario.step_stamps(), *(c.tolist() for c in columns)))
-    stem = f"{scenario.name}-{spec.name}-{infix}"
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / f"{stem}dispatch.csv").write_text("\n".join(lines) + "\n", newline="")
-    (config.out_dir / f"{stem}report.txt").write_text(text, newline="")
-    write_report(config.out_dir / f"{stem}report.csv", header, base, [report])
     return text
 
 
 def cmd_evaluate(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, [args.scenario])
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
     report, dispatch, _ = evaluate_candidate(scenario, spec, config.ppc, config.conventions)
@@ -234,23 +233,6 @@ def _forked_map(fn, tasks: list, workers: int) -> list:
                             f"{os.waitstatus_to_exitcode(statuses[w])}")
 
 
-def _write_sweep(config: SweepConfig, path: str, scenario: ScenarioSeries, outcomes) -> str:
-    base = scenario.baseline
-    header = ReportHeader(
-        scenario=scenario.name,
-        config_hash=_config_hash(config, path, "sweep"),
-        conventions=config.conventions.lines(),
-    )
-    ordered = [report for report, _ in outcomes if report is not None]
-    failures = sorted(failure for _, failure in outcomes if failure is not None)
-    text = render_table(header, base, ordered)
-    text += "".join(f"# failed: {name}: {msg}\n" for name, msg in failures)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(config.out_dir / f"{scenario.name}-sweep.csv", header, base, ordered)
-    (config.out_dir / f"{scenario.name}-sweep.txt").write_text(text, newline="")
-    return text
-
-
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
@@ -262,7 +244,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"scenarios {by_stem[stem]} and {path} would write the same "
                               f"{stem}-sweep files")
         by_stem[stem] = path
-    config = _build_config(args)
+    config = _build_config(args, args.scenarios)
     # every scenario is read and validated before the first solve
     scenarios = [_load(config, path) for path in args.scenarios]
     tasks = [(config, scenario, spec) for scenario in scenarios for spec in config.catalog]
@@ -271,14 +253,20 @@ def cmd_sweep(args) -> int:
                 else _forked_map(_sweep_one, tasks, workers))
     n = len(config.catalog)
     for k, (path, scenario) in enumerate(zip(args.scenarios, scenarios)):
-        print(_write_sweep(config, path, scenario, outcomes[k * n:(k + 1) * n]), end="")
+        mine = outcomes[k * n:(k + 1) * n]
+        # only the text lists the failures; the CSV has the candidates that solved
+        failures = sorted(failure for _, failure in mine if failure is not None)
+        tail = "".join(f"# failed: {name}: {msg}\n" for name, msg in failures)
+        _, text = _write_tables(config, path, scenario, [report for report, _ in mine if report is not None],
+                                f"{scenario.name}-sweep", "sweep", tail=tail)
+        print(text, end="")
     return 0
 
 
 def cmd_tune(args) -> int:
     if args.target is not None and not (math.isfinite(args.target) and args.target > 0):
         raise _UsageError(f"--target must be > 0 and finite, got {args.target:g}")
-    config = _build_config(args)
+    config = _build_config(args, [args.scenario])
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
     result = tune_friction(scenario, spec, config.ppc, config.conventions, target_cycles=args.target)
@@ -295,10 +283,8 @@ def cmd_tune(args) -> int:
         ("cycles_after", f"{result.report.n_cyc_100:.2f}"),
         ("p_cyc_before", f"{result.untuned_report.p_cyc:.4f}"),
         ("p_cyc_after", f"{result.report.p_cyc:.4f}"),
-        ("expb_before", "inf" if result.untuned_report.expb_years == float("inf")
-         else f"{result.untuned_report.expb_years:.2f}"),
-        ("expb_after", "inf" if result.report.expb_years == float("inf")
-         else f"{result.report.expb_years:.2f}"),
+        ("expb_before", fmt_payback(result.untuned_report.expb_years)),
+        ("expb_after", fmt_payback(result.report.expb_years)),
     ]
     width = max(len(k) for k, _ in rows)
     for key, value in rows:

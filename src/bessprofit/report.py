@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .profitability import ProfitabilityReport
 from .timeseries import BaselineMetrics
 
-__all__ = ["ReportHeader", "render_table", "render_csv", "write_report"]
+__all__ = ["ReportHeader", "fmt_payback", "render_table", "render_csv", "write_report"]
 
 _NA = "-"
 
@@ -40,7 +40,7 @@ def _fmt_money(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _fmt_payback(v: float) -> str:
+def fmt_payback(v: float) -> str:
     return "inf" if v == float("inf") else f"{v:.2f}"
 
 
@@ -51,7 +51,7 @@ def _row_cells(report: ProfitabilityReport) -> list[str]:
         _fmt_money(report.g_t),
         f"{report.p_cyc:.4f}",
         f"{report.n_cyc_100:.2f}",
-        _fmt_payback(report.expb_years),
+        fmt_payback(report.expb_years),
         f"{report.ss:.4f}",
         f"{report.waste:.2f}",
         "yes" if report.profitable else "no",

@@ -52,6 +52,25 @@ def _parse_daily_minute(text: str) -> int:
     return hour * 60 + minute
 
 
+def json_number(value) -> float:
+    """A JSON number (int or float, not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def json_str(value) -> str:
+    """A JSON string, as is."""
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
+def _utc_offset(stamp: datetime) -> str:
+    """The UTC offset that ``stamp.isoformat()`` ends with, '' for a naive stamp."""
+    return stamp.isoformat()[len(stamp.replace(tzinfo=None).isoformat()):]
+
+
 def _convert(where: str, obj, fields: dict, optional: tuple, context: str = "") -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: entry {obj!r} must be an object")
@@ -65,7 +84,8 @@ def _convert(where: str, obj, fields: dict, optional: tuple, context: str = "") 
     for key, value in obj.items():
         try:
             values[key] = fields[key](value)
-        except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: a non-string time
+        # AttributeError: a non-string time; OverflowError: an integer past the float range
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"{where}: bad {key} {value!r}") from exc
     return values
 
@@ -212,8 +232,8 @@ DEFAULT_TOU_TARIFF = TariffSchedule(
 
 def load_tariff(path: str | Path) -> TariffSchedule:
     """Read {"periods": [{"start","end","price"}...], "fallback_price": x}; "periods" is optional."""
-    values, entries = read_config(path, "tariff", {"fallback_price": float}, "periods",
-                                  {"start": _parse_daily_minute, "end": _parse_daily_minute, "price": float})
+    values, entries = read_config(path, "tariff", {"fallback_price": json_number}, "periods",
+                                  {"start": _parse_daily_minute, "end": _parse_daily_minute, "price": json_number})
     periods = tuple(TariffPeriod(e["start"], e["end"], e["price"]) for e in entries)
     try:
         return TariffSchedule(periods=periods, fallback_price=values["fallback_price"])
@@ -223,7 +243,7 @@ def load_tariff(path: str | Path) -> TariffSchedule:
 
 def load_ppc(path: str | Path) -> PpcSchedule:
     """Read a PPC config: {"levels": [{"kva": x, "eur_per_day": y}, ...]}."""
-    _, entries = read_config(path, "PPC", {}, "levels", {"kva": float, "eur_per_day": float})
+    _, entries = read_config(path, "PPC", {}, "levels", {"kva": json_number, "eur_per_day": json_number})
     try:
         return PpcSchedule(levels=tuple(PpcLevel(e["kva"], e["eur_per_day"]) for e in entries))
     except ConfigError as exc:
@@ -244,7 +264,7 @@ def iso_stamps(start: datetime, step: timedelta, n: int) -> list[str]:
     days, day_at = np.unique(day, return_inverse=True)
     tods, tod_at = np.unique(tod, return_inverse=True)
     first = start.toordinal()
-    offset = start.isoformat()[len(start.replace(tzinfo=None).isoformat()):]
+    offset = _utc_offset(start)
     dates = np.array([date.fromordinal(first + d).isoformat() + "T" for d in days.tolist()], dtype=object)
     # the time of day us microseconds after midnight
     times = np.array([(datetime.min + timedelta(microseconds=us)).time().isoformat() + offset
@@ -357,8 +377,9 @@ def load_scenario(
     scenario is named after the file stem.
 
     Raises ScenarioError on duplicate/backward timestamps, naive and
-    UTC-offset timestamps mixed, gaps, non-uniform spacing, negative or
-    non-finite measurements, or a malformed header or row.
+    UTC-offset timestamps mixed, a UTC offset that changes, gaps,
+    non-uniform spacing, negative or non-finite measurements, or a
+    malformed header or row.
     """
     if tariff is None:
         tariff = DEFAULT_TOU_TARIFF
@@ -413,6 +434,13 @@ def load_scenario(
     except TypeError as exc:  # raised only between a naive and an offset-aware timestamp
         i = next(i for i, t in enumerate(times) if (t.tzinfo is None) != (times[0].tzinfo is None))
         raise ScenarioError(f"line {linenos[i]}: timestamps mix naive and UTC-offset times") from exc
+    # every stamp is written with the first row's offset, so a file keeps one
+    if times[0].tzinfo is not None:
+        first = times[0].utcoffset()
+        i = next((i for i, t in enumerate(times) if t.utcoffset() != first), None)
+        if i is not None:
+            raise ScenarioError(f"line {linenos[i]}: UTC offset changes from {_utc_offset(times[0])} "
+                                f"to {_utc_offset(times[i])}")
     spacing = deltas[0]
     if spacing <= timedelta(0) or deltas.count(spacing) != len(deltas):
         # the first pair is diagnosed first, else the first row off the spacing

@@ -1,18 +1,29 @@
-"""End-to-end command-line behavior, run as real subprocesses.
+"""End-to-end command-line behavior.
 
 Covers the four subcommands, the documented exit-code contract (0 ok,
 1 usage/config/parse, 2 unsolvable dispatch), convention echoing in the
 output headers, and byte-for-byte reproducibility of generated files.
-The sweep's fork-count and dying-worker checks call ``cli.main``
-in-process instead, so that they can wrap ``os.fork`` and stand in for
-``_sweep_one`` in the forked workers, and one test runs a series of
-commands both in-process and in fresh processes to compare their files.
+
+Every failure case is a row of one table, ``FAILURES``, run through
+``cli.main`` in-process from a fresh directory, and each row checks the
+whole contract: the exit code, empty stdout, the last stderr line, exactly
+one ``error:`` line, no ``--out`` directory and no child process left. The
+sweep's fork-count and dying-worker checks also run in-process, so that
+they can wrap ``os.fork`` and stand in for ``_sweep_one`` in the forked
+workers. The success-path command tests run ``python -m bessprofit`` as a
+subprocess. A fresh interpreter is also started where the process itself
+is under test: ``--version`` exits the process, the runtime path must load
+no SciPy, a failed sweep must not hang its process, and one test runs a
+series of commands, a config error and an exit-2 run among them, both
+in-process and in fresh processes and compares their outcomes and files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -84,10 +95,14 @@ def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
 
 def test_in_process_runs_match_fresh_processes(tmp_path, fixture_dir, capsys):
     # main reuses one parser for every call in a process: no flag value may
-    # carry over from one call to the next, and a usage error leaves it usable
+    # carry over from one call to the next, and a usage error leaves it usable.
+    # The config error and the exit-2 run tie the in-process failure table to
+    # real processes.
     lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
     scenario = tmp_path / "c1.csv"
     scenario.write_text("".join(lines[: 3 + 3 * 288]))
+    tariff = tmp_path / "bad.json"
+    tariff.write_text(json.dumps({"fallback_price": "0.185"}))
 
     def argvs(root):
         return [
@@ -95,7 +110,10 @@ def test_in_process_runs_match_fresh_processes(tmp_path, fixture_dir, capsys):
              "--out", str(root / "friction")],
             ["evaluate", str(scenario), "--battery"],
             ["sweep", str(scenario), "--jobs", "2", "--out", str(root / "sweep")],
+            ["sweep", str(scenario), "--tariff", str(tariff), "--out", str(root / "config")],
             ["tune", str(scenario), "--battery", "2kwh-1c", "--out", str(root / "tune")],
+            ["evaluate", str(fixture_dir / "c3.csv"), "--battery", "1kwh-0.25c", "--contracted-kva", "3.45",
+             "--out", str(root / "infeasible")],
             ["evaluate", str(scenario), "--battery", "2kwh-1c", "--out", str(root / "plain")],
         ]
 
@@ -116,11 +134,16 @@ def test_in_process_runs_match_fresh_processes(tmp_path, fixture_dir, capsys):
     (outcomes, files), (fresh_outcomes, fresh_files) = runs["in-process"], runs["fresh"]
     assert files == fresh_files
     assert len(files) == 3 + 2 + 3 + 3
-    code, _, err = outcomes[1]
-    assert code == 1
-    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
-        "error: argument --battery: expected one argument"]
-    # the usage line above it wraps at the terminal width, which differs in-process
+    for where in runs:  # the failed runs left no --out directory
+        assert sorted(os.listdir(tmp_path / where)) == ["friction", "plain", "sweep", "tune"]
+    errors = [(code, [ln for ln in err.splitlines() if ln.startswith("error:")])
+              for code, _, err in outcomes[1::2]]
+    assert errors == [
+        (1, ["error: argument --battery: expected one argument"]),
+        (1, [f"error: tariff file {tariff}: bad fallback_price '0.185'"]),
+        (2, ["error: dispatch infeasible: peak cap 3.45 kW unreachable at step 246"]),
+    ]
+    # a usage line above an error wraps at the terminal width, which differs in-process
     for k, ((code, out, err), (fresh_code, fresh_out, fresh_err)) in enumerate(zip(outcomes, fresh_outcomes)):
         assert (code, out) == (fresh_code, fresh_out), k
         assert err.splitlines()[-1:] == fresh_err.splitlines()[-1:], k
@@ -168,13 +191,6 @@ class TestFixturesCommand:
             got = fixtures._smooth_noise(np.random.default_rng(seed), 2000, rho)
             want = reference_smooth_noise(np.random.default_rng(seed), 2000, rho)
             assert np.array_equal(got, want)
-
-    def test_negative_seed_is_a_usage_error(self, tmp_path):
-        proc = run_cli("fixtures", "--seed", "-1", "--out", tmp_path / "newdir", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")] == [
-            "error: --seed must be >= 0"]
-        assert not (tmp_path / "newdir").exists()
 
 
 class TestEvaluateCommand:
@@ -358,20 +374,6 @@ class TestSweepCommand:
         assert proc.stdout.splitlines() == ["1", "reaped"]
         assert not (tmp_path / "out").exists()
 
-    def test_scenarios_with_the_same_file_name_are_refused(self, tmp_path, fixture_dir):
-        # both would write c1-sweep.csv and c1-sweep.txt
-        other = tmp_path / "b" / "c1.csv"
-        other.parent.mkdir()
-        other.write_bytes((fixture_dir / "c1.csv").read_bytes())
-        out = tmp_path / "out"
-        proc = run_cli("sweep", fixture_dir / "c1.csv", other, "--out", out, cwd=tmp_path)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [
-            f"error: scenarios {fixture_dir / 'c1.csv'} and {other} would write the same c1-sweep files"
-        ]
-        assert proc.stdout == ""
-        assert not out.exists()
-
     def test_config_hash_depends_on_the_inputs_only(self, tmp_path, fixture_dir):
         # neither the spelling of the path nor the other scenarios enter c1's files
         for name in ("c1.csv", "c2.csv"):
@@ -476,229 +478,183 @@ class TestTuneCommand:
             b_final = float(data_lines(dispatch)[-1].split(",")[4])
             assert b_final >= 2.5 - 1e-9, name  # b_0 of a 5 kWh battery
 
-    def test_non_positive_target_is_a_usage_error(self, tmp_path, fixture_dir):
-        proc = run_cli(
-            "tune", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
-            "--target", "-5", cwd=tmp_path,
-        )
-        assert proc.returncode == 1
-        assert "error: --target must be > 0" in proc.stderr
+
+FIFO = None  # a file entry of a failure row: make a FIFO there, with no writer
+
+
+def _row(id_, argv, line, files=None, code=1):
+    """``argv`` exits ``code`` with ``line`` last on stderr, ``files`` written first."""
+    return pytest.param(argv, files or {}, code, line, id=id_)
+
+
+def _scenario_row(id_, rows, message):
+    """An evaluate of bad.csv: the header line, then ``rows``."""
+    text = "".join(f"{row}\n" for row in ["timestamp,load_w,pv_w", *rows])
+    return _row(id_, ["evaluate", "bad.csv", "--battery", "2kwh-1c"], f"error: {message}", {"bad.csv": text})
+
+
+_KIND = {"--tariff": "tariff", "--ppc": "PPC", "--catalog": "catalog"}
+
+
+def _config_row(id_, flag, content, message):
+    """A sweep of c1 with one config file, bad.json, given as ``flag``."""
+    return _row(id_, ["sweep", "c1.csv", flag, "bad.json"], f"error: {_KIND[flag]} file bad.json: {message}",
+                {"bad.json": json.dumps(content)})
+
+
+def _period(start, end, **price):
+    return {"start": start, "end": end, **price}
+
+
+def _battery_entry(**extra):
+    return {"name": "x", "b_rated_kwh": 1, "charge_rate_c": 1, "discharge_rate_c": 1, **extra}
+
+
+_EVALUATE = ["evaluate", "c1.csv", "--battery", "2kwh-1c"]
+
+# The last stderr line of each row; one that ends in "..." is a prefix, as
+# the rest is Python's own text. Every argv runs with --out out appended.
+FAILURES = [
+    _row("missing-scenario-file", ["evaluate", "missing.csv", "--battery", "2kwh-1c"],
+         "error: scenario file not found: missing.csv"),
+    _row("scenario-fifo", ["evaluate", "pipe.csv", "--battery", "2kwh-1c"],
+         "error: scenario file pipe.csv is not a regular file", {"pipe.csv": FIFO}),
+    _row("tariff-fifo", [*_EVALUATE, "--tariff", "pipe.json"],
+         "error: tariff file pipe.json is not a regular file", {"pipe.json": FIFO}),
+    _row("unknown-battery-name", ["evaluate", "c1.csv", "--battery", "42kwh-9c"],
+         "error: unknown battery '42kwh-9c'; catalog has: 1kwh-0.25c, 1kwh-1c, 1kwh-2c, "
+         "2kwh-0.25c, 2kwh-1c, 2kwh-2c, 5kwh-0.25c, 5kwh-1c, 5kwh-2c"),
+    _scenario_row("malformed-scenario-csv", ["not-a-time,100,0", "2019-06-01T00:05:00,100,0"],
+                  "line 2: bad timestamp 'not-a-time'"),
+    _scenario_row("mixed-utc-offset",
+                  ["2019-06-01T00:00:00,100,0", "2019-06-01T00:05:00,100,0",
+                   "2019-06-01T00:10:00+00:00,100,0", "2019-06-01T00:15:00,100,0"],
+                  "line 4: timestamps mix naive and UTC-offset times"),
+    _scenario_row("oversized-field",
+                  ["2019-06-01T00:00:00,100,0", "2019-06-01T00:05:00,100,0",
+                   "2019-06-01T00:10:00," + "1" * 131_073 + ",0"],
+                  "line 4: field larger than field limit (131072)"),
+    # a summer-time switch, five minutes apart: one offset would print 02:00 as 01:00
+    _scenario_row("utc-offset-change",
+                  ["2019-03-31T00:50:00+00:00,100,0", "2019-03-31T00:55:00+00:00,100,0",
+                   "2019-03-31T02:00:00+01:00,100,0", "2019-03-31T02:05:00+01:00,100,0"],
+                  "line 4: UTC offset changes from +00:00 to +01:00"),
+    # 1e400 parses as an infinite float
+    _row("infinite-catalog-capacity", ["sweep", "c1.csv", "--catalog", "bad.json"],
+         "error: bad catalog entry {'name': 'x', 'b_rated_kwh': inf, 'charge_rate_c': 1, "
+         "'discharge_rate_c': 1}: b_rated must be > 0 and finite",
+         {"bad.json": '{"batteries": [{"name": "x", "b_rated_kwh": 1e400, "charge_rate_c": 1, '
+                      '"discharge_rate_c": 1}]}'}),
+    _row("unreadable-tariff-file", [*_EVALUATE, "--tariff", "tariff.json"],
+         "error: cannot read tariff file tariff.json: ...", {"tariff.json": "{not json"}),
+    _config_row("fallback-nan", "--tariff", {"periods": [], "fallback_price": math.nan},
+                "fallback_price must be finite and >= 0"),
+    # 03:01-03:02 holds no 5-minute step, so no price ever reads it
+    _config_row("unused-period-inf", "--tariff",
+                {"periods": [_period("03:01", "03:02", price=math.inf)], "fallback_price": 0.1},
+                "tariff prices must be finite and >= 0"),
+    _config_row("periods-not-a-list", "--tariff", {"periods": 5, "fallback_price": 0.1},
+                "'periods' must be a list"),
+    _config_row("null-fallback", "--tariff", {"fallback_price": None}, "bad fallback_price None"),
+    _config_row("numeric-string-fallback", "--tariff", {"fallback_price": "0.185"},
+                "bad fallback_price '0.185'"),
+    _config_row("overflowing-int-fallback", "--tariff", {"fallback_price": 10**309},
+                f"bad fallback_price {10**309}"),
+    _config_row("numeric-start", "--tariff",
+                {"periods": [{"start": 8, "end": "10:00", "price": 0.2}], "fallback_price": 0.1},
+                "bad start 8"),
+    _config_row("misspelt-periods", "--tariff",
+                {"period": [_period("08:00", "22:00", price=0.5)], "fallback_price": 0.1},
+                "unknown key 'period'"),
+    _config_row("string-price", "--tariff",
+                {"periods": [_period("08:00", "22:00", price="cheap")], "fallback_price": 0.1},
+                "bad price 'cheap'"),
+    _config_row("missing-price", "--tariff", {"periods": [_period("08:00", "22:00")], "fallback_price": 0.1},
+                "missing key 'price' in entry {'start': '08:00', 'end': '22:00'}"),
+    _config_row("overlapping-periods", "--tariff",
+                {"periods": [_period("08:00", "12:00", price=0.2), _period("10:00", "14:00", price=0.3)],
+                 "fallback_price": 0.1},
+                "tariff periods overlap at minute 600"),
+    _config_row("string-kva", "--ppc", {"levels": [{"kva": "big", "eur_per_day": 0.1}]}, "bad kva 'big'"),
+    _config_row("boolean-cost", "--ppc", {"levels": [{"kva": 3.45, "eur_per_day": True}]},
+                "bad eur_per_day True"),
+    _config_row("unknown-ppc-key", "--ppc",
+                {"levels": [{"kva": lv.kva, "eur_per_day": lv.eur_per_day, "eur_per_month": 99}
+                            for lv in DEFAULT_PPC_SCHEDULE.levels]},
+                "unknown key 'eur_per_month' in entry "
+                "{'kva': 3.45, 'eur_per_day': 0.1643, 'eur_per_month': 99}"),
+    _config_row("unordered-ppc-levels", "--ppc",
+                {"levels": [{"kva": 5.75, "eur_per_day": 0.2}, {"kva": 3.45, "eur_per_day": 0.3}]},
+                "PPC levels must be strictly increasing in kVA and cost"),
+    _config_row("batteries-not-a-list", "--catalog", {"batteries": 5}, "'batteries' must be a list"),
+    _config_row("unknown-catalog-key", "--catalog", {"batteries": [_battery_entry(soc_min_fraction=0.5)]},
+                "unknown key 'soc_min_fraction' in entry {'name': 'x', 'b_rated_kwh': 1, "
+                "'charge_rate_c': 1, 'discharge_rate_c': 1, 'soc_min_fraction': 0.5}"),
+    _config_row("numeric-name", "--catalog", {"batteries": [_battery_entry(name=7)]}, "bad name 7"),
+    _row("missing-required-battery-flag", ["evaluate", "c1.csv"],
+         "error: the following arguments are required: --battery"),
+    _row("unknown-subcommand", ["frobnicate"], "error: argument command: invalid choice: 'frobnicate' ..."),
+    _row("step-minutes-mismatch", [*_EVALUATE, "--step-minutes", "15"],
+         "error: requested step 15 min does not match file spacing 5 min"),
+    _row("unreachable-peak-cap-is-exit-two",
+         ["evaluate", "c3.csv", "--battery", "1kwh-0.25c", "--contracted-kva", "3.45"],
+         "error: dispatch infeasible: peak cap 3.45 kW unreachable at step 246", code=2),
+    # a negative movement weight would pay the battery to charge and discharge in the same step
+    _row("negative-epsilon", [*_EVALUATE, "--epsilon", "-0.5"], "error: epsilon must be >= 0, got -0.5"),
+    _row("epsilon-inf", [*_EVALUATE, "--epsilon", "inf"], "error: epsilon must be finite, got inf"),
+    _row("damage-exp-nan", [*_EVALUATE, "--damage-exp", "nan"],
+         "error: damage exponent kp must be >= 1 and finite, got nan"),
+    _row("damage-exp-inf", [*_EVALUATE, "--damage-exp", "inf"],
+         "error: damage exponent kp must be >= 1 and finite, got inf"),
+    _row("step-minutes-nan", [*_EVALUATE, "--step-minutes", "nan"],
+         "error: requested step nan min does not match file spacing 5 min"),
+    _row("target-nan", ["tune", "c1.csv", "--battery", "2kwh-1c", "--target", "nan"],
+         "error: --target must be > 0 and finite, got nan"),
+    _row("non-positive-target", ["tune", "c1.csv", "--battery", "2kwh-1c", "--target", "-5"],
+         "error: --target must be > 0 and finite, got -5"),
+    # raised in a worker process and re-raised from its pipe, traceback-free
+    _row("worker-error", ["sweep", "c2.csv", "--jobs", "2", "--epsilon", "-0.5"],
+         "error: epsilon must be >= 0, got -0.5"),
+    _row("missing-later-scenario", ["sweep", "c1.csv", "missing.csv", "--jobs", "2"],
+         "error: scenario file not found: missing.csv"),
+    # both would write c1-sweep.csv and c1-sweep.txt
+    _row("scenarios-with-the-same-file-name", ["sweep", "c1.csv", "b/c1.csv"],
+         "error: scenarios c1.csv and b/c1.csv would write the same c1-sweep files",
+         {"b/c1.csv": "timestamp,load_w,pv_w\n"}),
+    _row("non-positive-jobs", ["sweep", "c1.csv", "--jobs", "0"], "error: --jobs must be >= 1"),
+    _row("negative-seed", ["fixtures", "--seed", "-1"], "error: --seed must be >= 0"),
+]
 
 
 class TestFailureModes:
-    def test_missing_scenario_file(self, tmp_path):
-        proc = run_cli("evaluate", "missing.csv", "--battery", "2kwh-1c", "--out", "out", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "error: scenario file not found" in proc.stderr
+    @pytest.mark.parametrize("argv,files,code,line", FAILURES)
+    def test_malformed_config_json_is_one_error_line(self, tmp_path, fixture_dir, monkeypatch, capsys,
+                                                     argv, files, code, line):
+        # every failure of the CLI, not only a malformed config, keeps the whole contract:
+        # its exit code, no stdout, one error: line, no --out directory and no child left
+        for name in ("c1.csv", "c2.csv", "c3.csv", "c4.csv"):
+            (tmp_path / name).symlink_to(fixture_dir / name)
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            if text is FIFO:
+                os.mkfifo(path)
+            else:
+                path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        # a run that opens a FIFO would block; the alarm fails it instead
+        handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the run blocked"))
+        signal.alarm(20)
+        try:
+            assert cli.main([*argv, "--out", "out"]) == code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        out, err = capsys.readouterr()
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith(line[:-3]) if line.endswith("...") else last == line
+        assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
-
-    def test_unknown_battery_name(self, tmp_path, fixture_dir):
-        proc = run_cli(
-            "evaluate", fixture_dir / "c1.csv", "--battery", "42kwh-9c", "--out", "out", cwd=tmp_path
-        )
-        assert proc.returncode == 1
-        assert "unknown battery" in proc.stderr
-        assert "42kwh-9c" in proc.stderr
-        assert not (tmp_path / "out").exists()
-
-    def test_malformed_scenario_csv(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("timestamp,load_w,pv_w\nnot-a-time,100,0\n2019-06-01T00:05:00,100,0\n")
-        proc = run_cli("evaluate", bad, "--battery", "2kwh-1c", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-
-    @pytest.mark.parametrize(
-        "third,message",
-        [
-            ("2019-06-01T00:10:00+00:00,100,0", "error: line 4: timestamps mix naive and UTC-offset times"),
-            ("2019-06-01T00:10:00," + "1" * 131_073 + ",0",
-             "error: line 4: field larger than field limit (131072)"),
-        ],
-        ids=["mixed-utc-offset", "oversized-field"],
-    )
-    def test_bad_scenario_row_is_one_error_line(self, tmp_path, third, message):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("timestamp,load_w,pv_w\n2019-06-01T00:00:00,100,0\n"
-                       f"2019-06-01T00:05:00,100,0\n{third}\n2019-06-01T00:15:00,100,0\n")
-        proc = run_cli("evaluate", bad, "--battery", "2kwh-1c", "--out", tmp_path / "out", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [message]
-
-    def test_infinite_catalog_capacity_is_rejected(self, tmp_path, fixture_dir):
-        # 1e400 parses as an infinite float
-        catalog = tmp_path / "catalog.json"
-        catalog.write_text('{"batteries": [{"name": "x", "b_rated_kwh": 1e400, '
-                           '"charge_rate_c": 1, "discharge_rate_c": 1}]}')
-        out = tmp_path / "out"
-        proc = run_cli("sweep", fixture_dir / "c1.csv", "--catalog", catalog, "--out", out, cwd=tmp_path)
-        assert proc.returncode == 1
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error: bad catalog entry ")
-        assert proc.stderr.rstrip().endswith("b_rated must be > 0 and finite")
-        assert not out.exists()
-
-    def test_unreadable_tariff_file(self, tmp_path, fixture_dir):
-        tariff = tmp_path / "tariff.json"
-        tariff.write_text("{not json")
-        proc = run_cli(
-            "evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
-            "--tariff", tariff, cwd=tmp_path,
-        )
-        assert proc.returncode == 1
-        assert "error: cannot read tariff file" in proc.stderr
-
-    @pytest.mark.parametrize(
-        "tariff,message",
-        [
-            ({"periods": [], "fallback_price": "nan"},
-             "error: tariff file tariff.json: fallback_price must be finite and >= 0"),
-            # 03:01-03:02 holds no 5-minute step, so no price ever reads it
-            ({"periods": [{"start": "03:01", "end": "03:02", "price": "inf"}],
-              "fallback_price": 0.1},
-             "error: tariff file tariff.json: tariff prices must be finite and >= 0"),
-        ],
-        ids=["fallback-nan", "unused-period-inf"],
-    )
-    def test_non_finite_tariff_price_is_rejected(self, tmp_path, fixture_dir, tariff, message):
-        path = tmp_path / "tariff.json"
-        path.write_text(json.dumps(tariff))
-        out = tmp_path / "out"
-        proc = run_cli("evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
-                       "--tariff", path.name, "--out", out, cwd=tmp_path)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [message]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag,content,message",
-        [
-            ("--tariff", {"periods": 5, "fallback_price": 0.1},
-             "error: tariff file bad.json: 'periods' must be a list"),
-            ("--tariff", {"fallback_price": None},
-             "error: tariff file bad.json: bad fallback_price None"),
-            ("--tariff", {"periods": [{"start": 8, "end": "10:00", "price": 0.2}], "fallback_price": 0.1},
-             "error: tariff file bad.json: bad start 8"),
-            ("--tariff", {"period": [{"start": "08:00", "end": "22:00", "price": 0.5}], "fallback_price": 0.1},
-             "error: tariff file bad.json: unknown key 'period'"),
-            ("--tariff", {"periods": [{"start": "08:00", "end": "22:00", "price": "cheap"}], "fallback_price": 0.1},
-             "error: tariff file bad.json: bad price 'cheap'"),
-            ("--tariff", {"periods": [{"start": "08:00", "end": "22:00"}], "fallback_price": 0.1},
-             "error: tariff file bad.json: missing key 'price' in entry {'start': '08:00', 'end': '22:00'}"),
-            ("--ppc", {"levels": [{"kva": "big", "eur_per_day": 0.1}]},
-             "error: PPC file bad.json: bad kva 'big'"),
-            ("--ppc", {"levels": [{"kva": lv.kva, "eur_per_day": lv.eur_per_day, "eur_per_month": 99}
-                                  for lv in DEFAULT_PPC_SCHEDULE.levels]},
-             "error: PPC file bad.json: unknown key 'eur_per_month' in entry "
-             "{'kva': 3.45, 'eur_per_day': 0.1643, 'eur_per_month': 99}"),
-            ("--tariff", {"periods": [{"start": "08:00", "end": "12:00", "price": 0.2},
-                                      {"start": "10:00", "end": "14:00", "price": 0.3}],
-                          "fallback_price": 0.1},
-             "error: tariff file bad.json: tariff periods overlap at minute 600"),
-            ("--ppc", {"levels": [{"kva": 5.75, "eur_per_day": 0.2}, {"kva": 3.45, "eur_per_day": 0.3}]},
-             "error: PPC file bad.json: PPC levels must be strictly increasing in kVA and cost"),
-            ("--catalog", {"batteries": 5},
-             "error: catalog file bad.json: 'batteries' must be a list"),
-            ("--catalog", {"batteries": [{"name": "x", "b_rated_kwh": 1, "charge_rate_c": 1,
-                                          "discharge_rate_c": 1, "soc_min_fraction": 0.5}]},
-             "error: catalog file bad.json: unknown key 'soc_min_fraction' in entry {'name': 'x', "
-             "'b_rated_kwh': 1, 'charge_rate_c': 1, 'discharge_rate_c': 1, 'soc_min_fraction': 0.5}"),
-        ],
-        ids=["periods-not-a-list", "null-fallback", "numeric-start", "misspelt-periods", "string-price",
-             "missing-price", "string-kva", "unknown-ppc-key", "overlapping-periods", "unordered-ppc-levels",
-             "batteries-not-a-list", "unknown-catalog-key"],
-    )
-    def test_malformed_config_json_is_one_error_line(self, tmp_path, fixture_dir, flag, content,
-                                                     message):
-        (tmp_path / "bad.json").write_text(json.dumps(content))
-        out = tmp_path / "out"
-        proc = run_cli("sweep", fixture_dir / "c1.csv", flag, "bad.json", "--out", out, cwd=tmp_path)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [message]
-        assert not out.exists()
-
-    def test_missing_required_battery_flag(self, tmp_path, fixture_dir):
-        proc = run_cli("evaluate", fixture_dir / "c1.csv", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "error:" in proc.stderr
-        assert "required: --battery" in proc.stderr.splitlines()[-1]
-
-    def test_unknown_subcommand(self, tmp_path):
-        proc = run_cli("frobnicate", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "error:" in proc.stderr
-        assert "invalid choice: 'frobnicate'" in proc.stderr.splitlines()[-1]
-
-    def test_step_minutes_mismatch(self, tmp_path, fixture_dir):
-        proc = run_cli(
-            "evaluate", fixture_dir / "c1.csv", "--battery", "2kwh-1c",
-            "--step-minutes", "15", cwd=tmp_path,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-
-    def test_unreachable_peak_cap_is_exit_two(self, tmp_path, fixture_dir):
-        proc = run_cli(
-            "evaluate", fixture_dir / "c3.csv", "--battery", "1kwh-0.25c",
-            "--contracted-kva", "3.45", cwd=tmp_path,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: dispatch infeasible: ")
-        assert "peak cap 3.45 kW unreachable at step " in proc.stderr
-
-    def test_negative_epsilon_is_rejected(self, tmp_path, fixture_dir):
-        # a negative movement weight would pay the battery to charge and
-        # discharge in the same step
-        proc = run_cli(
-            "evaluate", fixture_dir / "c1.csv", "--battery", "1kwh-1c",
-            "--epsilon", "-0.5", "--out", tmp_path / "out", cwd=tmp_path,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--damage-exp", "nan"),
-            ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--damage-exp", "inf"),
-            ("evaluate", "c1.csv", "--battery", "1kwh-1c", "--step-minutes", "nan"),
-            ("tune", "c1.csv", "--battery", "1kwh-1c", "--target", "nan"),
-            ("evaluate", "c1.csv", "--battery", "2kwh-1c", "--epsilon", "inf"),
-        ],
-        ids=["damage-exp-nan", "damage-exp-inf", "step-minutes-nan", "target-nan", "epsilon-inf"],
-    )
-    def test_non_finite_numbers_are_rejected(self, tmp_path, fixture_dir, argv):
-        command, scenario, *flags = argv
-        out = tmp_path / "out"
-        proc = run_cli(command, fixture_dir / scenario, *flags, "--out", out, cwd=tmp_path)
-        assert proc.returncode == 1
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error: ")
-        assert not out.exists()
-
-    def test_worker_error_keeps_the_exit_contract(self, tmp_path, fixture_dir):
-        # raised in a worker process and re-raised from its pipe, traceback-free
-        proc = run_cli(
-            "sweep", fixture_dir / "c2.csv", "--jobs", "2", "--epsilon", "-0.5",
-            "--out", tmp_path / "out", cwd=tmp_path,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: epsilon must be >= 0, got -0.5"]
-        assert not (tmp_path / "out").exists()
-
-    def test_missing_later_scenario_fails_before_any_output(self, tmp_path, fixture_dir):
-        out = tmp_path / "out"
-        proc = run_cli(
-            "sweep", fixture_dir / "c1.csv", "missing.csv", "--jobs", "2",
-            "--out", out, cwd=tmp_path,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: scenario file not found: missing.csv"]
-        assert proc.stdout == ""
-        assert not out.exists()
-
-    def test_non_positive_jobs_is_a_usage_error(self, tmp_path, fixture_dir):
-        proc = run_cli("sweep", fixture_dir / "c1.csv", "--jobs", "0", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "error: --jobs must be >= 1" in proc.stderr.splitlines()[-1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

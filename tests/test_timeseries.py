@@ -301,8 +301,12 @@ def test_load_scenario_spacing_errors(second, third, message, tmp_path):
         (["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", "",
           "# note", "2019-06-01T00:00:00,100,0"],
          "line 5: duplicate timestamp 2019-06-01T00:00:00"),
+        # five minutes apart across a summer-time switch; checked before the spacing
+        (["timestamp,load_w,pv_w", "2019-03-31T00:55:00+00:00,100,0", "# switch",
+          "2019-03-31T02:00:00+01:00,100,0", "2019-03-31T02:15:00+01:00,100,0"],
+         "line 4: UTC offset changes from +00:00 to +01:00"),
     ],
-    ids=["gap-after-comments", "mixed-after-comment", "duplicate-after-blank"],
+    ids=["gap-after-comments", "mixed-after-comment", "duplicate-after-blank", "offset-change-after-comment"],
 )
 def test_load_scenario_errors_count_comment_and_blank_lines(rows, message, tmp_path):
     with pytest.raises(ScenarioError) as info:
@@ -483,8 +487,10 @@ def test_ppc_rejects_disorder():
         PpcSchedule((PpcLevel(-1.0, 0.1),))
 
 
-@pytest.mark.parametrize("level", [{"kva": 3.45, "eur_per_day": "nan"}, {"kva": "inf", "eur_per_day": 0.1},
-                                   {"kva": "nan", "eur_per_day": 0.1}, {"kva": 3.45, "eur_per_day": "inf"}])
+@pytest.mark.parametrize("level", [
+    {"kva": 3.45, "eur_per_day": math.nan}, {"kva": math.inf, "eur_per_day": 0.1},
+    {"kva": math.nan, "eur_per_day": 0.1}, {"kva": 3.45, "eur_per_day": math.inf},
+])
 def test_ppc_rejects_non_finite_levels(tmp_path, level):
     path = tmp_path / "ppc.json"
     path.write_text(json.dumps({"levels": [{"kva": 2.0, "eur_per_day": 0.05}, level]}))
