@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .battery import BatterySpec, catalog_by_name, default_catalog, load_catalog
-from .errors import ConfigError, InfeasibleDispatchError
+from .errors import ConfigError, InfeasibleDispatchError, ScenarioError
 from .fixtures import DEFAULT_SEED, gen_fixtures
 from .optimizer import DEFAULT_EPSILON, DispatchSolution
 from .profitability import Conventions, ProfitabilityReport, evaluate_candidate, tune_friction
@@ -127,7 +127,10 @@ def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
 
 def _load(config: SweepConfig, path: str) -> ScenarioSeries:
     h = None if config.conventions.step_minutes is None else config.conventions.step_minutes / 60.0
-    return load_scenario(path, h=h, tariff=config.tariff)
+    try:
+        return load_scenario(path, h=h, tariff=config.tariff)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario file {path}: {exc}") from exc
 
 
 def _battery(config: SweepConfig, name: str) -> BatterySpec:
@@ -170,8 +173,8 @@ def cmd_evaluate(args) -> int:
     config = _build_config(args, [args.scenario])
     scenario = _load(config, args.scenario)
     spec = _battery(config, args.battery)
-    report, dispatch, _ = evaluate_candidate(scenario, spec, config.ppc, config.conventions)
-    print(_write_candidate(config, scenario, report, dispatch, args.scenario, "",
+    report, selection = evaluate_candidate(scenario, spec, config.ppc, config.conventions)
+    print(_write_candidate(config, scenario, report, selection.dispatch, args.scenario, "",
                            "evaluate", spec.name), end="")
     return 0
 

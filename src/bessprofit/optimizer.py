@@ -491,11 +491,13 @@ def validate_dispatch(
 
 @dataclass(frozen=True)
 class PpcSelection:
-    """Outcome of the peak-contract choice for one battery candidate."""
+    """Outcome of the peak-contract choice for one battery candidate:
+    ``dispatch`` solves ``problem``, the candidate's problem capped at ``level``."""
 
     level: PpcLevel
     old_level: PpcLevel
     g_pd: float
+    problem: DispatchProblem
     dispatch: DispatchSolution
 
 
@@ -507,14 +509,15 @@ def select_ppc(
     """Pick the lowest feasible peak-power contract level.
 
     Each level is tried as the peak cap of ``prob``, whose own p_max_set
-    is not used. The candidate threshold is the baseline peak import power
-    plus the battery's (negative) discharge power; the chosen level is the
-    smallest level at or above that threshold whose dispatch is feasible,
-    never above the currently contracted level. The €-gain is the per-day price
-    difference times the window's day count, floored at zero. The dispatch
-    solved at the chosen cap is returned so callers don't re-solve.
+    is not used. Discharge cuts import by at most eta_dis·|delta_min_kw|,
+    so levels below the baseline peak import less that cut (and the
+    solver's _DUST/h slack) fail at the peak step and are skipped; the
+    chosen level is the smallest feasible one above them, never above the
+    currently contracted level. The €-gain is the per-day price difference
+    times the window's day count. The capped problem and its dispatch are
+    returned so callers don't re-solve.
     """
-    scenario = prob.scenario
+    scenario, spec = prob.scenario, prob.spec
     peak_kw = peak_import_kw(scenario)
     if old_level_kva is not None:
         old = ppc.level_for(old_level_kva)
@@ -525,23 +528,19 @@ def select_ppc(
                 f"baseline peak {peak_kw:.2f} kW exceeds the largest PPC level"
             )
 
-    threshold = peak_kw + prob.spec.delta_min_kw
+    threshold = peak_kw + spec.eta_dis * spec.delta_min_kw - _DUST / scenario.h
     candidates = [lv for lv in ppc.levels if lv.kva >= threshold and lv.kva < old.kva]
 
     # the old level's dispatch is the fallback, and its infeasibility is final
     for level in candidates + [old]:
+        capped = replace(prob, p_max_set=level.kva)
         try:
-            dispatch = solve_dispatch(replace(prob, p_max_set=level.kva))
+            dispatch = solve_dispatch(capped)
         except InfeasibleDispatchError:
             if level is old:
                 raise
         else:
             break
 
-    g_pd = max(0.0, (old.eur_per_day - level.eur_per_day) * scenario.day_count)
-    return PpcSelection(
-        level=level,
-        old_level=old,
-        g_pd=g_pd,
-        dispatch=dispatch,
-    )
+    g_pd = (old.eur_per_day - level.eur_per_day) * scenario.day_count
+    return PpcSelection(level, old, g_pd, capped, dispatch)

@@ -1,14 +1,14 @@
 """Per-candidate storage economics: gains, per-cycle profit, payback, verdict.
 
 The pipeline per battery candidate is: state the dispatch problem once,
-solve it at the chosen peak-contract level (a contract schedule is
-required), price the dispatch against the no-battery baseline (g_arb),
-add the contract saving (g_pd), count equivalent 100%-DoD cycles on the
-SoC trajectory, convert to per-cycle profit net of the battery's
-per-cycle cost, and derive the expected payback. A candidate passes
-when the per-cycle profit is positive and the payback beats the
-calendar life. Every report carries both selection indices, p_cyc and
-expb_years.
+choose the peak-contract level (a contract schedule is required), whose
+``PpcSelection`` holds the problem capped at that level and its dispatch,
+price the dispatch against the no-battery baseline (g_arb), add the
+contract saving (g_pd), count equivalent 100%-DoD cycles on the SoC
+trajectory, convert to per-cycle profit net of the battery's per-cycle
+cost, and derive the expected payback. A candidate passes when the
+per-cycle profit is positive and the payback beats the calendar life.
+Every report carries both selection indices, p_cyc and expb_years.
 
 One ``Conventions`` value carries every setting that changes a reported
 number (contract level, damage exponent, payback convention, epsilon,
@@ -16,9 +16,9 @@ friction, terminal SoC rule); ``evaluate_candidate``, ``tune_friction``
 and ``evaluate`` read their settings from it.
 
 ``tune_friction`` throttles an over-cycling candidate down to a cycle
-budget by searching the friction coefficient; it starts from the
-candidate scored at eta_fric = 1, whose peak-contract level is held
-fixed during the search so the cycle count responds to friction alone.
+budget by searching the friction coefficient; it re-solves the problem
+of the selection made at eta_fric = 1 at other friction values, so the
+peak-contract level holds and the cycle count responds to friction alone.
 """
 
 from __future__ import annotations
@@ -137,14 +137,9 @@ def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, conventions: Conve
     return count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model).n_cyc_100
 
 
-def evaluate(
-    scenario: ScenarioSeries,
-    spec: BatterySpec,
-    dispatch: DispatchSolution,
-    selection: PpcSelection,
-    conventions: Conventions,
-) -> ProfitabilityReport:
-    """Score one solved dispatch at the contract level of ``selection``.
+def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
+             conventions: Conventions) -> ProfitabilityReport:
+    """Score a dispatch of ``selection.problem`` at the selection's contract level.
 
     g_arb is the billing saved versus the no-battery baseline, g_pd the
     peak-contract saving (zero when the level did not change). Cycles are
@@ -153,6 +148,7 @@ def evaluate(
     on the with-battery net load z + s. A non-positive total gain yields
     an infinite payback and an unprofitable verdict.
     """
+    scenario, spec = selection.problem.scenario, selection.problem.spec
     base = scenario.baseline
     cost = battery_cost(spec)
 
@@ -185,27 +181,22 @@ def evaluate(
     )
 
 
-def _problem(scenario: ScenarioSeries, spec: BatterySpec, conventions: Conventions) -> DispatchProblem:
-    return DispatchProblem(scenario, spec, eta_fric=conventions.eta_fric,
-                           epsilon=conventions.epsilon, terminal_soc=conventions.terminal_soc)
-
-
 def evaluate_candidate(
     scenario: ScenarioSeries,
     spec: BatterySpec,
     ppc: PpcSchedule,
     conventions: Conventions = Conventions(),
-) -> tuple[ProfitabilityReport, DispatchSolution, PpcSelection]:
+) -> tuple[ProfitabilityReport, PpcSelection]:
     """Full single-candidate pipeline: contract choice, dispatch, scoring.
 
     The contract search starts from ``conventions.contracted_kva`` (None:
     the smallest level covering the baseline peak); the dispatch uses its
-    eta_fric, epsilon and terminal_soc.
+    eta_fric, epsilon and terminal_soc, and is ``selection.dispatch``.
     """
-    selection = select_ppc(_problem(scenario, spec, conventions), ppc,
-                           old_level_kva=conventions.contracted_kva)
-    report = evaluate(scenario, spec, selection.dispatch, selection, conventions)
-    return report, selection.dispatch, selection
+    prob = DispatchProblem(scenario, spec, eta_fric=conventions.eta_fric,
+                           epsilon=conventions.epsilon, terminal_soc=conventions.terminal_soc)
+    selection = select_ppc(prob, ppc, old_level_kva=conventions.contracted_kva)
+    return evaluate(selection, selection.dispatch, conventions), selection
 
 
 @dataclass(frozen=True)
@@ -245,8 +236,8 @@ def tune_friction(
     ties) is returned with a warning, which also says the cycle count was
     not monotone when some sample has more than CYCLE_TOL cycles above a
     sample at a larger eta_fric. The contract level is selected once at
-    eta_fric = 1 and every re-solve holds it, with the conventions'
-    epsilon and terminal_soc.
+    eta_fric = 1, and every re-solve is that selection's capped problem
+    (with the conventions' epsilon and terminal_soc) at another eta_fric.
     """
     if target_cycles is None:
         target_cycles = break_even_cycles(
@@ -257,25 +248,24 @@ def tune_friction(
 
     # Fix the contract level at eta_fric = 1 so friction only affects billing.
     untuned = replace(conventions, eta_fric=1.0)
-    untuned_report, untuned_dispatch, selection = evaluate_candidate(scenario, spec, ppc, untuned)
-    capped = replace(_problem(scenario, spec, untuned), p_max_set=selection.level.kva)
+    untuned_report, selection = evaluate_candidate(scenario, spec, ppc, untuned)
     samples = [(1.0, untuned_report.n_cyc_100)]  # (eta_fric, cycles) of every solve
 
     def result(eta: float, dispatch: DispatchSolution, warning: str | None,
                report: ProfitabilityReport | None = None) -> TuningResult:
         return TuningResult(
             eta_fric=eta,
-            report=report or evaluate(scenario, spec, dispatch, selection, conventions),
+            report=report or evaluate(selection, dispatch, conventions),
             dispatch=dispatch,
             untuned_report=untuned_report,
-            untuned_dispatch=untuned_dispatch,
+            untuned_dispatch=selection.dispatch,
             target_cycles=target_cycles,
             warning=warning,
             n_solves=len(samples),
         )
 
     if untuned_report.n_cyc_100 <= target_cycles + CYCLE_TOL:
-        return result(1.0, untuned_dispatch, None, untuned_report)
+        return result(1.0, selection.dispatch, None, untuned_report)
 
     lo, hi = ETA_MIN, 1.0
     best: tuple[float, DispatchSolution, float] | None = None  # most cycles under budget
@@ -289,7 +279,7 @@ def tune_friction(
         yield from map(float, np.linspace(lo, hi, 7)[1:-1])
 
     for eta in etas():
-        dispatch = solve_dispatch(replace(capped, eta_fric=eta))
+        dispatch = solve_dispatch(replace(selection.problem, eta_fric=eta))
         cycles = _cycles_of(dispatch, spec, conventions)
         samples.append((eta, cycles))
         if abs(cycles - target_cycles) <= CYCLE_TOL:

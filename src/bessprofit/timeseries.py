@@ -102,7 +102,8 @@ def read_config(path: str | Path, kind: str, top: dict, list_key: str, fields: d
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: not JSON, not UTF-8, or an integer past the digit limit
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     where = f"{kind} file {path}"
     if not isinstance(raw, dict):

@@ -50,8 +50,8 @@ def panel(scenarios, catalog) -> dict[tuple[str, str], PanelEntry]:
     """Contract choice + dispatch + scoring for every fixture x battery pair."""
 
     def entry(scenario, spec):
-        report, dispatch, selection = evaluate_candidate(scenario, spec, ppc=DEFAULT_PPC_SCHEDULE)
-        return PanelEntry(report, dispatch, selection, scenario, spec)
+        report, selection = evaluate_candidate(scenario, spec, ppc=DEFAULT_PPC_SCHEDULE)
+        return PanelEntry(report, selection.dispatch, selection, scenario, spec)
 
     return {
         (case, spec.name): entry(scenarios[case], spec)

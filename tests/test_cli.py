@@ -231,7 +231,7 @@ class TestEvaluateCommand:
         assert proc.returncode == 0, proc.stderr
         scenario = load_scenario(fixture_dir / "c1.csv")
         spec = catalog_by_name(default_catalog())["2kwh-1c"]
-        _, dispatch, _ = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE, Conventions())
+        dispatch = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE, Conventions())[1].dispatch
         z, x, s, theta, price = scenario.z, dispatch.x, dispatch.s, dispatch.theta, scenario.price
         soc = dispatch.soc_trajectory(spec.b_0)
         expected = [
@@ -490,7 +490,8 @@ def _row(id_, argv, line, files=None, code=1):
 def _scenario_row(id_, rows, message):
     """An evaluate of bad.csv: the header line, then ``rows``."""
     text = "".join(f"{row}\n" for row in ["timestamp,load_w,pv_w", *rows])
-    return _row(id_, ["evaluate", "bad.csv", "--battery", "2kwh-1c"], f"error: {message}", {"bad.csv": text})
+    return _row(id_, ["evaluate", "bad.csv", "--battery", "2kwh-1c"],
+                f"error: scenario file bad.csv: {message}", {"bad.csv": text})
 
 
 _KIND = {"--tariff": "tariff", "--ppc": "PPC", "--catalog": "catalog"}
@@ -539,6 +540,12 @@ FAILURES = [
                   ["2019-03-31T00:50:00+00:00,100,0", "2019-03-31T00:55:00+00:00,100,0",
                    "2019-03-31T02:00:00+01:00,100,0", "2019-03-31T02:05:00+01:00,100,0"],
                   "line 4: UTC offset changes from +00:00 to +01:00"),
+    _scenario_row("non-utf8-scenario", ["2019-06-01T00:00:00,100,0", "2019-06-01T00:05:00,10\udcff,0"],
+                  "'utf-8' codec can't decode byte 0xff in position 70: invalid start byte"),
+    # a later scenario's error names its file
+    _row("bad-later-scenario", ["sweep", "c1.csv", "bad2.csv"],
+         "error: scenario file bad2.csv: line 3: bad power value",
+         {"bad2.csv": "timestamp,load_w,pv_w\n2019-06-01T00:00:00,100,0\n2019-06-01T00:05:00,x,0\n"}),
     # 1e400 parses as an infinite float
     _row("infinite-catalog-capacity", ["sweep", "c1.csv", "--catalog", "bad.json"],
          "error: bad catalog entry {'name': 'x', 'b_rated_kwh': inf, 'charge_rate_c': 1, "
@@ -547,6 +554,12 @@ FAILURES = [
                       '"discharge_rate_c": 1}]}'}),
     _row("unreadable-tariff-file", [*_EVALUATE, "--tariff", "tariff.json"],
          "error: cannot read tariff file tariff.json: ...", {"tariff.json": "{not json"}),
+    _row("non-utf8-tariff", [*_EVALUATE, "--tariff", "t.json"],
+         "error: cannot read tariff file t.json: 'utf-8' codec can't decode byte 0xff in position 21: "
+         "invalid start byte", {"t.json": '{"fallback_price": 0.\udcff}'}),
+    # json reads integers with int(), which refuses past sys.get_int_max_str_digits()
+    _row("many-digit-fallback", [*_EVALUATE, "--tariff", "t.json"],
+         "error: cannot read tariff file t.json: ...", {"t.json": '{"fallback_price": ' + "1" * 5000 + "}"}),
     _config_row("fallback-nan", "--tariff", {"periods": [], "fallback_price": math.nan},
                 "fallback_price must be finite and >= 0"),
     # 03:01-03:02 holds no 5-minute step, so no price ever reads it
@@ -595,7 +608,7 @@ FAILURES = [
          "error: the following arguments are required: --battery"),
     _row("unknown-subcommand", ["frobnicate"], "error: argument command: invalid choice: 'frobnicate' ..."),
     _row("step-minutes-mismatch", [*_EVALUATE, "--step-minutes", "15"],
-         "error: requested step 15 min does not match file spacing 5 min"),
+         "error: scenario file c1.csv: requested step 15 min does not match file spacing 5 min"),
     _row("unreachable-peak-cap-is-exit-two",
          ["evaluate", "c3.csv", "--battery", "1kwh-0.25c", "--contracted-kva", "3.45"],
          "error: dispatch infeasible: peak cap 3.45 kW unreachable at step 246", code=2),
@@ -607,7 +620,7 @@ FAILURES = [
     _row("damage-exp-inf", [*_EVALUATE, "--damage-exp", "inf"],
          "error: damage exponent kp must be >= 1 and finite, got inf"),
     _row("step-minutes-nan", [*_EVALUATE, "--step-minutes", "nan"],
-         "error: requested step nan min does not match file spacing 5 min"),
+         "error: scenario file c1.csv: requested step nan min does not match file spacing 5 min"),
     _row("target-nan", ["tune", "c1.csv", "--battery", "2kwh-1c", "--target", "nan"],
          "error: --target must be > 0 and finite, got nan"),
     _row("non-positive-target", ["tune", "c1.csv", "--battery", "2kwh-1c", "--target", "-5"],
@@ -639,8 +652,8 @@ class TestFailureModes:
             path.parent.mkdir(exist_ok=True)
             if text is FIFO:
                 os.mkfifo(path)
-            else:
-                path.write_text(text)
+            else:  # a lone surrogate is written as the byte it stands for
+                path.write_text(text, encoding="utf-8", errors="surrogateescape")
         monkeypatch.chdir(tmp_path)
         # a run that opens a FIFO would block; the alarm fails it instead
         handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the run blocked"))

@@ -193,7 +193,7 @@ def test_panel_routes_print_the_same_reports(panel):
         routes = [_solve(prob, forward) for forward in FORWARD_ROUTES.values()]
         np.testing.assert_allclose(routes[0].x, routes[1].x, rtol=0, atol=1e-12, err_msg=str((case, name)))
         csvs = {render_csv(header, baseline_metrics(entry.scenario),
-                           [evaluate(entry.scenario, entry.spec, d, entry.selection, conventions)])
+                           [evaluate(entry.selection, d, conventions)])
                 for d in routes}
         assert len(csvs) == 1, (case, name)
         for field in ("x", "s", "b", "theta"):
@@ -630,11 +630,38 @@ def test_select_ppc_never_raises_the_contract():
     assert res.g_pd == 0.0
 
 
+@pytest.mark.parametrize("name,tried,skipped", [
+    ("2kwh-2c", [13.8], [10.35]),
+    ("5kwh-2c", [5.75, 6.9, 10.35, 13.8], [4.6]),
+])
+def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog, monkeypatch,
+                                                             name, tried, skipped):
+    # c3's 30-day peak less the full discharge power lies below the skipped
+    # levels; less eta_dis times it, above them, and they fail at a peak step
+    spec = next(spec for spec in catalog if spec.name == name)
+    prob = DispatchProblem(scenarios["c3"], spec)
+    for kva in skipped:
+        assert peak_import_kw(prob.scenario) + spec.delta_min_kw <= kva
+        with pytest.raises(InfeasibleDispatchError):
+            solve_dispatch(replace(prob, p_max_set=kva))
+    caps = []
+
+    def counted(p):
+        caps.append(p.p_max_set)
+        return solve_dispatch(p)
+
+    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
+    res = select_ppc(prob, DEFAULT_PPC_SCHEDULE)
+    assert caps == tried
+    assert res.level.kva == 13.8
+    assert res.problem == replace(prob, p_max_set=13.8)
+
+
 # --------------------------------------------------------- panel regressions
 
 
 def test_panel_contract_choices(panel):
-    # threshold = baseline peak minus the battery's discharge power; the
+    # threshold = baseline peak minus eta_dis times the discharge power; the
     # chosen level is the cheapest feasible one at or above that threshold
     assert panel[("c1", "1kwh-0.25c")].selection.level.kva == 5.75
     assert panel[("c1", "2kwh-1c")].selection.level.kva == 4.60

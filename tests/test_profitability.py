@@ -72,8 +72,8 @@ def closure_report(g_t: float, cycles: float, months_12: bool = True) -> Profita
         energy_cost=0.0,
     )
     level = DEFAULT_PPC_SCHEDULE.levels[0]
-    unchanged = PpcSelection(level, level, 0.0, dispatch)
-    return evaluate(scenario, spec, dispatch, unchanged, Conventions(months_12=months_12))
+    unchanged = PpcSelection(level, level, 0.0, DispatchProblem(scenario, spec), dispatch)
+    return evaluate(unchanged, dispatch, Conventions(months_12=months_12))
 
 
 class TestScoringClosure:
@@ -371,8 +371,8 @@ class TestPipelineEdges:
             "pinned", 2.0, 1.0, 1.0,
             soc_min_frac=0.5, soc_init_frac=0.5, soc_max_frac=0.5,
         )
-        rep, dispatch, selection = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE)
-        assert np.max(np.abs(dispatch.s)) <= 1e-12
+        rep, selection = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE)
+        assert np.max(np.abs(selection.dispatch.s)) <= 1e-12
         assert rep.g_t == approx(0.0, abs=1e-12)
         assert math.isinf(rep.expb_years)
         assert not rep.profitable
