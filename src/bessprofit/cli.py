@@ -87,6 +87,9 @@ def _require_file(kind: str, path: str) -> None:
 
 
 def _build_config(args, scenario_paths: list[str]) -> SweepConfig:
+    step = args.step_minutes
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise _UsageError(f"--step-minutes must be > 0 and finite, got {step:g}")
     # every input path is checked before any input is read
     for path in scenario_paths:
         _require_file("scenario", path)
@@ -311,7 +314,7 @@ def _add_common(sub: argparse.ArgumentParser, *, jobs: bool = False, eta: bool =
     sub.add_argument("--ppc", help="peak-power-contract level table JSON (default: built-in)")
     sub.add_argument("--catalog", help="battery catalog JSON (default: built-in 3x3 grid)")
     sub.add_argument("--step-minutes", type=float, default=None,
-                     help="expected sample spacing; must match the file")
+                     help="expected sample spacing in minutes, > 0 and finite; must match the file")
     sub.add_argument("--months-12", action="store_true",
                      help="payback = cost / (12 * monthly gain) instead of calendar-exact")
     sub.add_argument("--damage-exp", type=float, default=1.0,

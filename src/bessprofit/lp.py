@@ -9,17 +9,22 @@ vertex search to HiGHS via scipy, then certifies the answer itself: the
 primal residuals and a duality-gap bound are recomputed here from the
 returned multipliers rather than trusted from the backend, and a result
 is only reported "optimal" if that certificate passes.
+
+SciPy is imported where it is used, so importing this module loads none
+of it: only building a ``LinearProgram`` or solving one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import SolverError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "LinearProgram",
@@ -52,6 +57,8 @@ class LinearProgram:
     n_rows: int = field(init=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         c = np.asarray(self.c, dtype=float)
         a = sp.csr_matrix(self.A_ub, dtype=float)
         b = np.asarray(self.b_ub, dtype=float)
@@ -93,6 +100,13 @@ class LpSolution:
     dual_ineq: np.ndarray | None = None  # multipliers for A_ub·v <= b_ub, >= 0
     dual_lower: np.ndarray | None = None  # multipliers for v >= lo, >= 0
     dual_upper: np.ndarray | None = None  # multipliers for v <= hi, >= 0
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _row_scales(lp: LinearProgram) -> np.ndarray:

@@ -266,7 +266,7 @@ def _solve(prob: DispatchProblem, forward=None) -> DispatchSolution:
     n, z = scenario.n, scenario.z
     lo_x, hi_x, start, length, slope = steps = _pieces(prob)
     if forward is None:
-        forward = _scan_forward if np.unique(slope).size <= _SCAN_MAX_SLOPES else _list_forward
+        forward = _scan_forward if _distinct(slope).size <= _SCAN_MAX_SLOPES else _list_forward
     b_i, q = forward(prob, *steps)
 
     # x_i = l + Σ_j clip(b_i − q_j, 0, len_j), the top, mid and bottom
@@ -295,6 +295,17 @@ def _solve(prob: DispatchProblem, forward=None) -> DispatchSolution:
     theta = np.maximum(0.0, z + s)
     energy_cost = float(np.sum(scenario.price * theta))
     return DispatchSolution(x_plus, x_minus, s, b, theta, energy_cost, prob.eta_fric)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as np.unique gives them. NumPy 2's
+    np.unique imports numpy.ma on its first call, about 20 ms (2-core
+    host) in every forked sweep worker."""
+    v = np.sort(values, axis=None)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
 
 
 def _pieces(prob: DispatchProblem):
@@ -382,7 +393,7 @@ def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
     each column a clip-map recursion. Returns the final SoC and the q_j
     of each piece, as in _pieces."""
     spec, n, b_max = prob.spec, prob.scenario.n, prob.spec.b_max
-    cols = np.unique(np.concatenate((slope.ravel(), (-np.inf, 0.0, np.inf))))
+    cols = _distinct(np.concatenate((slope.ravel(), (-np.inf, 0.0, np.inf))))
     f = lo_x + sum(len_j[:, None] * (slope_j[:, None] < cols) for len_j, slope_j in zip(length, slope))
     floor = np.full(n, spec.b_min)
     floor[-1] = spec.b_0 if prob.terminal_soc else spec.b_min
@@ -489,6 +500,17 @@ def validate_dispatch(
     return out
 
 
+def _overdrawn(scenario: ScenarioSeries, spec: BatterySpec, cap_kw: float) -> bool:
+    """Whether a run of consecutive steps above ``cap_kw`` must draw more
+    than the battery's usable energy. The solver forgives up to _DUST at
+    each step's discharge ramp and again at its SoC floor, so the test
+    does too."""
+    over = np.maximum(scenario.z - cap_kw * scenario.h, 0.0)
+    runs = np.flatnonzero(np.diff(over > 0.0, prepend=False, append=False)).reshape(-1, 2)
+    need = np.add.reduceat(over, runs[:, 0]) / spec.eta_dis
+    return bool(np.any(need > spec.b_max - spec.b_min + 2 * _DUST * (runs[:, 1] - runs[:, 0])))
+
+
 @dataclass(frozen=True)
 class PpcSelection:
     """Outcome of the peak-contract choice for one battery candidate:
@@ -509,13 +531,23 @@ def select_ppc(
     """Pick the lowest feasible peak-power contract level.
 
     Each level is tried as the peak cap of ``prob``, whose own p_max_set
-    is not used. Discharge cuts import by at most eta_dis·|delta_min_kw|,
-    so levels below the baseline peak import less that cut (and the
-    solver's _DUST/h slack) fail at the peak step and are skipped; the
-    chosen level is the smallest feasible one above them, never above the
-    currently contracted level. The €-gain is the per-day price difference
-    times the window's day count. The capped problem and its dispatch are
-    returned so callers don't re-solve.
+    is not used. Two rules skip levels below the current one that no
+    dispatch can hold, without solving them:
+
+    - Discharge cuts import by at most eta_dis·|delta_min_kw|, so levels
+      below the baseline peak import less that cut (and the solver's
+      _DUST/h slack) fail at the peak step.
+    - A step with z_i > p·h cannot charge and must discharge
+      (z_i − p·h)/eta_dis, so a run of consecutive such steps draws their
+      sum from storage. Levels where some run needs more than
+      b_max − b_min (plus twice the solver's _DUST slack per step of the
+      run) fail by the run's end.
+
+    The chosen level is the smallest feasible one left, never above the
+    currently contracted level, which is always solved: its infeasibility
+    raises, naming the failing step. The €-gain is the per-day price
+    difference times the window's day count. The capped problem and its
+    dispatch are returned so callers don't re-solve.
     """
     scenario, spec = prob.scenario, prob.spec
     peak_kw = peak_import_kw(scenario)
@@ -533,6 +565,8 @@ def select_ppc(
 
     # the old level's dispatch is the fallback, and its infeasibility is final
     for level in candidates + [old]:
+        if level is not old and _overdrawn(scenario, spec, level.kva):
+            continue
         capped = replace(prob, p_max_set=level.kva)
         try:
             dispatch = solve_dispatch(capped)

@@ -26,6 +26,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,8 +72,12 @@ def test_version_flag(tmp_path):
 def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
     # SciPy is a test-only dependency: only the LP reference needs it, so
     # evaluate, tune and a forked sweep all run with every SciPy import
-    # failing; none of them loads multiprocessing or concurrent.futures either
+    # failing; none of them loads multiprocessing or concurrent.futures either.
+    # The LP module and the benchmark's tracer, which binds it, import
+    # without SciPy too: the LP loads it only to build or solve a program.
+    # Nor does a run load numpy.ma, which np.unique imports on first use.
     c1 = str(fixture_dir / "c1.csv")
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
     argvs = [
         ["evaluate", c1, "--battery", "2kwh-1c", "--out", str(tmp_path / "evaluate")],
         ["tune", c1, "--battery", "2kwh-1c", "--out", str(tmp_path / "tune")],
@@ -81,10 +86,12 @@ def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
-        "import bessprofit, bessprofit.cli\n"
+        "import bessprofit, bessprofit.cli, bessprofit.lp\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import tracing\n"
         f"rcs = [bessprofit.cli.main(argv) for argv in {argvs!r}]\n"
         "print(json.dumps([rcs, sys.modules['scipy'], sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.', 'multiprocessing', 'concurrent')))]))\n"
+        " if m.startswith(('scipy.', 'numpy.ma.', 'multiprocessing', 'concurrent')))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=subprocess_env())
@@ -619,8 +626,16 @@ FAILURES = [
          "error: damage exponent kp must be >= 1 and finite, got nan"),
     _row("damage-exp-inf", [*_EVALUATE, "--damage-exp", "inf"],
          "error: damage exponent kp must be >= 1 and finite, got inf"),
+    # a spacing no file can have is a usage error, refused before any input is read
     _row("step-minutes-nan", [*_EVALUATE, "--step-minutes", "nan"],
-         "error: scenario file c1.csv: requested step nan min does not match file spacing 5 min"),
+         "error: --step-minutes must be > 0 and finite, got nan"),
+    _row("step-minutes-zero", [*_EVALUATE, "--step-minutes", "0"],
+         "error: --step-minutes must be > 0 and finite, got 0"),
+    _row("step-minutes-inf", ["tune", "c1.csv", "--battery", "2kwh-1c", "--step-minutes", "inf"],
+         "error: --step-minutes must be > 0 and finite, got inf"),
+    _row("negative-step-minutes-before-a-bad-scenario", ["sweep", "c1.csv", "bad2.csv", "--step-minutes=-5"],
+         "error: --step-minutes must be > 0 and finite, got -5",
+         {"bad2.csv": "timestamp,load_w,pv_w\n2019-06-01T00:00:00,100,0\n2019-06-01T00:05:00,x,0\n"}),
     _row("target-nan", ["tune", "c1.csv", "--battery", "2kwh-1c", "--target", "nan"],
          "error: --target must be > 0 and finite, got nan"),
     _row("non-positive-target", ["tune", "c1.csv", "--battery", "2kwh-1c", "--target", "-5"],

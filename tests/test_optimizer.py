@@ -632,12 +632,14 @@ def test_select_ppc_never_raises_the_contract():
 
 @pytest.mark.parametrize("name,tried,skipped", [
     ("2kwh-2c", [13.8], [10.35]),
-    ("5kwh-2c", [5.75, 6.9, 10.35, 13.8], [4.6]),
+    ("5kwh-2c", [13.8], [4.6]),
 ])
 def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog, monkeypatch,
                                                              name, tried, skipped):
     # c3's 30-day peak less the full discharge power lies below the skipped
-    # levels; less eta_dis times it, above them, and they fail at a peak step
+    # levels; less eta_dis times it, above them, and they fail at a peak step.
+    # 5kwh-2c's levels 5.75 to 10.35 pass that rule, but a run of steps above
+    # each needs more than the 4.5 kWh it can store, so none is solved either
     spec = next(spec for spec in catalog if spec.name == name)
     prob = DispatchProblem(scenarios["c3"], spec)
     for kva in skipped:
@@ -655,6 +657,31 @@ def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog,
     assert caps == tried
     assert res.level.kva == 13.8
     assert res.problem == replace(prob, p_max_set=13.8)
+
+
+def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(monkeypatch):
+    # a peak of 5 kW puts 3.45 kVA within the 2 kW discharge reach, and at
+    # 3.45 kVA each 4.2 kW step alone draws 0.75/eta_dis = 0.79 kWh, within
+    # the 0.9 kWh the battery holds, but the run of three draws 2.37 kWh
+    scenario = mini_scenario([0.5, 0.5, 4.2, 4.2, 4.2, 0.5, 0.5, 5.0], np.full(8, 0.2), name="run")
+    spec = make_spec("1kwh-2c", 1.0, 2.0, 2.0)
+    prob = DispatchProblem(scenario, spec)
+    assert peak_import_kw(scenario) + spec.eta_dis * spec.delta_min_kw < 3.45
+    with pytest.raises(InfeasibleDispatchError):
+        solve_dispatch(replace(prob, p_max_set=3.45))
+    caps = []
+
+    def counted(p):
+        caps.append(p.p_max_set)
+        return solve_dispatch(p)
+
+    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
+    assert select_ppc(prob, DEFAULT_PPC_SCHEDULE).level.kva == 4.6
+    assert caps == [4.6]
+    # the current level is solved even when no dispatch can hold it
+    with pytest.raises(InfeasibleDispatchError, match="at step 3"):
+        select_ppc(prob, DEFAULT_PPC_SCHEDULE, old_level_kva=3.45)
+    assert caps == [4.6, 3.45]
 
 
 # --------------------------------------------------------- panel regressions
