@@ -40,9 +40,8 @@ class DamageModel:
 
 @dataclass(frozen=True)
 class CycleCount:
-    """Extracted cycles as (DoD fraction, weight) pairs and their damage total."""
+    """Damage total of the extracted cycles, in equivalent 100%-DoD cycles."""
 
-    half_cycles: tuple[tuple[float, float], ...]
     n_cyc_100: float
 
 
@@ -83,12 +82,18 @@ def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> Cycle
     if b.size and (np.min(b) < -1e-9 * max(1.0, b_rated) or np.max(b) > b_rated * (1 + 1e-9) + 1e-12):
         raise ValueError("SoC series leaves [0, b_rated]")
 
-    u = np.clip(b / b_rated, 0.0, 1.0)
-    points = _turning_points(u)
+    pairs = _rainflow(np.clip(b / b_rated, 0.0, 1.0))
+    total = float(sum(weight * model.damage(r) for r, weight in pairs))
+    return CycleCount(n_cyc_100=total)
 
+
+def _rainflow(u: np.ndarray) -> list[tuple[float, float]]:
+    """The cycles of a normalized SoC series u as (DoD fraction, weight)
+    pairs: the four-point rule's full cycles at 1.0, then the residual
+    tail's adjacent ranges at 0.5. Zero ranges are dropped."""
     ranges_full: list[float] = []
     stack: list[float] = []
-    for value in points:
+    for value in _turning_points(u):
         stack.append(float(value))
         while len(stack) >= 4:
             r_left = abs(stack[-3] - stack[-4])
@@ -105,9 +110,7 @@ def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> Cycle
         r = abs(right - left)
         if r > 0.0:
             pairs.append((r, 0.5))
-
-    total = float(sum(weight * model.damage(r) for r, weight in pairs))
-    return CycleCount(half_cycles=tuple(pairs), n_cyc_100=total)
+    return pairs
 
 
 def break_even_cycles(cycle_life: float, calendar_life_years: float, horizon_days: float) -> float:

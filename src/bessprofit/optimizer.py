@@ -62,7 +62,9 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-6  # €/kWh tie-break on battery movement
 _DUST = 1e-12  # kWh; solver residue below this is treated as zero
-_SCAN_MAX_SLOPES = 48  # scan/list-DP crossover in distinct slopes, measured at 576-864 steps
+# scan/list-DP route rule in distinct slopes. At 576-864 steps the list DP
+# wins from about 22; moving the rule changes how the inputs between round.
+_SCAN_MAX_SLOPES = 48
 
 
 @dataclass(frozen=True)
@@ -243,8 +245,10 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     length of f_i's pieces with slope below σ, for σ in {−∞, each slope, 0,
     +∞}; clip maps compose associatively, so NumPy runs the n steps as a
     blocked scan of about 2√n iterations. Above it (per-step prices) it is
-    the list DP, which keeps V_i as slope-sorted segment lists. The two
-    round differently: x may differ by about 1e-14 kWh.
+    the list DP, which keeps V_i as slope-sorted segment lists. A piece
+    that the same step's clip removes is never inserted there, and the
+    result is bit for bit that of merging it. The two routes round
+    differently: x may differ by about 1e-14 kWh.
 
     Tie rule: the final SoC is the smallest minimiser of V_n on
     [L_n, b_max], and going backward each b_{i-1} is the smallest SoC from
@@ -335,56 +339,127 @@ def _pieces(prob: DispatchProblem):
 
 def _list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
     """The list DP: V_i as its domain start `lo` plus segments sorted by
-    slope. Returns the final SoC and the q_j of each piece, as in _pieces."""
-    spec, n = prob.spec, prob.scenario.n
-    b_min, b_max, x_floor = spec.b_min, spec.b_max, lo_x - _DUST
+    slope. Returns the final SoC and the q_j of each piece, as in _pieces.
+
+    Most steps would insert a piece and clip it away again at once: the
+    bottom piece, whose slope −eps is the least in V, at the SoC floor,
+    and a top piece past the last segment at b_max. Both are held aside
+    until the step's clip has run, and only what the clip leaves of them
+    is inserted. The clip cuts them by the same float operations as in
+    the lists, and hi adds the lengths in list order, so the result is bit
+    for bit that of merging every piece first. A piece whose slope is
+    already in V merges at once."""
+    spec, n, b_max = prob.spec, prob.scenario.n, prob.spec.b_max
+    x_floor = lo_x - _DUST
+    floors = [spec.b_min] * n
+    if prob.terminal_soc:
+        floors[-1] = spec.b_0
+    stuck = hi_x < x_floor  # a step with no move; the first one fails
+    m = int(stuck.argmax()) if stuck.any() else n
     lo = spec.b_0
     slopes: list[float] = []
     lens: list[float] = []
     q: tuple[list[float], ...] = ([], [], [])
-    rows = zip(hi_x.tolist(), *start.tolist(), *length.tolist(), *slope.tolist())
-    for i, (ui, p0, p1, p2, l0, l1, l2, s0, s1, s2) in enumerate(rows):
-        if ui < x_floor:
-            raise _unreachable(prob, i)
+    add0, add1, add2 = (q_j.append for q_j in q)
+    s2 = float(slope[2, 0])  # every bottom piece starts at lo_x, with slope −eps
+    rows = zip(*start[:2, :m].tolist(), *length[:, :m].tolist(), *slope[:2, :m].tolist(), floors)
+    for p0, p1, l0, l1, l2, s0, s1, b_floor in rows:
         # pieces highest slope first, so a piece inserted into V never
         # shifts the crossing point of a lower-sloped piece of the same
-        # step; every slope in V is >= -eps, so the bottom piece lands at
-        # the front
-        for p, len_j, s, q_j in ((p0, l0, s0, q[0]), (p1, l1, s1, q[1]), (p2, l2, s2, q[2])):
-            if not len_j:
-                q_j.append(0.0)  # an absent piece moves nothing
-                continue
-            k = bisect_left(slopes, s)
-            # k = 0 needs no sum; the bottom piece of most steps lands there
-            q_j.append(lo + (sum(lens[:k]) if k else 0) + p)
-            if k < len(slopes) and slopes[k] == s:
-                lens[k] += len_j
+        # step; an absent piece moves nothing. top and bottom are the
+        # lengths held aside past the end and before the front of V.
+        top = bottom = 0.0
+        if l0:
+            if not slopes or slopes[-1] < s0:
+                add0(lo + sum(lens) + p0)
+                top = l0
             else:
-                slopes.insert(k, s)
-                lens.insert(k, len_j)
+                k = bisect_left(slopes, s0)
+                add0(lo + (sum(lens[:k]) if k else 0) + p0)
+                if slopes[k] == s0:
+                    lens[k] += l0
+                else:
+                    slopes.insert(k, s0)
+                    lens.insert(k, l0)
+        else:
+            add0(0.0)
+        if l1:
+            k = bisect_left(slopes, s1)
+            add1(lo + (sum(lens[:k]) if k else 0) + p1)
+            if k < len(slopes) and slopes[k] == s1:
+                lens[k] += l1
+            elif top and s1 == s0:  # k is past the end, where top sits
+                top += l1
+            else:
+                slopes.insert(k, s1)
+                lens.insert(k, l1)
+        else:
+            add1(0.0)
+        if l2:  # k = 0; a present bottom piece has lo_x < 0, so lo + lo_x == lo + 0 + lo_x
+            add2(lo + lo_x)
+            if slopes and slopes[0] == s2:
+                lens[0] += l2
+            elif top and not slopes and s0 == s2:
+                top += l2
+            else:
+                bottom = l2
+        else:
+            add2(0.0)
 
+        # lo never rises: lo_x <= 0 and b_floor <= b_max, so only hi can
+        # miss the box
         lo += lo_x
-        hi = lo + sum(lens)
-        b_floor = spec.b_0 if prob.terminal_soc and i == n - 1 else b_min
-        if hi < b_floor - _DUST or lo > b_max + _DUST:
-            raise _unreachable(prob, i)
+        # one sum over the merged order: from Python 3.12 sum() compensates,
+        # so adding top to sum(lens, bottom) could round differently
+        if top:
+            lens.append(top)
+            hi = lo + sum(lens, bottom)
+            lens.pop()
+        else:
+            hi = lo + sum(lens, bottom)
+        if hi < b_floor - _DUST:
+            raise _unreachable(prob, len(q[0]) - 1)
         if lo < b_floor:
             cut = b_floor - lo
-            while lens and lens[0] <= cut:
-                cut -= lens.pop(0)
-                slopes.pop(0)
-            if lens:
-                lens[0] -= cut
+            if bottom > cut:
+                bottom -= cut
+            else:
+                cut -= bottom
+                bottom = 0.0
+                while lens and lens[0] <= cut:
+                    cut -= lens.pop(0)
+                    slopes.pop(0)
+                if lens:
+                    lens[0] -= cut
+                elif top > cut:
+                    top -= cut
+                else:
+                    top = 0.0
             lo = b_floor
         if hi > b_max:
             cut = hi - b_max
-            while lens and lens[-1] <= cut:
-                cut -= lens.pop()
-                slopes.pop()
-            if lens:
-                lens[-1] -= cut
-            if lo > b_max:  # a domain within _DUST above the box
-                lo = b_max
+            if top > cut:
+                top -= cut
+            else:
+                cut -= top
+                top = 0.0
+                while lens and lens[-1] <= cut:
+                    cut -= lens.pop()
+                    slopes.pop()
+                if lens:
+                    lens[-1] -= cut
+                elif bottom > cut:
+                    bottom -= cut
+                else:
+                    bottom = 0.0
+        if bottom:
+            slopes.insert(0, s2)
+            lens.insert(0, bottom)
+        if top:
+            slopes.append(s0)
+            lens.append(top)
+    if m < n:
+        raise _unreachable(prob, m)
     return lo + sum(lens[: bisect_left(slopes, 0.0)]), q
 
 

@@ -5,9 +5,9 @@ shipped tariff, a seeded noisy-price series used by the friction-tuning
 tests, the per-row fixture writer and NumPy-scalar AR(1) noise that the
 fixture generator is held to, a seeded generator of small dispatch
 instances, the two references the solver is held to (the LP solve and
-the grid dynamic-programming oracle), the billing recomputed from a
-dispatch's arrays, and the environment for running the CLI as a
-subprocess.
+the grid dynamic-programming oracle), a list DP that merges every piece
+before its clip, the billing recomputed from a dispatch's arrays,
+and the environment for running the CLI as a subprocess.
 Random instances come with per-step prices or, repriced by
 ``tariff_priced``, with a two-period tariff.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -29,7 +30,7 @@ from bessprofit.battery import make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.fixtures import FIXTURE_NAMES, fixture_arrays
-from bessprofit.optimizer import DispatchProblem, DispatchSolution, build_lp
+from bessprofit.optimizer import _DUST, DispatchProblem, DispatchSolution, _unreachable, build_lp
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries, TariffPeriod, TariffSchedule
 
 H = 1.0 / 12.0  # fixture sample spacing, hours
@@ -183,6 +184,62 @@ def tariff_priced(prob: DispatchProblem, rng: np.random.Generator) -> DispatchPr
         fallback_price=float(rng.uniform(0.05, 0.5)),
     )
     return replace(prob, scenario=replace(scenario, price=tariff.prices(step_times(scenario))))
+
+
+def reference_list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
+    """A list DP that merges every piece of a step into V_i before the
+    step's clip: the reference the solver's _list_forward, which holds
+    pieces aside, is held to bit for bit."""
+    spec, n = prob.spec, prob.scenario.n
+    b_min, b_max, x_floor = spec.b_min, spec.b_max, lo_x - _DUST
+    lo = spec.b_0
+    slopes: list[float] = []
+    lens: list[float] = []
+    q: tuple[list[float], ...] = ([], [], [])
+    rows = zip(hi_x.tolist(), *start.tolist(), *length.tolist(), *slope.tolist())
+    for i, (ui, p0, p1, p2, l0, l1, l2, s0, s1, s2) in enumerate(rows):
+        if ui < x_floor:
+            raise _unreachable(prob, i)
+        # pieces highest slope first, so a piece inserted into V never
+        # shifts the crossing point of a lower-sloped piece of the same
+        # step; every slope in V is >= -eps, so the bottom piece lands at
+        # the front
+        for p, len_j, s, q_j in ((p0, l0, s0, q[0]), (p1, l1, s1, q[1]), (p2, l2, s2, q[2])):
+            if not len_j:
+                q_j.append(0.0)  # an absent piece moves nothing
+                continue
+            k = bisect_left(slopes, s)
+            # k = 0 needs no sum; the bottom piece of most steps lands there
+            q_j.append(lo + (sum(lens[:k]) if k else 0) + p)
+            if k < len(slopes) and slopes[k] == s:
+                lens[k] += len_j
+            else:
+                slopes.insert(k, s)
+                lens.insert(k, len_j)
+
+        lo += lo_x
+        hi = lo + sum(lens)
+        b_floor = spec.b_0 if prob.terminal_soc and i == n - 1 else b_min
+        if hi < b_floor - _DUST or lo > b_max + _DUST:
+            raise _unreachable(prob, i)
+        if lo < b_floor:
+            cut = b_floor - lo
+            while lens and lens[0] <= cut:
+                cut -= lens.pop(0)
+                slopes.pop(0)
+            if lens:
+                lens[0] -= cut
+            lo = b_floor
+        if hi > b_max:
+            cut = hi - b_max
+            while lens and lens[-1] <= cut:
+                cut -= lens.pop()
+                slopes.pop()
+            if lens:
+                lens[-1] -= cut
+            if lo > b_max:  # a domain within _DUST above the box
+                lo = b_max
+    return lo + sum(lens[: bisect_left(slopes, 0.0)]), q
 
 
 def dp_gap_bound(prob: DispatchProblem, grid: float = DP_GRID) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from bessprofit import optimizer
-from bessprofit.battery import make_spec
+from bessprofit.battery import default_catalog, make_spec
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.optimizer import (
     DispatchProblem,
@@ -34,7 +34,7 @@ from bessprofit.optimizer import (
     solve_dispatch,
     validate_dispatch,
 )
-from bessprofit.profitability import Conventions, evaluate
+from bessprofit.profitability import ETA_MIN, Conventions, evaluate
 from bessprofit.report import ReportHeader, render_csv
 from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, baseline_metrics, peak_import_kw
 
@@ -50,6 +50,7 @@ from _support import (
     mini_scenario,
     noisy_price_slice,
     random_dispatch_instance,
+    reference_list_forward,
     scenario_from_fixture,
     tariff_priced,
 )
@@ -175,6 +176,51 @@ def test_per_step_prices_take_the_list_dp(monkeypatch):
     solve_dispatch(DispatchProblem(tariff_day, spec))
     solve_dispatch(DispatchProblem(noisy_price_slice(days=1), spec))
     assert taken == ["_scan_forward", "_list_forward"]
+
+
+def test_list_dp_matches_its_reference_bit_for_bit():
+    # The list DP inserts a step's bottom piece, and a top piece past the
+    # last segment, only after the step's clip. It must give the final SoC
+    # and every q_j of the reference, which merges each piece first, float
+    # for float, and fail at the same step with the same message. The
+    # variants zero half the prices, so that equal slopes merge; force a
+    # tariff onto the list route; start the battery full, so that b_max
+    # cuts into the bottom piece; take its charge away too, so that the
+    # terminal floor takes the whole domain; pin its box to one SoC; and
+    # set a zero cap, which leaves some steps no move at all.
+    def outcome(forward, prob):
+        try:
+            return forward(prob, *optimizer._pieces(prob))
+        except InfeasibleDispatchError as exc:
+            return str(exc), exc.step
+
+    rng = np.random.default_rng(2503)
+    probs = []
+    for _ in range(150):
+        prob = random_dispatch_instance(rng)
+        scenario, full = prob.scenario, replace(prob.spec, b_0=prob.spec.b_max)
+        free = replace(scenario, price=np.where(rng.random(scenario.n) < 0.5, 0.0, scenario.price))
+        probs += [prob, tariff_priced(prob, rng)] + [replace(prob, **changes) for changes in (
+            {"terminal_soc": True},
+            {"epsilon": 0.0},
+            {"epsilon": 0.0, "scenario": free},
+            {"spec": full},
+            {"spec": replace(full, charge_rate_c=0.0), "terminal_soc": True},
+            {"spec": replace(full, b_min=full.b_max)},
+            {"p_max_set": 0.0},
+        )]
+    day = noisy_price_slice(days=1)
+    cap = 0.7 * peak_import_kw(day)  # about half the catalog holds it
+    for spec in default_catalog():
+        for eta in (1.0, 0.5005, ETA_MIN):
+            probs += [DispatchProblem(day, spec, eta_fric=eta),
+                      DispatchProblem(day, spec, p_max_set=cap, eta_fric=eta, terminal_soc=True)]
+    failed = 0
+    for k, prob in enumerate(probs):
+        want = outcome(reference_list_forward, prob)
+        assert outcome(_list_forward, prob) == want, k
+        failed += isinstance(want[0], str)
+    assert 0 < failed < len(probs) / 4
 
 
 def test_panel_routes_print_the_same_reports(panel):
