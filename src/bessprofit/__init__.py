@@ -7,14 +7,12 @@ friction mechanism that throttles low-margin cycling to a cycle budget.
 """
 
 from .battery import (
-    BatteryCost,
     BatterySpec,
-    battery_cost,
     default_catalog,
     load_catalog,
     make_spec,
 )
-from .cycles import CycleCount, DamageModel, break_even_cycles, count_cycles
+from .cycles import DamageModel, break_even_cycles, count_cycles
 from .errors import (
     ConfigError,
     DegenerateScenarioError,

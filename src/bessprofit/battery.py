@@ -18,8 +18,6 @@ from .timeseries import json_number, json_str, read_config
 
 __all__ = [
     "BatterySpec",
-    "BatteryCost",
-    "battery_cost",
     "make_spec",
     "default_catalog",
     "load_catalog",
@@ -74,6 +72,9 @@ class BatterySpec:
             raise ConfigError("calendar_life_years must be > 0 and finite")
         if not (0 <= self.cost_per_kwh < math.inf and 0 <= self.inverter_cost_per_kwh < math.inf):
             raise ConfigError("costs must be >= 0 and finite")
+        # finite factors can still overflow: 2C of 1e308 kWh is inf kW
+        if not (math.isfinite(self.delta_max_kw) and math.isfinite(self.delta_min_kw)):
+            raise ConfigError("C-rate times b_rated must be finite")
 
     @property
     def delta_max_kw(self) -> float:
@@ -85,22 +86,15 @@ class BatterySpec:
         """Maximum discharging power in kW, expressed as a negative number."""
         return -self.discharge_rate_c * self.b_rated
 
+    @property
+    def c_cyc(self) -> float:
+        """Cost in € of one 100%-DoD cycle per rated kWh."""
+        return (self.cost_per_kwh + self.inverter_cost_per_kwh) / self.cycle_life_100dod
 
-@dataclass(frozen=True)
-class BatteryCost:
-    """Per-cycle cost and total candidate cost."""
-
-    c_cyc: float
-    b_cost: float
-
-
-def battery_cost(spec: BatterySpec) -> BatteryCost:
-    """Cost summary: € per 100%-DoD cycle per kWh, and € for the unit."""
-    total = spec.cost_per_kwh + spec.inverter_cost_per_kwh
-    return BatteryCost(
-        c_cyc=total / spec.cycle_life_100dod,
-        b_cost=total * spec.b_rated,
-    )
+    @property
+    def b_cost(self) -> float:
+        """Cost in € of the unit, battery and inverter."""
+        return (self.cost_per_kwh + self.inverter_cost_per_kwh) * self.b_rated
 
 
 def make_spec(

@@ -18,7 +18,6 @@ from .errors import ConfigError
 
 __all__ = [
     "DamageModel",
-    "CycleCount",
     "count_cycles",
     "break_even_cycles",
 ]
@@ -36,13 +35,6 @@ class DamageModel:
 
     def damage(self, dod: float) -> float:
         return dod**self.kp
-
-
-@dataclass(frozen=True)
-class CycleCount:
-    """Damage total of the extracted cycles, in equivalent 100%-DoD cycles."""
-
-    n_cyc_100: float
 
 
 def _turning_points(u: np.ndarray) -> np.ndarray:
@@ -66,7 +58,7 @@ def _turning_points(u: np.ndarray) -> np.ndarray:
     return u[mask]
 
 
-def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> CycleCount:
+def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> float:
     """Count equivalent 100%-DoD cycles of an SoC series b (kWh).
 
     The series must stay within [0, b_rated]; a constant series counts
@@ -83,8 +75,7 @@ def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> Cycle
         raise ValueError("SoC series leaves [0, b_rated]")
 
     pairs = _rainflow(np.clip(b / b_rated, 0.0, 1.0))
-    total = float(sum(weight * model.damage(r) for r, weight in pairs))
-    return CycleCount(n_cyc_100=total)
+    return float(sum(weight * model.damage(r) for r, weight in pairs))
 
 
 def _rainflow(u: np.ndarray) -> list[tuple[float, float]]:

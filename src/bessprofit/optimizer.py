@@ -44,7 +44,7 @@ import numpy as np
 
 from .battery import BatterySpec
 from .errors import InfeasibleDispatchError
-from .timeseries import PpcLevel, PpcSchedule, ScenarioSeries, peak_import_kw
+from .timeseries import PpcLevel, PpcSchedule, ScenarioSeries
 
 if TYPE_CHECKING:
     from .lp import LinearProgram
@@ -575,12 +575,26 @@ def validate_dispatch(
     return out
 
 
-def _overdrawn(scenario: ScenarioSeries, spec: BatterySpec, cap_kw: float) -> bool:
-    """Whether a run of consecutive steps above ``cap_kw`` must draw more
-    than the battery's usable energy. The solver forgives up to _DUST at
-    each step's discharge ramp and again at its SoC floor, so the test
-    does too."""
-    over = np.maximum(scenario.z - cap_kw * scenario.h, 0.0)
+def _unholdable(scenario: ScenarioSeries, spec: BatterySpec, cap_kw: float, z_peak: float) -> bool:
+    """Whether the solver must reject ``cap_kw`` as a peak cap, by one of two
+    tests; ``z_peak`` is the scenario's largest net load z_i (kWh).
+
+    - A stuck step: the solver fails a step whose largest move under the
+      cap lies below its discharge ramp, and the peak step has the least
+      room. The test takes _pieces' float operations and the solver's
+      _DUST margin.
+    - An overdrawn run: a step with z_i > cap·h cannot charge and must
+      discharge (z_i − cap·h)/eta_dis, so a run of consecutive such steps
+      draws their sum from storage. The solver forgives up to _DUST at each
+      step's discharge ramp and again at its SoC floor, so a run fails
+      when it needs more than b_max − b_min plus twice _DUST per step.
+    """
+    h = scenario.h
+    head = cap_kw * h - z_peak
+    hi_x = min(spec.delta_max_kw * h, head * spec.eta_ch if head >= 0 else head / spec.eta_dis)
+    if hi_x < spec.delta_min_kw * h - _DUST:
+        return True
+    over = np.maximum(scenario.z - cap_kw * h, 0.0)
     runs = np.flatnonzero(np.diff(over > 0.0, prepend=False, append=False)).reshape(-1, 2)
     need = np.add.reduceat(over, runs[:, 0]) / spec.eta_dis
     return bool(np.any(need > spec.b_max - spec.b_min + 2 * _DUST * (runs[:, 1] - runs[:, 0])))
@@ -606,17 +620,10 @@ def select_ppc(
     """Pick the lowest feasible peak-power contract level.
 
     Each level is tried as the peak cap of ``prob``, whose own p_max_set
-    is not used. Two rules skip levels below the current one that no
-    dispatch can hold, without solving them:
-
-    - Discharge cuts import by at most eta_dis·|delta_min_kw|, so levels
-      below the baseline peak import less that cut (and the solver's
-      _DUST/h slack) fail at the peak step.
-    - A step with z_i > p·h cannot charge and must discharge
-      (z_i − p·h)/eta_dis, so a run of consecutive such steps draws their
-      sum from storage. Levels where some run needs more than
-      b_max − b_min (plus twice the solver's _DUST slack per step of the
-      run) fail by the run's end.
+    is not used. A level below the current one is skipped without a solve
+    when ``_unholdable`` shows that the solver would reject it: its peak
+    step is stuck, or a run of steps above it draws more than the usable
+    energy.
 
     The chosen level is the smallest feasible one left, never above the
     currently contracted level, which is always solved: its infeasibility
@@ -625,7 +632,8 @@ def select_ppc(
     dispatch are returned so callers don't re-solve.
     """
     scenario, spec = prob.scenario, prob.spec
-    peak_kw = peak_import_kw(scenario)
+    z_peak = float(np.max(scenario.z))
+    peak_kw = z_peak / scenario.h
     if old_level_kva is not None:
         old = ppc.level_for(old_level_kva)
     else:
@@ -635,12 +643,9 @@ def select_ppc(
                 f"baseline peak {peak_kw:.2f} kW exceeds the largest PPC level"
             )
 
-    threshold = peak_kw + spec.eta_dis * spec.delta_min_kw - _DUST / scenario.h
-    candidates = [lv for lv in ppc.levels if lv.kva >= threshold and lv.kva < old.kva]
-
     # the old level's dispatch is the fallback, and its infeasibility is final
-    for level in candidates + [old]:
-        if level is not old and _overdrawn(scenario, spec, level.kva):
+    for level in [lv for lv in ppc.levels if lv.kva < old.kva] + [old]:
+        if level is not old and _unholdable(scenario, spec, level.kva, z_peak):
             continue
         capped = replace(prob, p_max_set=level.kva)
         try:

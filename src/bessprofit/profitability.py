@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .battery import BatterySpec, battery_cost
+from .battery import BatterySpec
 from .cycles import DamageModel, break_even_cycles, count_cycles
 from .optimizer import (
     DEFAULT_EPSILON,
@@ -134,7 +134,7 @@ def _expected_payback_years(
 
 def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, conventions: Conventions) -> float:
     model = DamageModel(kp=conventions.damage_exp)
-    return count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model).n_cyc_100
+    return count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model)
 
 
 def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
@@ -150,7 +150,6 @@ def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
     """
     scenario, spec = selection.problem.scenario, selection.problem.spec
     base = scenario.baseline
-    cost = battery_cost(spec)
 
     g_arb = base.energy_cost - dispatch.energy_cost
     g_pd = selection.g_pd
@@ -158,9 +157,9 @@ def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
 
     n_cyc = _cycles_of(dispatch, spec, conventions)
     # gain per cycle per kWh (0 without cycles) minus the cost of one
-    p_cyc = (g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0) - cost.c_cyc
+    p_cyc = (g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0) - spec.c_cyc
 
-    expb = _expected_payback_years(cost.b_cost, g_t, scenario.total_hours, conventions)
+    expb = _expected_payback_years(spec.b_cost, g_t, scenario.total_hours, conventions)
 
     with_batt = baseline_metrics(scenario, dispatch.s)
 

@@ -364,5 +364,5 @@ def dispatch_objective(prob: DispatchProblem, dispatch: DispatchSolution) -> flo
 
 def linear_cycles(soc: np.ndarray, b_rated: float) -> float:
     """Equivalent full cycles at damage exponent 1 (half the throughput)."""
-    return count_cycles(soc, b_rated, DamageModel(kp=1.0)).n_cyc_100
+    return count_cycles(soc, b_rated, DamageModel(kp=1.0))
 

@@ -8,7 +8,6 @@ import pytest
 
 from bessprofit.battery import (
     BatterySpec,
-    battery_cost,
     catalog_by_name,
     default_catalog,
     load_catalog,
@@ -23,21 +22,21 @@ from bessprofit.errors import ConfigError
 def test_per_cycle_cost_constants():
     # installed cost per kWh (cells + power electronics) over cycle life:
     # 0.25C: (400+25)/4000, 1C: (600+100)/4000, 2C: (700+200)/4000
-    assert battery_cost(make_spec("a", 1.0, 0.25, 0.25)).c_cyc == pytest.approx(0.10625, abs=1e-12)
-    assert battery_cost(make_spec("b", 1.0, 1.0, 1.0)).c_cyc == pytest.approx(0.17500, abs=1e-12)
-    assert battery_cost(make_spec("c", 1.0, 2.0, 2.0)).c_cyc == pytest.approx(0.22500, abs=1e-12)
+    assert make_spec("a", 1.0, 0.25, 0.25).c_cyc == pytest.approx(0.10625, abs=1e-12)
+    assert make_spec("b", 1.0, 1.0, 1.0).c_cyc == pytest.approx(0.17500, abs=1e-12)
+    assert make_spec("c", 1.0, 2.0, 2.0).c_cyc == pytest.approx(0.22500, abs=1e-12)
 
 
 def test_total_cost_scales_with_capacity():
-    small = battery_cost(make_spec("s", 1.0, 1.0, 1.0))
-    big = battery_cost(make_spec("b", 5.0, 1.0, 1.0))
+    small = make_spec("s", 1.0, 1.0, 1.0)
+    big = make_spec("b", 5.0, 1.0, 1.0)
     assert small.b_cost == pytest.approx(700.0)
     assert big.b_cost == pytest.approx(3500.0)
 
 
 def test_per_cycle_cost_inverse_in_cycle_life():
-    base = battery_cost(make_spec("x", 1.0, 1.0, 1.0, cycle_life_100dod=4000))
-    double = battery_cost(make_spec("y", 1.0, 1.0, 1.0, cycle_life_100dod=8000))
+    base = make_spec("x", 1.0, 1.0, 1.0, cycle_life_100dod=4000)
+    double = make_spec("y", 1.0, 1.0, 1.0, cycle_life_100dod=8000)
     assert double.c_cyc == pytest.approx(base.c_cyc / 2.0)
 
 
@@ -45,7 +44,7 @@ def test_unknown_ramp_class_requires_explicit_costs():
     with pytest.raises(ConfigError, match="ramp class"):
         make_spec("odd", 1.0, 0.5, 0.5)
     spec = make_spec("odd", 1.0, 0.5, 0.5, cost_per_kwh=500.0, inverter_cost_per_kwh=50.0)
-    assert battery_cost(spec).b_cost == pytest.approx(550.0)
+    assert spec.b_cost == pytest.approx(550.0)
 
 
 # ------------------------------------------------------------- invariants

@@ -559,6 +559,11 @@ FAILURES = [
          "'discharge_rate_c': 1}: b_rated must be > 0 and finite",
          {"bad.json": '{"batteries": [{"name": "x", "b_rated_kwh": 1e400, "charge_rate_c": 1, '
                       '"discharge_rate_c": 1}]}'}),
+    # 2C of 1e308 kWh is a finite spec whose charge power overflows to inf
+    _row("overflowing-charge-power", ["evaluate", "c1.csv", "--battery", "x", "--catalog", "bad.json"],
+         "error: bad catalog entry {'name': 'x', 'b_rated_kwh': 1e+308, 'charge_rate_c': 2, "
+         "'discharge_rate_c': 1}: C-rate times b_rated must be finite",
+         {"bad.json": json.dumps({"batteries": [_battery_entry(b_rated_kwh=1e308, charge_rate_c=2)]})}),
     _row("unreadable-tariff-file", [*_EVALUATE, "--tariff", "tariff.json"],
          "error: cannot read tariff file tariff.json: ...", {"tariff.json": "{not json"}),
     _row("non-utf8-tariff", [*_EVALUATE, "--tariff", "t.json"],

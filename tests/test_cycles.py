@@ -28,7 +28,7 @@ def test_half_cycle_decomposition_of_peak_valley_swing():
     # 50% -> 100% -> 10% -> 50% on a unit battery:
     # halves of DoD 0.5, 0.9, 0.4 at weight 0.5 each -> 0.9 equivalent cycles
     b = np.array([0.5, 1.0, 0.1, 0.5])
-    assert count_cycles(b, 1.0).n_cyc_100 == pytest.approx(0.9, abs=1e-12)
+    assert count_cycles(b, 1.0) == pytest.approx(0.9, abs=1e-12)
     assert sorted(_rainflow(b)) == [(0.4, 0.5), (0.5, 0.5), (0.9, 0.5)]
 
 
@@ -36,34 +36,34 @@ def test_inner_cycle_extracted_as_full():
     # an inner 0.4-0.8 excursion closes as one full cycle; the outer swing
     # remains as residual halves: 1.0*0.4 + 0.5*(0.5+0.9+0.4) = 1.3
     b = np.array([0.5, 1.0, 0.4, 0.8, 0.1, 0.5])
-    assert count_cycles(b, 1.0).n_cyc_100 == pytest.approx(1.3, abs=1e-12)
+    assert count_cycles(b, 1.0) == pytest.approx(1.3, abs=1e-12)
     assert (0.4, 1.0) in _rainflow(b)
 
 
 def test_constant_and_trivial_trajectories():
-    assert count_cycles(np.full(5, 0.7), 1.0).n_cyc_100 == 0.0
-    assert count_cycles(np.array([0.3]), 1.0).n_cyc_100 == 0.0
+    assert count_cycles(np.full(5, 0.7), 1.0) == 0.0
+    assert count_cycles(np.array([0.3]), 1.0) == 0.0
     assert _rainflow(np.array([0.3, 0.3, 0.3])) == []
 
 
 def test_single_ramp_is_one_half_cycle():
     b = np.array([0.2, 0.9])
     assert _rainflow(b) == [(0.7, 0.5)]
-    assert count_cycles(b, 1.0).n_cyc_100 == pytest.approx(0.35)
+    assert count_cycles(b, 1.0) == pytest.approx(0.35)
 
 
 def test_plateaus_and_monotone_runs_collapse():
     direct = np.array([0.2, 0.9, 0.1])
     padded = np.array([0.2, 0.2, 0.5, 0.7, 0.9, 0.9, 0.9, 0.6, 0.3, 0.1])
-    assert count_cycles(padded, 1.0).n_cyc_100 == pytest.approx(
-        count_cycles(direct, 1.0).n_cyc_100, abs=1e-12)
+    assert count_cycles(padded, 1.0) == pytest.approx(
+        count_cycles(direct, 1.0), abs=1e-12)
     assert sorted(_rainflow(padded)) == sorted(_rainflow(direct))
 
 
 def test_capacity_normalizes_depth():
     b = np.array([1.0, 4.0, 1.0])
     count = count_cycles(b, 4.0)
-    assert count.n_cyc_100 == pytest.approx(0.75)  # two 0.75-DoD halves
+    assert count == pytest.approx(0.75)  # two 0.75-DoD halves
 
 
 # ------------------------------------------------------- throughput identity
@@ -75,7 +75,7 @@ def test_unit_exponent_count_equals_throughput(seed):
     n = int(rng.integers(2, 300))
     b = np.clip(np.cumsum(rng.uniform(-0.3, 0.3, n)) + 0.5, 0.0, 1.0)
     count = count_cycles(b, 1.0)
-    assert count.n_cyc_100 == pytest.approx(throughput_cycles(b, 1.0), abs=1e-9)
+    assert count == pytest.approx(throughput_cycles(b, 1.0), abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,7 +85,7 @@ def test_unit_exponent_count_equals_throughput(seed):
 def test_unit_exponent_count_equals_throughput_hypothesis(values):
     b = np.asarray(values)
     count = count_cycles(b, 2.0)
-    assert count.n_cyc_100 == pytest.approx(throughput_cycles(b, 2.0), abs=1e-9)
+    assert count == pytest.approx(throughput_cycles(b, 2.0), abs=1e-9)
 
 
 @pytest.mark.parametrize("kp", [1.0, 2.0])
@@ -95,8 +95,8 @@ def test_reversal_invariance(kp):
     for _ in range(100):
         n = int(rng.integers(2, 120))
         b = np.clip(np.cumsum(rng.uniform(-0.3, 0.3, n)) + 0.5, 0.0, 1.0)
-        fwd = count_cycles(b, 1.0, model).n_cyc_100
-        rev = count_cycles(b[::-1], 1.0, model).n_cyc_100
+        fwd = count_cycles(b, 1.0, model)
+        rev = count_cycles(b[::-1], 1.0, model)
         assert rev == pytest.approx(fwd, abs=1e-9)
 
 
@@ -113,7 +113,7 @@ def test_mirror_concatenation_bound(kp):
         both = count_cycles(np.concatenate([b, b[::-1]]), 1.0, model)
         halves = [model.damage(d) * w for d, w in _rainflow(b) if w == 0.5]
         slack = max(halves) if halves else 0.0
-        assert abs(both.n_cyc_100 - 2.0 * one.n_cyc_100) <= slack + 1e-9
+        assert abs(both - 2.0 * one) <= slack + 1e-9
 
 
 def test_progressive_exponent_penalizes_deep_cycles():
@@ -121,8 +121,8 @@ def test_progressive_exponent_penalizes_deep_cycles():
     shallow = np.tile(np.array([0.0, 0.1]), 10)  # ten 10% swings
     for kp in (1.0, 1.5, 2.0):
         model = DamageModel(kp=kp)
-        d_deep = count_cycles(deep, 1.0, model).n_cyc_100
-        d_shallow = count_cycles(shallow, 1.0, model).n_cyc_100
+        d_deep = count_cycles(deep, 1.0, model)
+        d_shallow = count_cycles(shallow, 1.0, model)
         if kp == 1.0:
             assert d_deep == pytest.approx(1.0)
             assert d_shallow == pytest.approx(0.95, abs=1e-9)  # 19 swings of 10%

@@ -683,9 +683,10 @@ def test_select_ppc_never_raises_the_contract():
 def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog, monkeypatch,
                                                              name, tried, skipped):
     # c3's 30-day peak less the full discharge power lies below the skipped
-    # levels; less eta_dis times it, above them, and they fail at a peak step.
-    # 5kwh-2c's levels 5.75 to 10.35 pass that rule, but a run of steps above
-    # each needs more than the 4.5 kWh it can store, so none is solved either
+    # levels, and they fail. The screen solves no level below 13.8: there
+    # 2kwh-2c's peak step is stuck, and so is 5kwh-2c's below 5.75; from 5.75
+    # to 10.35 a run of steps above each level needs more than the 4.5 kWh
+    # 5kwh-2c can store
     spec = next(spec for spec in catalog if spec.name == name)
     prob = DispatchProblem(scenarios["c3"], spec)
     for kva in skipped:
@@ -730,12 +731,77 @@ def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(monkeypatch):
     assert caps == [4.6, 3.45]
 
 
+def _screened(prob: DispatchProblem, below_kva: float) -> list[float]:
+    """The levels under ``below_kva`` that select_ppc's screen skips for ``prob``."""
+    z_peak = float(np.max(prob.scenario.z))
+    return [lv.kva for lv in DEFAULT_PPC_SCHEDULE.levels
+            if lv.kva < below_kva and optimizer._unholdable(prob.scenario, prob.spec, lv.kva, z_peak)]
+
+
+def test_every_panel_level_the_screen_skips_fails_on_both_routes(panel):
+    # the screen only saves solves: each level below the current one that it
+    # skips, both forward routes reject
+    skipped = 0
+    for (case, name), entry in panel.items():
+        prob = entry.selection.problem
+        for kva in _screened(prob, entry.selection.old_level.kva):
+            for forward in FORWARD_ROUTES.values():
+                with pytest.raises(InfeasibleDispatchError):
+                    _solve(replace(prob, p_max_set=kva), forward)
+            skipped += 1
+    assert skipped == 70  # every level below the chosen one: each pair is solved once
+
+
+def test_the_screen_skips_only_caps_the_solver_rejects():
+    # Caps around each random instance's peak, three of them at the edge of
+    # the discharge reach. Where _pieces leaves a step no move, the screen
+    # skips the cap; the old discharge-reach rule skipped no cap it keeps;
+    # and every cap it skips fails on both forward routes.
+    rng = np.random.default_rng(26)
+    counts = {True: 0, False: 0}
+    for _ in range(200):
+        prob = random_dispatch_instance(rng)
+        scenario, spec = prob.scenario, prob.spec
+        z_peak = float(np.max(scenario.z))
+        peak_kw = z_peak / scenario.h
+        reach = peak_kw + spec.eta_dis * spec.delta_min_kw
+        caps = [*(peak_kw + spec.delta_min_kw * rng.uniform(0.0, 1.3, 4)),
+                *(reach * (1 + d) for d in (-1e-15, 0.0, 1e-15))]
+        for cap in (max(c, 0.0) for c in caps):
+            capped = replace(prob, p_max_set=cap)
+            lo_x, hi_x = optimizer._pieces(capped)[:2]
+            screened = optimizer._unholdable(scenario, spec, cap, z_peak)
+            assert screened >= bool(np.any(hi_x < lo_x - optimizer._DUST))
+            assert screened >= (cap < reach - optimizer._DUST / scenario.h)
+            if screened:
+                for forward in FORWARD_ROUTES.values():
+                    with pytest.raises(InfeasibleDispatchError):
+                        _solve(capped, forward)
+            counts[screened] += 1
+    assert min(counts.values()) > 200
+
+
+def test_the_30_day_sweep_solves_once_per_pair(scenarios, catalog, monkeypatch):
+    # every level below the chosen one is skipped, so no solve is infeasible
+    calls = []
+
+    def counted(p):
+        calls.append(p.p_max_set)
+        return solve_dispatch(p)
+
+    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
+    for scenario in scenarios.values():
+        for spec in catalog:
+            select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE)
+    assert len(calls) == 36
+
+
 # --------------------------------------------------------- panel regressions
 
 
 def test_panel_contract_choices(panel):
-    # threshold = baseline peak minus eta_dis times the discharge power; the
-    # chosen level is the cheapest feasible one at or above that threshold
+    # the chosen level is the cheapest one that the screen keeps and the
+    # solver holds
     assert panel[("c1", "1kwh-0.25c")].selection.level.kva == 5.75
     assert panel[("c1", "2kwh-1c")].selection.level.kva == 4.60
     assert panel[("c1", "5kwh-1c")].selection.level.kva == 3.45

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bessprofit import profitability
-from bessprofit.battery import battery_cost, catalog_by_name, make_spec
+from bessprofit.battery import catalog_by_name, make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.errors import ConfigError
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
@@ -81,8 +81,8 @@ class TestScoringClosure:
         rep = closure_report(10.13, 37.01)
         assert rep.g_t == approx(10.13, abs=1e-9)
         assert rep.n_cyc_100 == approx(37.01, abs=1e-9)
-        assert battery_cost(rep.battery).c_cyc == approx(0.10625, abs=1e-12)
-        assert battery_cost(rep.battery).b_cost == approx(425.0, abs=1e-9)
+        assert rep.battery.c_cyc == approx(0.10625, abs=1e-12)
+        assert rep.battery.b_cost == approx(425.0, abs=1e-9)
         assert rep.p_cyc == approx(0.1675, abs=5e-4)
         assert rep.expb_years == approx(3.50, abs=0.01)
         # frozen exact arithmetic: 10.13/37.01 - 0.10625 and 425/(12*10.13)
@@ -124,7 +124,7 @@ class TestPanelIdentities:
     def test_per_cycle_profit_identities(self, panel):
         for entry in panel.values():
             rep = entry.report
-            c_cyc = battery_cost(rep.battery).c_cyc
+            c_cyc = rep.battery.c_cyc
             if rep.n_cyc_100 > 0:
                 want = rep.g_t / (rep.n_cyc_100 * entry.spec.b_rated) - c_cyc
                 assert rep.p_cyc == approx(want, rel=1e-12, abs=1e-12)
@@ -143,7 +143,7 @@ class TestPanelIdentities:
             if rep.g_t > 0:
                 window_hours = entry.scenario.n * entry.scenario.h
                 annualized = rep.g_t * HOURS_PER_YEAR / window_hours
-                assert rep.expb_years * annualized == approx(battery_cost(rep.battery).b_cost, rel=1e-9)
+                assert rep.expb_years * annualized == approx(rep.battery.b_cost, rel=1e-9)
             else:
                 assert math.isinf(rep.expb_years)
                 assert not rep.profitable
@@ -155,7 +155,7 @@ class TestPanelIdentities:
                 entry.spec.b_rated,
                 DamageModel(),
             )
-            assert entry.report.n_cyc_100 == approx(recount.n_cyc_100, rel=1e-12)
+            assert entry.report.n_cyc_100 == approx(recount, rel=1e-12)
 
     def test_reported_metrics_are_sane(self, panel):
         for entry in panel.values():
@@ -377,7 +377,7 @@ class TestPipelineEdges:
         assert math.isinf(rep.expb_years)
         assert not rep.profitable
         assert rep.n_cyc_100 == approx(0.0, abs=1e-9)
-        assert rep.p_cyc == approx(-battery_cost(spec).c_cyc, rel=1e-12)
+        assert rep.p_cyc == approx(-spec.c_cyc, rel=1e-12)
         assert selection.level == selection.old_level
 
 
