@@ -1,19 +1,11 @@
-"""The byte contract: every file the CLI writes on the four fixtures, and
-the exit code, stdout and stderr of every run, held to the SHA-256
-digests recorded in ``cli_digests.json``.
-
-The runs, in-process through ``cli.main``, each into its own directory:
-``fixtures`` at seed 2019; ``sweep`` of c1..c4 at ``--jobs 1`` and
-``--jobs 2``; ``evaluate`` and ``tune`` of three batteries on each
-fixture; ``sweep c3.csv --contracted-kva 3.45``; and the exit-2
-``evaluate`` of 1kwh-0.25c on c3 at 3.45 kVA. The output root prints as
-``<out>`` in stdout and stderr.
+"""The byte contract: every file that the CLI writes on the four fixtures,
+and the exit code, stdout and stderr of every run, hashed (SHA-256) and
+held to ``cli_digests.json``. The output root prints as ``<out>``.
 
 The fixtures come from NumPy's ``default_rng``, whose streams are not
 promised across NumPy versions, and CPython 3.12 changed how ``sum()``
-adds floats. So the digests hold for the Python and NumPy versions
-stored with them, and a failure names both. A change that moves a byte
-on purpose records the digests again with
+adds floats; so the digests hold for the Python and NumPy versions stored
+with them. A change that moves a byte on purpose records them again with
 ``PYTHONPATH=src python tests/test_byte_contract.py`` and names every
 file that changed.
 """
@@ -25,7 +17,6 @@ import hashlib
 import io
 import json
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -34,66 +25,54 @@ import numpy as np
 from bessprofit import cli
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
-BATTERIES = ("1kwh-0.25c", "2kwh-1c", "5kwh-2c")
+VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _runs(root: Path) -> list[list[str]]:
-    """The argv of every run, in order, each with its own ``--out`` under ``root``."""
-    fixtures = root / "fixtures"
-    csvs = [str(fixtures / f"{case}.csv") for case in ("c1", "c2", "c3", "c4")]
-    runs = [["fixtures", "--seed", "2019", "--out", str(fixtures)]]
-    for jobs in ("1", "2"):
-        runs.append(["sweep", *csvs, "--jobs", jobs, "--out", str(root / f"sweep-j{jobs}")])
+    """Every run's argv, in order, each writing to its own directory under ``root``."""
+    csvs = [str(root / "fixtures" / f"c{k}.csv") for k in (1, 2, 3, 4)]
+    runs = [["fixtures", "--seed", "2019", "--out", str(root / "fixtures")],
+            *(["sweep", *csvs, "--jobs", jobs, "--out", str(root / f"sweep-j{jobs}")] for jobs in "12")]
     for csv in csvs:
-        for battery in BATTERIES:
-            for command in ("evaluate", "tune"):
-                runs.append([command, csv, "--battery", battery, "--out", str(root / command)])
+        for battery in ("1kwh-0.25c", "2kwh-1c", "5kwh-2c"):
+            runs += [[command, csv, "--battery", battery, "--out", str(root / command)]
+                     for command in ("evaluate", "tune")]
     runs.append(["sweep", csvs[2], "--contracted-kva", "3.45", "--out", str(root / "sweep-3.45")])
     runs.append(["evaluate", csvs[2], "--battery", "1kwh-0.25c", "--contracted-kva", "3.45",
-                 "--out", str(root / "evaluate-3.45")])
+                 "--out", str(root / "evaluate-3.45")])  # exit 2
     return runs
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def collect(root: Path) -> dict[str, object]:
-    """Run every command under ``root``; the digest of each run's outcome and of every file."""
+    """Run everything under ``root``: the outcome of each run, by its argv, and the digest of each file."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
     digests: dict[str, object] = {}
     for argv in _runs(root):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        key = " ".join(argv).replace(str(root), "<out>")
-        digests[key] = {"exit": code,
-                        "stdout": _sha(out.getvalue().replace(str(root), "<out>").encode()),
-                        "stderr": _sha(err.getvalue().replace(str(root), "<out>").encode())}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            digests[path.relative_to(root).as_posix()] = _sha(path.read_bytes())
+        key, stdout, stderr = (text.replace(str(root), "<out>")
+                               for text in (" ".join(argv), out.getvalue(), err.getvalue()))
+        digests[key] = {"exit": code, "stdout": sha(stdout.encode()), "stderr": sha(stderr.encode())}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digests[path.relative_to(root).as_posix()] = sha(path.read_bytes())
     return digests
-
-
-def _versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def test_cli_artifacts_match_their_recorded_digests(tmp_path):
     recorded = json.loads(DIGESTS.read_text())
-    got = collect(tmp_path)
-    want = recorded["digests"]
+    got, want = collect(tmp_path), recorded["digests"]
     differ = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
     assert not differ, (
-        f"{len(differ)} of {len(want)} digests differ (recorded on Python {recorded['python']}, "
-        f"NumPy {recorded['numpy']}; this is Python {_versions()['python']}, NumPy {_versions()['numpy']}):\n"
-        + "\n".join(f"  {key}: {'missing' if key not in got else 'new' if key not in want else 'changed'}"
-                    for key in differ)
-    )
+        f"{len(differ)} of {len(want)} digests differ; recorded on Python {recorded['python']}, NumPy "
+        f"{recorded['numpy']}; this is Python {VERSIONS['python']}, NumPy {VERSIONS['numpy']}:\n  "
+        + "\n  ".join(f"{key}: {'missing' if key not in got else 'new' if key not in want else 'changed'}"
+                      for key in differ))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = collect(Path(tmp))
-    DIGESTS.write_text(json.dumps({**_versions(), "digests": digests}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+        recorded = {**VERSIONS, "digests": collect(Path(tmp))}
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

@@ -227,15 +227,14 @@ def test_panel_routes_print_the_same_reports(panel):
     # Both forward routes round the same exact optimum. On all 36 fixture
     # pairs their x agrees to 1e-12 kWh, the report CSV is byte-identical,
     # and x, s, b and theta as the dispatch CSV prints them (6 decimals)
-    # differ by at most one unit in the last digit. Every level that the
-    # contract search rejected fails by both routes at the same step with
-    # the same message.
+    # differ by at most one unit in the last digit. Every level below the
+    # current one that the contract screen skips fails by both routes at
+    # the same step with the same message.
     conventions = Conventions()
     header = ReportHeader(scenario="pin", config_hash="0" * 12, conventions=conventions.lines())
-    rejected = 0
+    skipped = 0
     for (case, name), entry in panel.items():
-        level = entry.selection.level
-        prob = DispatchProblem(entry.scenario, entry.spec, p_max_set=level.kva)
+        prob = entry.selection.problem
         routes = [_solve(prob, forward) for forward in FORWARD_ROUTES.values()]
         np.testing.assert_allclose(routes[0].x, routes[1].x, rtol=0, atol=1e-12, err_msg=str((case, name)))
         csvs = {render_csv(header, baseline_metrics(entry.scenario),
@@ -246,17 +245,18 @@ def test_panel_routes_print_the_same_reports(panel):
             printed = [np.array([float(f"{v:.6f}") for v in getattr(d, field).tolist()]) for d in routes]
             assert np.max(np.abs(printed[0] - printed[1])) <= 1.5e-6, (case, name, field)
 
-        threshold = peak_import_kw(entry.scenario) + entry.spec.delta_min_kw
+        z_peak = float(np.max(entry.scenario.z))
         for lower in DEFAULT_PPC_SCHEDULE.levels:
-            if threshold <= lower.kva < level.kva:
+            if lower.kva < entry.selection.old_level.kva and optimizer._unholdable(
+                    entry.scenario, entry.spec, lower.kva, z_peak):
                 failures = []
                 for forward in FORWARD_ROUTES.values():
                     with pytest.raises(InfeasibleDispatchError) as exc_info:
                         _solve(replace(prob, p_max_set=lower.kva), forward)
                     failures.append((str(exc_info.value), exc_info.value.step))
                 assert failures[0] == failures[1], (case, name, lower.kva)
-                rejected += 1
-    assert rejected == 8
+                skipped += 1
+    assert skipped == 70  # every level below the chosen one, so each pair is solved once
 
 
 def test_dp_policy_is_feasible_for_the_lp():
@@ -606,6 +606,19 @@ def test_dp_oracle_refuses_oversized_problems():
 # ------------------------------------------------------- contract selection
 
 
+@pytest.fixture
+def solved_caps(monkeypatch):
+    """The cap of every problem that select_ppc solves, in order."""
+    caps = []
+
+    def counted(p):
+        caps.append(p.p_max_set)
+        return solve_dispatch(p)
+
+    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
+    return caps
+
+
 def _needle_scenario(n_days: int = 30, needle_kw: float = 5.8):
     n = n_days * 24
     load = np.full(n, 0.8)
@@ -680,7 +693,7 @@ def test_select_ppc_never_raises_the_contract():
     ("2kwh-2c", [13.8], [10.35]),
     ("5kwh-2c", [13.8], [4.6]),
 ])
-def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog, monkeypatch,
+def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog, solved_caps,
                                                              name, tried, skipped):
     # c3's 30-day peak less the full discharge power lies below the skipped
     # levels, and they fail. The screen solves no level below 13.8: there
@@ -693,20 +706,13 @@ def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog,
         assert peak_import_kw(prob.scenario) + spec.delta_min_kw <= kva
         with pytest.raises(InfeasibleDispatchError):
             solve_dispatch(replace(prob, p_max_set=kva))
-    caps = []
-
-    def counted(p):
-        caps.append(p.p_max_set)
-        return solve_dispatch(p)
-
-    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
     res = select_ppc(prob, DEFAULT_PPC_SCHEDULE)
-    assert caps == tried
+    assert solved_caps == tried
     assert res.level.kva == 13.8
     assert res.problem == replace(prob, p_max_set=13.8)
 
 
-def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(monkeypatch):
+def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(solved_caps):
     # a peak of 5 kW puts 3.45 kVA within the 2 kW discharge reach, and at
     # 3.45 kVA each 4.2 kW step alone draws 0.75/eta_dis = 0.79 kWh, within
     # the 0.9 kWh the battery holds, but the run of three draws 2.37 kWh
@@ -716,40 +722,12 @@ def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(monkeypatch):
     assert peak_import_kw(scenario) + spec.eta_dis * spec.delta_min_kw < 3.45
     with pytest.raises(InfeasibleDispatchError):
         solve_dispatch(replace(prob, p_max_set=3.45))
-    caps = []
-
-    def counted(p):
-        caps.append(p.p_max_set)
-        return solve_dispatch(p)
-
-    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
     assert select_ppc(prob, DEFAULT_PPC_SCHEDULE).level.kva == 4.6
-    assert caps == [4.6]
+    assert solved_caps == [4.6]
     # the current level is solved even when no dispatch can hold it
     with pytest.raises(InfeasibleDispatchError, match="at step 3"):
         select_ppc(prob, DEFAULT_PPC_SCHEDULE, old_level_kva=3.45)
-    assert caps == [4.6, 3.45]
-
-
-def _screened(prob: DispatchProblem, below_kva: float) -> list[float]:
-    """The levels under ``below_kva`` that select_ppc's screen skips for ``prob``."""
-    z_peak = float(np.max(prob.scenario.z))
-    return [lv.kva for lv in DEFAULT_PPC_SCHEDULE.levels
-            if lv.kva < below_kva and optimizer._unholdable(prob.scenario, prob.spec, lv.kva, z_peak)]
-
-
-def test_every_panel_level_the_screen_skips_fails_on_both_routes(panel):
-    # the screen only saves solves: each level below the current one that it
-    # skips, both forward routes reject
-    skipped = 0
-    for (case, name), entry in panel.items():
-        prob = entry.selection.problem
-        for kva in _screened(prob, entry.selection.old_level.kva):
-            for forward in FORWARD_ROUTES.values():
-                with pytest.raises(InfeasibleDispatchError):
-                    _solve(replace(prob, p_max_set=kva), forward)
-            skipped += 1
-    assert skipped == 70  # every level below the chosen one: each pair is solved once
+    assert solved_caps == [4.6, 3.45]
 
 
 def test_the_screen_skips_only_caps_the_solver_rejects():
@@ -781,19 +759,12 @@ def test_the_screen_skips_only_caps_the_solver_rejects():
     assert min(counts.values()) > 200
 
 
-def test_the_30_day_sweep_solves_once_per_pair(scenarios, catalog, monkeypatch):
-    # every level below the chosen one is skipped, so no solve is infeasible
-    calls = []
-
-    def counted(p):
-        calls.append(p.p_max_set)
-        return solve_dispatch(p)
-
-    monkeypatch.setattr(optimizer, "solve_dispatch", counted)
+def test_the_30_day_sweep_solves_once_per_pair(scenarios, catalog, solved_caps):
+    # the screen skips every level below the chosen one, so no solve is infeasible
     for scenario in scenarios.values():
         for spec in catalog:
             select_ppc(DispatchProblem(scenario, spec), DEFAULT_PPC_SCHEDULE)
-    assert len(calls) == 36
+    assert len(solved_caps) == 36
 
 
 # --------------------------------------------------------- panel regressions
