@@ -580,9 +580,10 @@ def _unholdable(scenario: ScenarioSeries, spec: BatterySpec, cap_kw: float, z_pe
     tests; ``z_peak`` is the scenario's largest net load z_i (kWh).
 
     - A stuck step: the solver fails a step whose largest move under the
-      cap lies below its discharge ramp, and the peak step has the least
-      room. The test takes _pieces' float operations and the solver's
-      _DUST margin.
+      cap, (cap·h − z_i)/eta_dis when negative, lies more than _DUST below
+      the discharge ramp. That move is least at the peak step, and the
+      test takes _pieces' float operations, so it fires exactly when the
+      solver's stuck-step test does.
     - An overdrawn run: a step with z_i > cap·h cannot charge and must
       discharge (z_i − cap·h)/eta_dis, so a run of consecutive such steps
       draws their sum from storage. The solver forgives up to _DUST at each
@@ -590,9 +591,7 @@ def _unholdable(scenario: ScenarioSeries, spec: BatterySpec, cap_kw: float, z_pe
       when it needs more than b_max − b_min plus twice _DUST per step.
     """
     h = scenario.h
-    head = cap_kw * h - z_peak
-    hi_x = min(spec.delta_max_kw * h, head * spec.eta_ch if head >= 0 else head / spec.eta_dis)
-    if hi_x < spec.delta_min_kw * h - _DUST:
+    if (cap_kw * h - z_peak) / spec.eta_dis < spec.delta_min_kw * h - _DUST:
         return True
     over = np.maximum(scenario.z - cap_kw * h, 0.0)
     runs = np.flatnonzero(np.diff(over > 0.0, prepend=False, append=False)).reshape(-1, 2)

@@ -732,9 +732,10 @@ def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(solved_caps):
 
 def test_the_screen_skips_only_caps_the_solver_rejects():
     # Caps around each random instance's peak, three of them at the edge of
-    # the discharge reach. Where _pieces leaves a step no move, the screen
-    # skips the cap; the old discharge-reach rule skipped no cap it keeps;
-    # and every cap it skips fails on both forward routes.
+    # the discharge reach (the peak less eta_dis times the discharge power).
+    # The screen skips every cap where _pieces leaves some step no move and
+    # every cap more than _DUST/h below the reach, and each cap it skips
+    # fails on both forward routes.
     rng = np.random.default_rng(26)
     counts = {True: 0, False: 0}
     for _ in range(200):
