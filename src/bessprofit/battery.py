@@ -75,6 +75,9 @@ class BatterySpec:
         # finite factors can still overflow: 2C of 1e308 kWh is inf kW
         if not (math.isfinite(self.delta_max_kw) and math.isfinite(self.delta_min_kw)):
             raise ConfigError("C-rate times b_rated must be finite")
+        # and so can the costs: two costs of 1e308 €/kWh sum to inf
+        if not (math.isfinite(self.c_cyc) and math.isfinite(self.b_cost)):
+            raise ConfigError("costs per cycle and times b_rated must be finite")
 
     @property
     def delta_max_kw(self) -> float:

@@ -63,7 +63,7 @@ __all__ = [
 DEFAULT_EPSILON = 1e-6  # €/kWh tie-break on battery movement
 _DUST = 1e-12  # kWh; solver residue below this is treated as zero
 # scan/list-DP route rule in distinct slopes. At 576-864 steps the list DP
-# wins from about 22; moving the rule changes how the inputs between round.
+# wins from about 40-50; moving the rule changes how the inputs between round.
 _SCAN_MAX_SLOPES = 48
 
 
@@ -269,9 +269,10 @@ def _solve(prob: DispatchProblem, forward=None) -> DispatchSolution:
     scenario, spec = prob.scenario, prob.spec
     n, z = scenario.n, scenario.z
     lo_x, hi_x, start, length, slope = steps = _pieces(prob)
-    if forward is None:
-        forward = _scan_forward if _distinct(slope).size <= _SCAN_MAX_SLOPES else _list_forward
-    b_i, q = forward(prob, *steps)
+    if forward is None and (slopes := _distinct(slope)).size <= _SCAN_MAX_SLOPES:
+        b_i, q = _scan_forward(prob, *steps, slopes)
+    else:
+        b_i, q = (forward or _list_forward)(prob, *steps)
 
     # x_i = l + Σ_j clip(b_i − q_j, 0, len_j), the top, mid and bottom
     # pieces in that order
@@ -317,7 +318,7 @@ def _pieces(prob: DispatchProblem):
     bottom pieces as (3, n) start, length and slope arrays, in that order;
     an absent piece has length 0."""
     scenario, spec = prob.scenario, prob.spec
-    h, z = scenario.h, scenario.z
+    n, h, z, price = scenario.n, scenario.h, scenario.z, scenario.price
     a_ch = 1.0 / (spec.eta_ch * prob.eta_fric)
     a_dis = spec.eta_dis * prob.eta_fric
 
@@ -326,14 +327,25 @@ def _pieces(prob: DispatchProblem):
     head = prob.p_max_set * h - z
     hi_x = np.minimum(spec.delta_max_kw * h, np.where(head >= 0, head * spec.eta_ch, head / spec.eta_dis))
 
-    # f_i's kinks are x = 0 and the billing kink where z_i + s_fric(x) = 0
+    # f_i's kinks are x = 0 and the billing kink where z_i + s_fric(x) = 0;
+    # the top piece starts at the higher kink and the middle one at the
+    # lower, each clipped to [lo_x, hi_x_i]
     eps = float(prob.epsilon)
-    kinks = np.where(z > 0.0, -z / a_dis, -z / a_ch)
-    low, high = np.minimum(kinks, 0.0), np.maximum(kinks, 0.0)
-    start = np.maximum(np.stack((high, low, np.full(scenario.n, lo_x))), lo_x)
-    end = np.minimum(np.stack((hi_x, high, low)), hi_x)
-    mid = np.where(z > 0.0, scenario.price * a_dis - eps, eps)
-    slope = np.stack((scenario.price * a_ch + eps, mid, np.full(scenario.n, -eps)))
+    imports = z > 0.0
+    kinks = -z / np.where(imports, a_dis, a_ch)
+    start, end, slope = np.empty((3, 3, n))
+    np.maximum(kinks, 0.0, out=end[1])
+    np.minimum(kinks, 0.0, out=end[2])
+    np.maximum(end[1:], lo_x, out=start[:2])
+    start[2] = lo_x
+    end[0] = hi_x
+    np.minimum(end[1:], hi_x, out=end[1:])
+    np.multiply(price, a_ch, out=slope[0])
+    slope[0] += eps
+    np.multiply(price, a_dis, out=slope[1])
+    slope[1] -= eps
+    np.copyto(slope[1], eps, where=~imports)
+    slope[2] = -eps
     return lo_x, hi_x, start, np.where(end > start, end - start, 0.0), slope
 
 
@@ -463,44 +475,91 @@ def _list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
     return lo + sum(lens[: bisect_left(slopes, 0.0)]), q
 
 
-def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
+def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slopes=None):
     """The slope-domain scan: G_i(σ) for σ in {−∞, every slope, 0, +∞},
-    each column a clip-map recursion. Returns the final SoC and the q_j
-    of each piece, as in _pieces."""
-    spec, n, b_max = prob.spec, prob.scenario.n, prob.spec.b_max
-    cols = _distinct(np.concatenate((slope.ravel(), (-np.inf, 0.0, np.inf))))
-    f = lo_x + sum(len_j[:, None] * (slope_j[:, None] < cols) for len_j, slope_j in zip(length, slope))
+    each column a clip-map recursion. ``slopes`` is _distinct(slope),
+    when the caller has it. Returns the final SoC and the q_j of each
+    piece, as in _pieces.
+
+    The steps run in blocks of about √(n/2), the last one padded. The
+    increments f_i(σ) are stored step-major: a[k] is the contiguous
+    (C, blocks) slab of step k of every block, so each prefix step reads
+    and writes whole slabs. Every element sees the float operations of a
+    block-major scan, in the same order."""
+    spec, n, b_0, b_max = prob.spec, prob.scenario.n, prob.spec.b_0, prob.spec.b_max
+    if slopes is None:
+        slopes = _distinct(slope)
+    cols = _distinct(np.concatenate((slopes, (-np.inf, 0.0, np.inf))))
+    c = cols.size
+    size = max(1, math.isqrt(n // 2))
+    blocks = -(-n // size)
+    m = blocks * size  # the padded tail steps are discarded
+
+    # f_i(σ) = lo_x + the lengths of f_i's pieces with slope below σ,
+    # summed top, mid, bottom; a row per σ, and a padded step has no
+    # pieces. Every bottom piece has the slope −eps.
+    pad = np.zeros((2, 3, m))
+    pad[0, :, :n], pad[1, :, :n] = length, slope
+    f = np.empty((c, m))
+    term = np.empty_like(f)
+    col = cols[:, None]
+    np.less(pad[1, 0], col, out=f)
+    f *= pad[0, 0]
+    np.less(pad[1, 1], col, out=term)
+    term *= pad[0, 1]
+    f += term
+    np.multiply(slope[2, 0] < col, pad[0, 2], out=term)
+    f += term
+    f += lo_x
     floor = np.full(n, spec.b_min)
-    floor[-1] = spec.b_0 if prob.terminal_soc else spec.b_min
+    floor[-1] = b_0 if prob.terminal_soc else spec.b_min
 
     # The map y ↦ clip(y + a, lo, hi) followed by (a2, l2, u2) is
     # (a + a2, clip(lo + a2, l2, u2), clip(hi + a2, l2, u2)). Compose the
-    # prefix maps within blocks of about √(n/2) steps, carry the SoC across
-    # the blocks in turn, then apply every prefix map to its block's entry.
-    size = max(1, math.isqrt(n // 2))
-    m = -(-n // size) * size  # the padded tail steps are discarded
-    a = np.concatenate((f, np.zeros((m - n, cols.size)))).reshape(-1, size, 1, cols.size)
-    l_step = np.resize(floor, m).reshape(-1, size, 1, 1)
-    bounds = np.empty((a.shape[0], size, 2, cols.size))  # lo and hi of each prefix map
-    bounds[:, 0, 0], bounds[:, 0, 1] = l_step[:, 0, 0], b_max
-    for k in range(1, size):
-        np.minimum(np.maximum(bounds[:, k - 1] + a[:, k], l_step[:, k]), b_max, out=bounds[:, k])
-        a[:, k] += a[:, k - 1]
-    entry = np.empty((a.shape[0], 1, 1, cols.size))
-    y = np.full(cols.size, spec.b_0)
-    for blk, (a_blk, (lo, hi)) in enumerate(zip(a[:, -1, 0], bounds[:, -1])):
-        entry[blk] = y
-        y = np.minimum(np.maximum(y + a_blk, lo), hi)
-    g = np.minimum(np.maximum(entry + a, bounds[:, :, :1]), bounds[:, :, 1:]).reshape(m, -1)
-    g_prev = np.vstack((np.full(cols.size, spec.b_0), g[: n - 1]))
+    # prefix maps within the blocks, carry the SoC across the blocks in
+    # turn, then apply every prefix map to its block's entry.
+    a = f.reshape(c, blocks, size).transpose(2, 0, 1).copy()  # a[k, σ, block]
+    lows = [spec.b_min] * size  # the floor of step k of every block
+    if prob.terminal_soc:
+        lows[(n - 1) % size] = np.where(np.arange(blocks) < blocks - 1, spec.b_min, b_0)
+    bounds = np.empty((size, 2, c, blocks))  # lo and hi of each prefix map
+    bounds[0, 0], bounds[0, 1] = lows[0], b_max
+    steps = list(a)
+    for lo_hi, cur, a_prev, a_k, low in zip(bounds, bounds[1:], steps, steps[1:], lows[1:]):
+        np.add(lo_hi, a_k, out=cur)
+        np.maximum(cur, low, out=cur)
+        np.minimum(cur, b_max, out=cur)
+        np.add(a_k, a_prev, out=a_k)
+    entry = np.empty((blocks, c))
+    entry[0] = b_0
+    ys = list(entry)
+    for y, y_next, a_blk, lo, hi in zip(ys, ys[1:], a[-1].T, bounds[-1, 0].T, bounds[-1, 1].T):
+        np.add(y, a_blk, out=y_next)
+        np.maximum(y_next, lo, out=y_next)
+        np.minimum(y_next, hi, out=y_next)
+    g = a  # G_i, in place of the prefix sums
+    np.add(entry.T, a, out=g)
+    np.maximum(g, bounds[:, 0], out=g)
+    np.minimum(g, bounds[:, 1], out=g)
 
+    # G_{i-1} at σ = −∞, +∞ and at each piece's slope; step i is step
+    # i % size of block i // size
+    at = (np.arange(size) * (c * blocks) + np.arange(blocks)[:, None]).ravel()[:n]
+    prev = at[:-1]
+    g_prev = np.empty((2, n))
+    g_prev[:, 0] = b_0
+    g.take(prev, out=g_prev[0, 1:])
+    g.take(prev + (c - 1) * blocks, out=g_prev[1, 1:])
     # the first step with no move, or whose pre-clip domain misses the box
-    bad = ((hi_x < lo_x - _DUST) | (g_prev[:, -1] + f[:, -1] < floor - _DUST)
-           | (g_prev[:, 0] + f[:, 0] > b_max + _DUST))
+    bad = ((hi_x < lo_x - _DUST) | (g_prev[1] + f[-1, :n] < floor - _DUST)
+           | (g_prev[0] + f[0, :n] > b_max + _DUST))
     if bad.any():
         raise _unreachable(prob, int(bad.argmax()))
-    q = g_prev[np.arange(n), np.searchsorted(cols, slope)] + start
-    return g[n - 1, np.searchsorted(cols, 0.0)], q.tolist()
+    q = np.empty((3, n))
+    q[:, 0] = b_0
+    g.take(prev + np.searchsorted(cols, slope[:, 1:]) * blocks, out=q[:, 1:])
+    q += start
+    return float(g.take(at[-1] + np.searchsorted(cols, 0.0) * blocks)), q.tolist()
 
 
 def _unreachable(prob: DispatchProblem, step: int) -> InfeasibleDispatchError:

@@ -148,6 +148,13 @@ def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
     on the with-battery net load z + s. A non-positive total gain yields
     an infinite payback and an unprofitable verdict.
     """
+    return _score(selection, dispatch, conventions,
+                  _cycles_of(dispatch, selection.problem.spec, conventions))
+
+
+def _score(selection: PpcSelection, dispatch: DispatchSolution, conventions: Conventions,
+           n_cyc: float) -> ProfitabilityReport:
+    """``evaluate`` with the dispatch's cycle count already taken."""
     scenario, spec = selection.problem.scenario, selection.problem.spec
     base = scenario.baseline
 
@@ -155,7 +162,6 @@ def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
     g_pd = selection.g_pd
     g_t = g_arb + g_pd
 
-    n_cyc = _cycles_of(dispatch, spec, conventions)
     # gain per cycle per kWh (0 without cycles) minus the cost of one
     p_cyc = (g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0) - spec.c_cyc
 
@@ -250,11 +256,12 @@ def tune_friction(
     untuned_report, selection = evaluate_candidate(scenario, spec, ppc, untuned)
     samples = [(1.0, untuned_report.n_cyc_100)]  # (eta_fric, cycles) of every solve
 
-    def result(eta: float, dispatch: DispatchSolution, warning: str | None,
+    def result(eta: float, dispatch: DispatchSolution, cycles: float, warning: str | None,
                report: ProfitabilityReport | None = None) -> TuningResult:
+        # scored with the search's own cycle count, so each solve is counted once
         return TuningResult(
             eta_fric=eta,
-            report=report or evaluate(selection, dispatch, conventions),
+            report=report or _score(selection, dispatch, conventions, cycles),
             dispatch=dispatch,
             untuned_report=untuned_report,
             untuned_dispatch=selection.dispatch,
@@ -264,7 +271,7 @@ def tune_friction(
         )
 
     if untuned_report.n_cyc_100 <= target_cycles + CYCLE_TOL:
-        return result(1.0, selection.dispatch, None, untuned_report)
+        return result(1.0, selection.dispatch, untuned_report.n_cyc_100, None, untuned_report)
 
     lo, hi = ETA_MIN, 1.0
     best: tuple[float, DispatchSolution, float] | None = None  # most cycles under budget
@@ -282,11 +289,11 @@ def tune_friction(
         cycles = _cycles_of(dispatch, spec, conventions)
         samples.append((eta, cycles))
         if abs(cycles - target_cycles) <= CYCLE_TOL:
-            return result(eta, dispatch, None)
+            return result(eta, dispatch, cycles, None)
         if cycles > target_cycles:
             if best is None:
-                return result(eta, dispatch, f"cycle budget {target_cycles:.2f} unreachable: "
-                                             f"{cycles:.2f} cycles at eta_fric = {eta}")
+                return result(eta, dispatch, cycles, f"cycle budget {target_cycles:.2f} unreachable: "
+                                                     f"{cycles:.2f} cycles at eta_fric = {eta}")
             hi = eta
         else:
             lo = eta
@@ -302,4 +309,4 @@ def tune_friction(
     by_eta = [c for _, c in sorted(samples)]
     if any(peak > c + CYCLE_TOL for peak, c in zip(accumulate(by_eta, max), by_eta[1:])):
         warning += "; cycle count was not monotone in eta_fric"
-    return result(eta, dispatch, warning)
+    return result(eta, dispatch, cycles, warning)

@@ -6,8 +6,9 @@ tests, the per-row fixture writer and NumPy-scalar AR(1) noise that the
 fixture generator is held to, a seeded generator of small dispatch
 instances, the two references the solver is held to (the LP solve and
 the grid dynamic-programming oracle), a list DP that merges every piece
-before its clip, the billing recomputed from a dispatch's arrays,
-and the environment for running the CLI as a subprocess.
+before its clip, the block-major slope-domain scan, the billing
+recomputed from a dispatch's arrays, and the environment for running the
+CLI as a subprocess.
 Random instances come with per-step prices or, repriced by
 ``tariff_priced``, with a two-period tariff.
 """
@@ -15,6 +16,7 @@ Random instances come with per-step prices or, repriced by
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -30,7 +32,7 @@ from bessprofit.battery import make_spec
 from bessprofit.cycles import DamageModel, count_cycles
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.fixtures import FIXTURE_NAMES, fixture_arrays
-from bessprofit.optimizer import _DUST, DispatchProblem, DispatchSolution, _unreachable, build_lp
+from bessprofit.optimizer import _DUST, DispatchProblem, DispatchSolution, _distinct, _unreachable, build_lp
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries, TariffPeriod, TariffSchedule
 
 H = 1.0 / 12.0  # fixture sample spacing, hours
@@ -240,6 +242,48 @@ def reference_list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slo
             if lo > b_max:  # a domain within _DUST above the box
                 lo = b_max
     return lo + sum(lens[: bisect_left(slopes, 0.0)]), q
+
+
+def reference_scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
+    """The slope-domain scan as it was first vectorised, block-major with
+    strided per-step views: the reference the solver's step-major
+    _scan_forward is held to bit for bit. G_i(σ) for σ in {−∞, every
+    slope, 0, +∞}, each column a clip-map recursion. Returns the final SoC
+    and the q_j of each piece, as in _pieces."""
+    spec, n, b_max = prob.spec, prob.scenario.n, prob.spec.b_max
+    cols = _distinct(np.concatenate((slope.ravel(), (-np.inf, 0.0, np.inf))))
+    f = lo_x + sum(len_j[:, None] * (slope_j[:, None] < cols) for len_j, slope_j in zip(length, slope))
+    floor = np.full(n, spec.b_min)
+    floor[-1] = spec.b_0 if prob.terminal_soc else spec.b_min
+
+    # The map y ↦ clip(y + a, lo, hi) followed by (a2, l2, u2) is
+    # (a + a2, clip(lo + a2, l2, u2), clip(hi + a2, l2, u2)). Compose the
+    # prefix maps within blocks of about √(n/2) steps, carry the SoC across
+    # the blocks in turn, then apply every prefix map to its block's entry.
+    size = max(1, math.isqrt(n // 2))
+    m = -(-n // size) * size  # the padded tail steps are discarded
+    a = np.concatenate((f, np.zeros((m - n, cols.size)))).reshape(-1, size, 1, cols.size)
+    l_step = np.resize(floor, m).reshape(-1, size, 1, 1)
+    bounds = np.empty((a.shape[0], size, 2, cols.size))  # lo and hi of each prefix map
+    bounds[:, 0, 0], bounds[:, 0, 1] = l_step[:, 0, 0], b_max
+    for k in range(1, size):
+        np.minimum(np.maximum(bounds[:, k - 1] + a[:, k], l_step[:, k]), b_max, out=bounds[:, k])
+        a[:, k] += a[:, k - 1]
+    entry = np.empty((a.shape[0], 1, 1, cols.size))
+    y = np.full(cols.size, spec.b_0)
+    for blk, (a_blk, (lo, hi)) in enumerate(zip(a[:, -1, 0], bounds[:, -1])):
+        entry[blk] = y
+        y = np.minimum(np.maximum(y + a_blk, lo), hi)
+    g = np.minimum(np.maximum(entry + a, bounds[:, :, :1]), bounds[:, :, 1:]).reshape(m, -1)
+    g_prev = np.vstack((np.full(cols.size, spec.b_0), g[: n - 1]))
+
+    # the first step with no move, or whose pre-clip domain misses the box
+    bad = ((hi_x < lo_x - _DUST) | (g_prev[:, -1] + f[:, -1] < floor - _DUST)
+           | (g_prev[:, 0] + f[:, 0] > b_max + _DUST))
+    if bad.any():
+        raise _unreachable(prob, int(bad.argmax()))
+    q = g_prev[np.arange(n), np.searchsorted(cols, slope)] + start
+    return g[n - 1, np.searchsorted(cols, 0.0)], q.tolist()
 
 
 def dp_gap_bound(prob: DispatchProblem, grid: float = DP_GRID) -> float:

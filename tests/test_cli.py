@@ -564,6 +564,19 @@ FAILURES = [
          "error: bad catalog entry {'name': 'x', 'b_rated_kwh': 1e+308, 'charge_rate_c': 2, "
          "'discharge_rate_c': 1}: C-rate times b_rated must be finite",
          {"bad.json": json.dumps({"batteries": [_battery_entry(b_rated_kwh=1e308, charge_rate_c=2)]})}),
+    # finite costs whose sum overflows, so that p_cyc would print as -inf
+    _row("overflowing-cycle-cost", ["evaluate", "c1.csv", "--battery", "x", "--catalog", "bad.json"],
+         "error: bad catalog entry {'name': 'x', 'b_rated_kwh': 1, 'charge_rate_c': 1, 'discharge_rate_c': 1, "
+         "'cost_per_kwh': 1e+308, 'inverter_cost_per_kwh': 1e+308}: costs per cycle and times b_rated must "
+         "be finite",
+         {"bad.json": json.dumps({"batteries": [_battery_entry(cost_per_kwh=1e308, inverter_cost_per_kwh=1e308)]})}),
+    # 1e300 €/kWh is a finite cost, but not for 1e10 kWh
+    _row("overflowing-unit-cost", ["evaluate", "c1.csv", "--battery", "x", "--catalog", "bad.json"],
+         "error: bad catalog entry {'name': 'x', 'b_rated_kwh': 10000000000.0, 'charge_rate_c': 1, "
+         "'discharge_rate_c': 1, 'cost_per_kwh': 1e+300, 'inverter_cost_per_kwh': 0}: costs per cycle and "
+         "times b_rated must be finite",
+         {"bad.json": json.dumps({"batteries": [_battery_entry(b_rated_kwh=1e10, cost_per_kwh=1e300,
+                                                               inverter_cost_per_kwh=0)]})}),
     _row("unreadable-tariff-file", [*_EVALUATE, "--tariff", "tariff.json"],
          "error: cannot read tariff file tariff.json: ...", {"tariff.json": "{not json"}),
     _row("non-utf8-tariff", [*_EVALUATE, "--tariff", "t.json"],

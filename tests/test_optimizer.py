@@ -51,6 +51,7 @@ from _support import (
     noisy_price_slice,
     random_dispatch_instance,
     reference_list_forward,
+    reference_scan_forward,
     scenario_from_fixture,
     tariff_priced,
 )
@@ -221,6 +222,54 @@ def test_list_dp_matches_its_reference_bit_for_bit():
         assert outcome(_list_forward, prob) == want, k
         failed += isinstance(want[0], str)
     assert 0 < failed < len(probs) / 4
+
+
+def test_scan_matches_its_reference_bit_for_bit():
+    # The scan stores its increments step-major. It must give the final SoC
+    # and every q_j of the block-major reference float for float, and fail
+    # at the same step with the same message. Each tariff-priced draw runs
+    # as drawn, under terminal_soc, at eps = 0, with a zero SoC floor and a
+    # zero discharge rate (so that -0.0 meets +0.0), and at two caps: one
+    # that takes away 60-120 % of the discharge power from the baseline
+    # peak, of which about half fail, and a zero cap. Every other window is
+    # cut or tiled to 1, 2, 3 or 7 steps or to a length that leaves the
+    # last block short.
+    def outcome(forward, prob):
+        try:
+            return forward(prob, *optimizer._pieces(prob))
+        except InfeasibleDispatchError as exc:
+            return str(exc), exc.step
+
+    def resized(prob, n):
+        scenario = prob.scenario
+        reps = -(-n // scenario.n)
+        load, pv, price = (np.tile(v, reps)[:n] for v in (scenario.load, scenario.pv, scenario.price))
+        return replace(prob, scenario=replace(scenario, load=load, pv=pv, price=price))
+
+    rng = np.random.default_rng(2704)
+    probs = []
+    for k in range(100):
+        drawn = random_dispatch_instance(rng)
+        n = int(rng.choice([1, 2, 3, 7, 11, 23, 97, 131, 250])) if k % 2 else drawn.scenario.n
+        prob = resized(tariff_priced(drawn, rng), n)
+        spec = prob.spec
+        peak = float(np.max(prob.scenario.z)) / prob.scenario.h
+        cap = max(0.0, peak + spec.delta_min_kw * float(rng.uniform(0.6, 1.2)))
+        probs += [prob] + [replace(prob, **changes) for changes in (
+            {"terminal_soc": True},
+            {"epsilon": 0.0},
+            {"spec": replace(spec, b_min=0.0, b_0=0.0, discharge_rate_c=0.0), "epsilon": 0.0},
+            {"spec": replace(spec, b_min=0.0), "terminal_soc": True},
+            {"p_max_set": cap},
+            {"p_max_set": 0.0},
+        )]
+    failed = 0
+    for k, prob in enumerate(probs):
+        assert optimizer._distinct(prob.scenario.price).size <= 2
+        want = outcome(reference_scan_forward, prob)
+        assert outcome(_scan_forward, prob) == want, k
+        failed += isinstance(want[0], str)
+    assert 0 < failed < len(probs) / 2
 
 
 def test_panel_routes_print_the_same_reports(panel):

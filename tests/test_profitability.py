@@ -342,15 +342,29 @@ class TestFrictionTuning:
         # on the jump without landing within CYCLE_TOL, so the bracket scan
         # runs and the under-budget sample with the most cycles wins, the
         # largest coefficient among equal counts.
+        counted = []
         monkeypatch.setattr(profitability, "_cycles_of",
-                            lambda dispatch, spec, conventions: cycles_at(dispatch.eta_fric))
+                            lambda dispatch, spec, conventions: counted.append(dispatch)
+                            or cycles_at(dispatch.eta_fric))
         scenario = mini_scenario(np.full(24, 0.5), np.full(24, 0.2), name="stub")
         res = tune_friction(scenario, make_spec("1kwh-1c", 1.0, 1.0, 1.0),
                             DEFAULT_PPC_SCHEDULE, target_cycles=15.0)
         assert eta_range[0] < res.eta_fric <= eta_range[1]
         assert res.n_solves == 21  # untuned, ETA_MIN, 14 bisection steps, 5 scan points
+        assert len(counted) == 21  # the fallback is scored with its sampled count
         assert res.warning.startswith("bisection finished")
         assert res.warning.endswith("cycle count was not monotone in eta_fric") != monotone
+
+    def test_each_solve_counts_its_cycles_once(self, monkeypatch, noisy, by_name):
+        # a budget met, one unreachable and one already kept: the returned
+        # dispatch is scored with the count the search took of it
+        calls = []
+        monkeypatch.setattr(profitability, "count_cycles",
+                            lambda *args: calls.append(args) or count_cycles(*args))
+        for target, solves in ((None, 5), (0.2, 2), (40.0, 1)):
+            calls.clear()
+            res = tune_friction(noisy, by_name["2kwh-1c"], DEFAULT_PPC_SCHEDULE, target_cycles=target)
+            assert res.n_solves == len(calls) == solves, target
 
     def test_non_positive_target_is_rejected(self, noisy, by_name):
         for target in (0.0, -3.0, math.nan, math.inf):  # non-finite ones too
