@@ -48,7 +48,6 @@ from .timeseries import (
     load_ppc,
     load_scenario,
     load_tariff,
-    peak_import_kw,
 )
 
 __version__ = "0.1.0"

@@ -114,10 +114,6 @@ class DispatchSolution:
     def x(self) -> np.ndarray:
         return self.x_plus - self.x_minus
 
-    def soc_trajectory(self, b_0: float) -> np.ndarray:
-        """SoC including the initial state, for cycle counting."""
-        return np.concatenate(([b_0], self.b))
-
 
 def _theta_upper_bounds(prob: DispatchProblem, z: np.ndarray) -> np.ndarray:
     # theta never needs to exceed the largest possible billing RHS, and a

@@ -134,7 +134,7 @@ def _expected_payback_years(
 
 def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, conventions: Conventions) -> float:
     model = DamageModel(kp=conventions.damage_exp)
-    return count_cycles(dispatch.soc_trajectory(spec.b_0), spec.b_rated, model)
+    return count_cycles(np.concatenate(([spec.b_0], dispatch.b)), spec.b_rated, model)
 
 
 def evaluate(selection: PpcSelection, dispatch: DispatchSolution,
@@ -212,7 +212,6 @@ class TuningResult:
     report: ProfitabilityReport
     dispatch: DispatchSolution
     untuned_report: ProfitabilityReport
-    untuned_dispatch: DispatchSolution
     target_cycles: float
     warning: str | None
     n_solves: int
@@ -264,7 +263,6 @@ def tune_friction(
             report=report or _score(selection, dispatch, conventions, cycles),
             dispatch=dispatch,
             untuned_report=untuned_report,
-            untuned_dispatch=selection.dispatch,
             target_cycles=target_cycles,
             warning=warning,
             n_solves=len(samples),

@@ -35,7 +35,6 @@ __all__ = [
     "load_ppc",
     "load_scenario",
     "baseline_metrics",
-    "peak_import_kw",
 ]
 
 MINUTES_PER_DAY = 1440
@@ -101,7 +100,7 @@ def read_config(path: str | Path, kind: str, top: dict, list_key: str, fields: d
     names the file, as "{kind} file {path}", and the key.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     # ValueError: not JSON, not UTF-8, or an integer past the digit limit
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
@@ -359,11 +358,6 @@ def baseline_metrics(s: ScenarioSeries, storage: np.ndarray | None = None) -> Ba
     return BaselineMetrics(ss=ss, waste=waste, energy_cost=energy_cost)
 
 
-def peak_import_kw(s: ScenarioSeries) -> float:
-    """Peak net-load power max_i(z_i/h) over the window, in kW."""
-    return float(np.max(s.z)) / s.h
-
-
 def load_scenario(
     path: str | Path,
     h: float | None = None,
@@ -390,7 +384,7 @@ def load_scenario(
     pv_w: list[float] = []
     linenos: list[int] = []  # file line of each kept row, for errors found after the parse
 
-    with open(path, "r", encoding="utf-8", newline="") as stream:
+    with open(path, "r", encoding="utf-8-sig", newline="") as stream:
         reader = csv.reader(stream)
         try:
             # leading '#' lines are generator provenance, not data

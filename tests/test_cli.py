@@ -239,15 +239,32 @@ class TestEvaluateCommand:
         scenario = load_scenario(fixture_dir / "c1.csv")
         spec = catalog_by_name(default_catalog())["2kwh-1c"]
         dispatch = evaluate_candidate(scenario, spec, DEFAULT_PPC_SCHEDULE, Conventions())[1].dispatch
-        z, x, s, theta, price = scenario.z, dispatch.x, dispatch.s, dispatch.theta, scenario.price
-        soc = dispatch.soc_trajectory(spec.b_0)
+        z, x, s, b, theta = scenario.z, dispatch.x, dispatch.s, dispatch.b, dispatch.theta
         expected = [
-            f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{s[i]:.6f},{soc[i + 1]:.6f},"
-            f"{theta[i]:.6f},{price[i]:.4f}"
+            f"{stamp.isoformat()},{z[i]:.6f},{x[i]:.6f},{s[i]:.6f},{b[i]:.6f},"
+            f"{theta[i]:.6f},{scenario.price[i]:.4f}"
             for i, stamp in enumerate(step_times(scenario))
         ]
         steps = data_lines((out / "c1-2kwh-1c-dispatch.csv").read_text())
         assert steps[1:] == expected
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, fixture_dir, capsys):
+        # spreadsheet "CSV UTF-8" exports start with the UTF-8 byte-order mark;
+        # a scenario and a tariff file that carry one read as the files without
+        lines = (fixture_dir / "c1.csv").read_bytes().splitlines(keepends=True)
+        plain = {"c1.csv": b"".join(lines[: 3 + 3 * 288]), "t.json": spread_tariff(tmp_path).read_bytes()}
+        rows = {}
+        for mark in (b"", b"\xef\xbb\xbf"):
+            root = tmp_path / ("bom" if mark else "plain")
+            root.mkdir()
+            for name, blob in plain.items():
+                (root / name).write_bytes(mark + blob)
+            argv = ["evaluate", str(root / "c1.csv"), "--battery", "2kwh-1c",
+                    "--tariff", str(root / "t.json"), "--out", str(root / "out")]
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            rows[mark] = [data_lines((root / "out" / f"c1-2kwh-1c-{kind}.csv").read_text())
+                          for kind in ("report", "dispatch")]
+        assert rows[b"\xef\xbb\xbf"] == rows[b""]
 
     def test_convention_flags_are_echoed(self, tmp_path, fixture_dir):
         out = tmp_path / "out"

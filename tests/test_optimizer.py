@@ -36,7 +36,7 @@ from bessprofit.optimizer import (
 )
 from bessprofit.profitability import ETA_MIN, Conventions, evaluate
 from bessprofit.report import ReportHeader, render_csv
-from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, baseline_metrics, peak_import_kw
+from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, baseline_metrics
 
 from _support import (
     DP_GRID,
@@ -101,7 +101,7 @@ def assert_routes_agree(prob: DispatchProblem, label: str) -> bool:
         assert isinstance(sol, DispatchSolution), f"{where}: the LP is feasible"
         assert dispatch_objective(prob, sol) == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), where
         if prob.epsilon > 0:
-            assert linear_cycles(sol.soc_trajectory(prob.spec.b_0), b_rated) == pytest.approx(
+            assert linear_cycles(np.concatenate(([prob.spec.b_0], sol.b)), b_rated) == pytest.approx(
                 linear_cycles(ref.soc, b_rated), abs=1e-9
             ), where
 
@@ -136,7 +136,7 @@ def test_panel_dispatches_match_the_lp_at_the_selected_caps(panel):
             ref.objective, rel=1e-9, abs=1e-12
         ), (case, name)
         b_rated = entry.spec.b_rated
-        assert linear_cycles(entry.dispatch.soc_trajectory(entry.spec.b_0), b_rated) == (
+        assert linear_cycles(np.concatenate(([entry.spec.b_0], entry.dispatch.b)), b_rated) == (
             pytest.approx(linear_cycles(ref.soc, b_rated), abs=1e-9)
         ), (case, name)
 
@@ -211,7 +211,7 @@ def test_list_dp_matches_its_reference_bit_for_bit():
             {"p_max_set": 0.0},
         )]
     day = noisy_price_slice(days=1)
-    cap = 0.7 * peak_import_kw(day)  # about half the catalog holds it
+    cap = 0.7 * float(np.max(day.z)) / day.h  # about half the catalog holds it
     for spec in default_catalog():
         for eta in (1.0, 0.5005, ETA_MIN):
             probs += [DispatchProblem(day, spec, eta_fric=eta),
@@ -752,7 +752,7 @@ def test_select_ppc_tries_no_level_below_the_discharge_reach(scenarios, catalog,
     spec = next(spec for spec in catalog if spec.name == name)
     prob = DispatchProblem(scenarios["c3"], spec)
     for kva in skipped:
-        assert peak_import_kw(prob.scenario) + spec.delta_min_kw <= kva
+        assert float(np.max(prob.scenario.z)) / prob.scenario.h + spec.delta_min_kw <= kva
         with pytest.raises(InfeasibleDispatchError):
             solve_dispatch(replace(prob, p_max_set=kva))
     res = select_ppc(prob, DEFAULT_PPC_SCHEDULE)
@@ -768,7 +768,7 @@ def test_select_ppc_skips_a_level_a_run_above_it_would_overdraw(solved_caps):
     scenario = mini_scenario([0.5, 0.5, 4.2, 4.2, 4.2, 0.5, 0.5, 5.0], np.full(8, 0.2), name="run")
     spec = make_spec("1kwh-2c", 1.0, 2.0, 2.0)
     prob = DispatchProblem(scenario, spec)
-    assert peak_import_kw(scenario) + spec.eta_dis * spec.delta_min_kw < 3.45
+    assert float(np.max(scenario.z)) / scenario.h + spec.eta_dis * spec.delta_min_kw < 3.45
     with pytest.raises(InfeasibleDispatchError):
         solve_dispatch(replace(prob, p_max_set=3.45))
     assert select_ppc(prob, DEFAULT_PPC_SCHEDULE).level.kva == 4.6
@@ -833,10 +833,8 @@ def test_panel_contract_choices(panel):
 
 
 def test_panel_old_levels_cover_baseline_peaks(panel, scenarios):
-    from bessprofit.timeseries import peak_import_kw
-
     for (case, _), entry in panel.items():
-        peak = peak_import_kw(scenarios[case])
+        peak = float(np.max(scenarios[case].z)) / scenarios[case].h
         assert entry.selection.old_level.kva >= peak
         assert entry.selection.level.kva <= entry.selection.old_level.kva
         assert entry.selection.g_pd >= 0.0

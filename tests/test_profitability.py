@@ -151,7 +151,7 @@ class TestPanelIdentities:
     def test_cycle_count_matches_trajectory_recount(self, panel):
         for entry in panel.values():
             recount = count_cycles(
-                entry.dispatch.soc_trajectory(entry.spec.b_0),
+                np.concatenate(([entry.spec.b_0], entry.dispatch.b)),
                 entry.spec.b_rated,
                 DamageModel(),
             )
@@ -262,7 +262,7 @@ class TestFrictionTuning:
         assert abs(rep.n_cyc_100 - res.target_cycles) <= 0.5
         assert rep.n_cyc_100 <= un.n_cyc_100  # tuning never adds cycles
 
-    def test_tuning_trades_gain_for_margin(self, tuned):
+    def test_tuning_trades_gain_for_margin(self, tuned, noisy):
         un, rep = tuned.untuned_report, tuned.report
         assert un.g_t == approx(10.50, abs=0.01)
         assert rep.g_t == approx(6.13, abs=0.01)
@@ -270,9 +270,9 @@ class TestFrictionTuning:
         assert un.p_cyc == approx(-0.0042, abs=1e-3)
         assert rep.p_cyc == approx(0.0172, abs=1e-3)
         assert rep.p_cyc >= un.p_cyc
-        assert tuned.untuned_dispatch.energy_cost == approx(12.4835, abs=0.01)
+        assert noisy.baseline.energy_cost - un.g_arb == approx(12.4835, abs=0.01)
         assert tuned.dispatch.energy_cost == approx(16.8527, abs=0.01)
-        assert tuned.dispatch.energy_cost >= tuned.untuned_dispatch.energy_cost
+        assert rep.g_arb <= un.g_arb  # g_arb = baseline bill - dispatch bill
 
     def test_contract_level_is_fixed_during_the_search(self, tuned):
         assert tuned.report.level_kva == tuned.untuned_report.level_kva
@@ -305,8 +305,7 @@ class TestFrictionTuning:
         assert res.eta_fric == 1.0
         assert res.n_solves == 1
         assert res.warning is None
-        assert res.dispatch is res.untuned_dispatch
-        assert res.report == res.untuned_report
+        assert res.report is res.untuned_report
         assert res.target_cycles == approx(46.93, abs=0.01)
         assert res.report.n_cyc_100 == approx(0.20, abs=0.01)
         assert res.report.n_cyc_100 < res.target_cycles

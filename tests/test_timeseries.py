@@ -31,7 +31,6 @@ from bessprofit.timeseries import (
     load_ppc,
     load_scenario,
     load_tariff,
-    peak_import_kw,
 )
 
 from _support import H, mini_scenario, step_times
@@ -84,14 +83,15 @@ def test_baseline_metrics_match_direct_summation(scenarios, name):
     assert metrics.waste == pytest.approx(ref["waste"], abs=1e-9)
     assert metrics.ss == pytest.approx(ref["ss"], abs=1e-12)
     assert metrics.energy_cost == pytest.approx(ref["cost"], abs=1e-9)
-    assert peak_import_kw(scenario) == pytest.approx(ref["peak"], abs=1e-9)
+    peak = float(np.max(scenario.z)) / scenario.h
+    assert peak == pytest.approx(ref["peak"], abs=1e-9)
     # and against the frozen values, so the generator itself cannot drift
     frozen = BASELINE[name]
     assert float(np.sum(scenario.load)) == pytest.approx(frozen["load"], rel=1e-12)
     assert metrics.waste == pytest.approx(frozen["waste"], abs=1e-9)
     assert metrics.ss == pytest.approx(frozen["ss"], abs=1e-12)
     assert metrics.energy_cost == pytest.approx(frozen["cost"], rel=1e-12)
-    assert peak_import_kw(scenario) == pytest.approx(frozen["peak"], abs=1e-9)
+    assert peak == pytest.approx(frozen["peak"], abs=1e-9)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -185,7 +185,7 @@ def test_step_split_invariance():
     assert mf.waste == pytest.approx(mc.waste, abs=1e-12)
     assert mf.ss == pytest.approx(mc.ss, abs=1e-12)
     assert mf.energy_cost == pytest.approx(mc.energy_cost, abs=1e-12)
-    assert peak_import_kw(fine) == pytest.approx(peak_import_kw(coarse), abs=1e-12)
+    assert float(np.max(fine.z)) / fine.h == pytest.approx(float(np.max(coarse.z)) / coarse.h, abs=1e-12)
 
 
 def test_scenario_validation_errors():
