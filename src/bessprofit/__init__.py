@@ -12,7 +12,7 @@ from .battery import (
     load_catalog,
     make_spec,
 )
-from .cycles import DamageModel, break_even_cycles, count_cycles
+from .cycles import break_even_cycles, count_cycles
 from .errors import (
     ConfigError,
     DegenerateScenarioError,

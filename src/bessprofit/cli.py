@@ -131,9 +131,11 @@ def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
 def _load(config: SweepConfig, path: str) -> ScenarioSeries:
     h = None if config.conventions.step_minutes is None else config.conventions.step_minutes / 60.0
     try:
-        return load_scenario(path, h=h, tariff=config.tariff)
+        scenario = load_scenario(path, h=h, tariff=config.tariff)
+        scenario.baseline  # a file with no defined baseline fails here, named, before any solve
     except ValueError as exc:
         raise ScenarioError(f"scenario file {path}: {exc}") from exc
+    return scenario
 
 
 def _battery(config: SweepConfig, name: str) -> BatterySpec:

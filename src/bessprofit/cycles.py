@@ -3,38 +3,25 @@
 Cycles are extracted from the normalized SoC signal with the standard
 four-point rainflow method: matched full cycles weigh 1.0, the residual
 half-cycles weigh 0.5, and each extracted range d contributes
-weight·damage(d) with damage(d) = d**kp. With the default kp = 1 the
+weight·d**kp for a damage exponent kp. With the default kp = 1 the
 count reduces exactly to charge throughput / (2·capacity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = [
-    "DamageModel",
-    "count_cycles",
-    "break_even_cycles",
-]
+__all__ = ["count_cycles", "break_even_cycles"]
 
 
-@dataclass(frozen=True)
-class DamageModel:
-    """Damage exponent for equivalent-cycle weighting: damage(d) = d**kp."""
-
-    kp: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kp) and self.kp >= 1):
-            raise ConfigError(f"damage exponent kp must be >= 1 and finite, got {self.kp:g}")
-
-    def damage(self, dod: float) -> float:
-        return dod**self.kp
+def check_damage_exp(kp: float) -> None:
+    """Refuse a damage exponent kp that is not >= 1 and finite."""
+    if not (math.isfinite(kp) and kp >= 1):
+        raise ConfigError(f"damage exponent kp must be >= 1 and finite, got {kp:g}")
 
 
 def _turning_points(u: np.ndarray) -> np.ndarray:
@@ -58,14 +45,17 @@ def _turning_points(u: np.ndarray) -> np.ndarray:
     return u[mask]
 
 
-def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> float:
-    """Count equivalent 100%-DoD cycles of an SoC series b (kWh).
+def count_cycles(b, b_rated: float, kp: float = 1.0) -> float:
+    """Count equivalent 100%-DoD cycles of an SoC series b (kWh), each
+    range d weighted by d**kp.
 
     The series must stay within [0, b_rated]; a constant series counts
     zero cycles. Full cycles found by the four-point rule carry weight
     1.0; the residual alternating tail contributes one 0.5-weighted half
-    cycle per adjacent range.
+    cycle per adjacent range. The sum is ``math.fsum``, exactly rounded,
+    so the count does not depend on how the Python version adds floats.
     """
+    check_damage_exp(kp)
     if b_rated <= 0:
         raise ValueError("b_rated must be > 0")
     b = np.asarray(b, dtype=float)
@@ -75,7 +65,7 @@ def count_cycles(b, b_rated: float, model: DamageModel = DamageModel()) -> float
         raise ValueError("SoC series leaves [0, b_rated]")
 
     pairs = _rainflow(np.clip(b / b_rated, 0.0, 1.0))
-    return float(sum(weight * model.damage(r) for r, weight in pairs))
+    return math.fsum(weight * r**kp for r, weight in pairs)
 
 
 def _rainflow(u: np.ndarray) -> list[tuple[float, float]]:

@@ -30,7 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .battery import BatterySpec
-from .cycles import DamageModel, break_even_cycles, count_cycles
+from .cycles import break_even_cycles, check_damage_exp, count_cycles
 from .optimizer import (
     DEFAULT_EPSILON,
     DispatchProblem,
@@ -60,6 +60,11 @@ CYCLE_TOL = 0.5
 INTERVAL_TOL = 1e-4
 
 
+def _echo(v: float) -> str:
+    """``v`` as ``%g`` if that reads back as ``v``, else ``repr``: no two settings echo alike."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
+
 @dataclass(frozen=True)
 class Conventions:
     """Settings that change reported numbers; echoed into every output."""
@@ -73,16 +78,16 @@ class Conventions:
     terminal_soc: bool = False
 
     def __post_init__(self):
-        DamageModel(kp=self.damage_exp)  # a bad exponent fails here, before any solve
+        check_damage_exp(self.damage_exp)  # a bad exponent fails here, before any solve
 
     def lines(self) -> tuple[str, ...]:
         return (
-            f"step_minutes: {'auto' if self.step_minutes is None else f'{self.step_minutes:g}'}",
+            f"step_minutes: {'auto' if self.step_minutes is None else _echo(self.step_minutes)}",
             f"expb_convention: {'months-12' if self.months_12 else 'calendar'}",
-            f"damage_exp: {self.damage_exp:g}",
-            f"epsilon: {self.epsilon:g}",
-            f"eta_fric: {self.eta_fric:g}",
-            f"contracted_kva: {'auto' if self.contracted_kva is None else f'{self.contracted_kva:g}'}",
+            f"damage_exp: {_echo(self.damage_exp)}",
+            f"epsilon: {_echo(self.epsilon)}",
+            f"eta_fric: {_echo(self.eta_fric)}",
+            f"contracted_kva: {'auto' if self.contracted_kva is None else _echo(self.contracted_kva)}",
             f"terminal_soc: {'yes' if self.terminal_soc else 'no'}",
         )
 
@@ -133,8 +138,7 @@ def _expected_payback_years(
 
 
 def _cycles_of(dispatch: DispatchSolution, spec: BatterySpec, conventions: Conventions) -> float:
-    model = DamageModel(kp=conventions.damage_exp)
-    return count_cycles(np.concatenate(([spec.b_0], dispatch.b)), spec.b_rated, model)
+    return count_cycles(np.concatenate(([spec.b_0], dispatch.b)), spec.b_rated, conventions.damage_exp)
 
 
 def evaluate(selection: PpcSelection, dispatch: DispatchSolution,

@@ -29,7 +29,7 @@ import numpy as np
 import bessprofit
 from bessprofit import fixtures, lp
 from bessprofit.battery import make_spec
-from bessprofit.cycles import DamageModel, count_cycles
+from bessprofit.cycles import count_cycles
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.fixtures import FIXTURE_NAMES, fixture_arrays
 from bessprofit.optimizer import _DUST, DispatchProblem, DispatchSolution, _distinct, _unreachable, build_lp
@@ -408,5 +408,5 @@ def dispatch_objective(prob: DispatchProblem, dispatch: DispatchSolution) -> flo
 
 def linear_cycles(soc: np.ndarray, b_rated: float) -> float:
     """Equivalent full cycles at damage exponent 1 (half the throughput)."""
-    return count_cycles(soc, b_rated, DamageModel(kp=1.0))
+    return count_cycles(soc, b_rated, 1.0)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bessprofit.battery import make_spec
-from bessprofit.cycles import DamageModel, break_even_cycles, count_cycles
+from bessprofit.cycles import break_even_cycles, count_cycles
 from bessprofit.optimizer import DispatchProblem, validate_dispatch
 from bessprofit.profitability import tune_friction
 from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE
@@ -172,16 +172,15 @@ def test_a8_cycle_count_identities():
     # With a linear damage exponent the equivalent-cycle count is exactly
     # half the normalized throughput, and the classic 50->100->10->50 %
     # swing counts 0.9 cycles.
-    model = DamageModel(kp=1.0)
     rng = np.random.default_rng(20240817)
     for _ in range(50):
         n = int(rng.integers(2, 400))
         walk = rng.uniform(0.0, 2.0, n)
-        count = count_cycles(walk, 2.0, model)
+        count = count_cycles(walk, 2.0, 1.0)
         throughput = float(np.sum(np.abs(np.diff(walk)))) / (2.0 * 2.0)
         assert count == approx(throughput, abs=1e-9)
 
-    swing = count_cycles(np.array([0.5, 1.0, 0.1, 0.5]), 1.0, model)
+    swing = count_cycles(np.array([0.5, 1.0, 0.1, 0.5]), 1.0, 1.0)
     assert swing == approx(0.9, abs=1e-12)
 
 

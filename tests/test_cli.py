@@ -279,6 +279,20 @@ class TestEvaluateCommand:
         assert "# contracted_kva: auto" in text
         assert "# terminal_soc: no" in text
 
+    def test_settings_that_differ_echo_and_hash_apart(self, tmp_path, fixture_dir, capsys):
+        # 0.50000001 reads as 0.5 at six significant digits, yet its dispatch differs
+        heads = []
+        for eta in ("0.5", "0.50000001"):
+            out = tmp_path / eta
+            assert cli.main(["evaluate", str(fixture_dir / "c1.csv"), "--battery", "5kwh-2c",
+                             "--eta-fric", eta, "--out", str(out)]) == 0
+            dispatch = (out / "c1-5kwh-2c-dispatch.csv").read_text()
+            heads.append([line for line in dispatch.splitlines() if line.startswith("#")])
+        capsys.readouterr()
+        assert "# eta_fric: 0.5" in heads[0] and "# eta_fric: 0.50000001" in heads[1]
+        hashes = [next(line for line in head if line.startswith("# config_hash: ")) for head in heads]
+        assert hashes[0] != hashes[1]
+
 
 class TestSweepCommand:
     def test_parallel_output_is_byte_identical(self, tmp_path, fixture_dir):
@@ -566,6 +580,11 @@ FAILURES = [
                   "line 4: UTC offset changes from +00:00 to +01:00"),
     _scenario_row("non-utf8-scenario", ["2019-06-01T00:00:00,100,0", "2019-06-01T00:05:00,10\udcff,0"],
                   "'utf-8' codec can't decode byte 0xff in position 70: invalid start byte"),
+    # the baseline is taken when the file is read, so the sweep fails before any solve
+    _row("zero-total-load", ["sweep", "zero.csv", "c1.csv", "--jobs", "2"],
+         "error: scenario file zero.csv: total load is zero; self-sufficiency undefined",
+         {"zero.csv": "timestamp,load_w,pv_w\n"
+                      + "".join(f"2019-06-01T{k // 12:02d}:{k % 12 * 5:02d}:00,0,100\n" for k in range(288))}),
     # a later scenario's error names its file
     _row("bad-later-scenario", ["sweep", "c1.csv", "bad2.csv"],
          "error: scenario file bad2.csv: line 3: bad power value",

@@ -17,7 +17,7 @@ import pytest
 
 from bessprofit import profitability
 from bessprofit.battery import catalog_by_name, make_spec
-from bessprofit.cycles import DamageModel, count_cycles
+from bessprofit.cycles import count_cycles
 from bessprofit.errors import ConfigError
 from bessprofit.optimizer import DispatchProblem, DispatchSolution, PpcSelection, validate_dispatch
 from bessprofit.profitability import (
@@ -153,7 +153,6 @@ class TestPanelIdentities:
             recount = count_cycles(
                 np.concatenate(([entry.spec.b_0], entry.dispatch.b)),
                 entry.spec.b_rated,
-                DamageModel(),
             )
             assert entry.report.n_cyc_100 == approx(recount, rel=1e-12)
 
