@@ -32,7 +32,7 @@ from .battery import BatterySpec, catalog_by_name, default_catalog, load_catalog
 from .errors import ConfigError, InfeasibleDispatchError, ScenarioError
 from .fixtures import DEFAULT_SEED, gen_fixtures
 from .optimizer import DEFAULT_EPSILON, DispatchSolution
-from .profitability import Conventions, ProfitabilityReport, evaluate_candidate, tune_friction
+from .profitability import Conventions, ProfitabilityReport, _echo, evaluate_candidate, tune_friction
 from .report import ReportHeader, fmt_payback, render_table, write_report
 from .timeseries import (
     DEFAULT_PPC_SCHEDULE,
@@ -279,7 +279,7 @@ def cmd_tune(args) -> int:
     spec = _battery(config, args.battery)
     result = tune_friction(scenario, spec, config.ppc, config.conventions, target_cycles=args.target)
     _write_candidate(config, scenario, result.report, result.dispatch, args.scenario, "tuned-",
-                     "tune", spec.name, f"{result.target_cycles:.6f}")
+                     "tune", spec.name, _echo(result.target_cycles))
 
     if result.eta_fric == 1.0:
         print("eta_fric = 1 (no tuning needed)")

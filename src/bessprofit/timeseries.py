@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -38,7 +37,8 @@ __all__ = [
 ]
 
 MINUTES_PER_DAY = 1440
-US_PER_DAY = 86_400_000_000
+US_PER_MINUTE = 60_000_000
+US_PER_DAY = MINUTES_PER_DAY * US_PER_MINUTE
 # how close a kVA value must be to a PPC level's ceiling to name it
 KVA_TOL = 1e-9
 
@@ -149,21 +149,22 @@ class TariffSchedule:
             if period.end_minute == period.start_minute:
                 raise ConfigError("tariff period must not be empty")
             if period.end_minute > period.start_minute:
-                span = range(period.start_minute, period.end_minute)
+                spans = ((period.start_minute, period.end_minute),)
             else:
                 # wraps past midnight
-                span = list(range(period.start_minute, MINUTES_PER_DAY)) + list(range(0, period.end_minute))
-            for m in span:
-                if claimed[m]:
-                    raise ConfigError(f"tariff periods overlap at minute {m}")
-                claimed[m] = True
-                table[m] = period.price
+                spans = ((period.start_minute, MINUTES_PER_DAY), (0, period.end_minute))
+            for lo, hi in spans:
+                taken = np.flatnonzero(claimed[lo:hi])
+                if taken.size:
+                    raise ConfigError(f"tariff periods overlap at minute {lo + taken[0]}")
+                claimed[lo:hi] = True
+                table[lo:hi] = period.price
         table.flags.writeable = False
         object.__setattr__(self, "_minute_prices", table)
 
-    def prices(self, times: list[datetime]) -> np.ndarray:
-        minutes = np.fromiter((t.hour * 60 + t.minute for t in times), dtype=int, count=len(times))
-        return self._minute_prices[minutes]
+    def prices(self, start: datetime, step: timedelta, n: int) -> np.ndarray:
+        """The price of each of the n steps ``start + i * step``, by its minute of the day."""
+        return self._minute_prices[_days_and_times(start, step, n)[1] // US_PER_MINUTE]
 
 
 @dataclass(frozen=True)
@@ -250,17 +251,22 @@ def load_ppc(path: str | Path) -> PpcSchedule:
         raise ConfigError(f"PPC file {path}: {exc}") from exc
 
 
+def _days_and_times(start: datetime, step: timedelta, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The day (0 on start's date) and microsecond of the day of each ``start + i * step``, i < n,
+    in start's own time; a timedelta is whole microseconds, so this is exact for any step."""
+    step_us = step // timedelta(microseconds=1)
+    start_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 + start.microsecond
+    return np.divmod(start_us + step_us * np.arange(n, dtype=np.int64), US_PER_DAY)
+
+
 def iso_stamps(start: datetime, step: timedelta, n: int) -> list[str]:
     """``[(start + i * step).isoformat() for i in range(n)]``: microseconds
     only when not zero, and the UTC offset of start (a scenario file holds
     one fixed offset) on every stamp.
 
-    Each distinct date and time of day is rendered once and the two joined;
-    a timedelta is whole microseconds, so this is exact for any step.
+    Each distinct date and time of day is rendered once and the two joined.
     """
-    step_us = step // timedelta(microseconds=1)
-    start_us = ((start.hour * 60 + start.minute) * 60 + start.second) * 1_000_000 + start.microsecond
-    day, tod = np.divmod(start_us + step_us * np.arange(n, dtype=np.int64), US_PER_DAY)
+    day, tod = _days_and_times(start, step, n)
     days, day_at = np.unique(day, return_inverse=True)
     tods, tod_at = np.unique(tod, return_inverse=True)
     first = start.toordinal()
@@ -358,6 +364,27 @@ def baseline_metrics(s: ScenarioSeries, storage: np.ndarray | None = None) -> Ba
     return BaselineMetrics(ss=ss, waste=waste, energy_cost=energy_cost)
 
 
+def _step_to(lineno: int, stamp: datetime, prev: datetime, first: datetime, spacing: timedelta | None) -> timedelta:
+    """The step from ``prev`` to ``stamp`` when no pair has set the spacing yet (None); else the
+    ScenarioError, naming ``lineno``, of the first rule ``stamp`` breaks: the first row's kind and
+    UTC offset, then a step forward, then the spacing."""
+    if (stamp.tzinfo is None) != (first.tzinfo is None):
+        raise ScenarioError(f"line {lineno}: timestamps mix naive and UTC-offset times")
+    # every stamp is written with the first row's offset, so a file keeps one
+    if stamp.utcoffset() != first.utcoffset():
+        raise ScenarioError(f"line {lineno}: UTC offset changes from {_utc_offset(first)} "
+                            f"to {_utc_offset(stamp)}")
+    delta = stamp - prev
+    if delta == timedelta(0):
+        raise ScenarioError(f"line {lineno}: duplicate timestamp {stamp.isoformat()}")
+    if delta < timedelta(0):
+        raise ScenarioError(f"line {lineno}: timestamps not increasing")
+    if spacing is None:
+        return delta
+    kind = "gap in measurements" if delta > spacing else "non-uniform spacing"
+    raise ScenarioError(f"line {lineno}: {kind} ({delta} vs expected {spacing})")
+
+
 def load_scenario(
     path: str | Path,
     h: float | None = None,
@@ -367,22 +394,21 @@ def load_scenario(
 
     Rows carry instantaneous power in W at uniform spacing; per-step energy
     is power·h/1000 kWh. When h (hours) is given it must match the file
-    spacing; otherwise the spacing is inferred. Prices come from the tariff
-    (default: the shipped two-period schedule) by time of day. The
-    scenario is named after the file stem.
+    spacing; otherwise the spacing is inferred. Each step is priced by the
+    tariff (default: the shipped two-period schedule) at its minute of the
+    day on the step grid. The scenario is named after the file stem.
 
-    Raises ScenarioError on duplicate/backward timestamps, naive and
-    UTC-offset timestamps mixed, a UTC offset that changes, gaps,
-    non-uniform spacing, negative or non-finite measurements, or a
-    malformed header or row.
+    Each row is checked as it is read, so the ScenarioError names the first
+    line that breaks a rule: a malformed header, the row's own columns and
+    values, then the first row's kind (naive or not) and UTC offset, then a
+    step forward of the spacing that the first pair set.
     """
     if tariff is None:
         tariff = DEFAULT_TOU_TARIFF
 
-    times: list[datetime] = []
     load_w: list[float] = []
     pv_w: list[float] = []
-    linenos: list[int] = []  # file line of each kept row, for errors found after the parse
+    first = prev = spacing = None
 
     with open(path, "r", encoding="utf-8-sig", newline="") as stream:
         reader = csv.reader(stream)
@@ -414,54 +440,26 @@ def load_scenario(
                     raise ScenarioError(f"line {lineno}: non-finite measurement")
                 if lw < 0 or pw < 0:
                     raise ScenarioError(f"line {lineno}: negative measurement")
-                times.append(stamp)
+                if first is None:
+                    first, offset = stamp, stamp.utcoffset()
+                # a naive stamp's utcoffset() is None, so one test holds the kind and the offset
+                elif stamp.utcoffset() != offset or stamp - prev != spacing:
+                    spacing = _step_to(lineno, stamp, prev, first, spacing)
+                prev = stamp
                 load_w.append(lw)
                 pv_w.append(pw)
-                linenos.append(lineno)
         except csv.Error as exc:
             raise ScenarioError(f"line {reader.line_num}: {exc}") from exc
 
-    if len(times) < 2:
+    if spacing is None:
         raise ScenarioError("scenario needs at least two rows to establish spacing")
-
-    try:
-        deltas = list(map(operator.sub, times[1:], times[:-1]))
-    except TypeError as exc:  # raised only between a naive and an offset-aware timestamp
-        i = next(i for i, t in enumerate(times) if (t.tzinfo is None) != (times[0].tzinfo is None))
-        raise ScenarioError(f"line {linenos[i]}: timestamps mix naive and UTC-offset times") from exc
-    # every stamp is written with the first row's offset, so a file keeps one
-    if times[0].tzinfo is not None:
-        first = times[0].utcoffset()
-        i = next((i for i, t in enumerate(times) if t.utcoffset() != first), None)
-        if i is not None:
-            raise ScenarioError(f"line {linenos[i]}: UTC offset changes from {_utc_offset(times[0])} "
-                                f"to {_utc_offset(times[i])}")
-    spacing = deltas[0]
-    if spacing <= timedelta(0) or deltas.count(spacing) != len(deltas):
-        # the first pair is diagnosed first, else the first row off the spacing
-        k = 0 if spacing <= timedelta(0) else next(k for k, d in enumerate(deltas) if d != spacing)
-        delta, lineno = deltas[k], linenos[k + 1]
-        if delta == timedelta(0):
-            raise ScenarioError(f"line {lineno}: duplicate timestamp {times[k + 1].isoformat()}")
-        if delta < timedelta(0):
-            raise ScenarioError(f"line {lineno}: timestamps not increasing")
-        kind = "gap in measurements" if delta > spacing else "non-uniform spacing"
-        raise ScenarioError(f"line {lineno}: {kind} ({delta} vs expected {spacing})")
 
     h_file = spacing.total_seconds() / 3600.0
     # written so that a NaN h fails the match
     if h is not None and not abs(h - h_file) <= 1e-9:
         raise ScenarioError(f"requested step {h * 60:.6g} min does not match file spacing {h_file * 60:.6g} min")
 
-    h_eff = h_file
-    load_kwh = np.asarray(load_w, dtype=float) * h_eff / 1000.0
-    pv_kwh = np.asarray(pv_w, dtype=float) * h_eff / 1000.0
-    price = tariff.prices(times)
-    return ScenarioSeries(
-        start_time=times[0],
-        h=h_eff,
-        load=load_kwh,
-        pv=pv_kwh,
-        price=np.asarray(price, dtype=float),
-        name=Path(path).stem,
-    )
+    load, pv = (np.asarray(w, dtype=float) * h_file / 1000.0 for w in (load_w, pv_w))
+    # each row is first + i·spacing in the first row's offset, so the grid gives its minute of the day
+    return ScenarioSeries(start_time=first, h=h_file, load=load, pv=pv,
+                          price=tariff.prices(first, spacing, len(load_w)), name=Path(path).stem)

@@ -71,8 +71,7 @@ def scenario_from_fixture(name: str) -> ScenarioSeries:
     start, load_w, pv_w = fixture_arrays(name)
     load = load_w * H / 1000.0
     pv = pv_w * H / 1000.0
-    times = [start + i * timedelta(hours=H) for i in range(len(load))]
-    price = DEFAULT_TOU_TARIFF.prices(times)
+    price = DEFAULT_TOU_TARIFF.prices(start, timedelta(hours=H), len(load))
     return ScenarioSeries(
         start_time=start, h=H, load=load, pv=pv, price=price, name=name
     )
@@ -185,7 +184,8 @@ def tariff_priced(prob: DispatchProblem, rng: np.random.Generator) -> DispatchPr
         periods=(TariffPeriod(int(start), int(end), float(rng.uniform(0.05, 0.5))),),
         fallback_price=float(rng.uniform(0.05, 0.5)),
     )
-    return replace(prob, scenario=replace(scenario, price=tariff.prices(step_times(scenario))))
+    price = tariff.prices(scenario.start_time, timedelta(hours=scenario.h), scenario.n)
+    return replace(prob, scenario=replace(scenario, price=price))
 
 
 def reference_list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):

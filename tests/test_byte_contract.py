@@ -6,8 +6,9 @@ The fixtures come from NumPy's ``default_rng``, whose streams are not
 promised across NumPy versions, and CPython 3.12 changed how ``sum()``
 adds floats; so the digests hold for the Python and NumPy versions stored
 with them. A change that moves a byte on purpose records them again with
-``PYTHONPATH=src python tests/test_byte_contract.py`` and names every
-file that changed.
+``PYTHONPATH=src python tests/test_byte_contract.py``, which prints every
+key it adds (``new``), drops (``missing``) or changes (``changed``) before
+it writes; the change names each of them.
 """
 
 from __future__ import annotations
@@ -61,18 +62,25 @@ def collect(root: Path) -> dict[str, object]:
     return digests
 
 
+def differences(want: dict[str, object], got: dict[str, object]) -> list[str]:
+    """``key: missing``, ``new`` or ``changed`` for every key whose digest differs, in key order."""
+    return [f"{key}: {'missing' if key not in got else 'new' if key not in want else 'changed'}"
+            for key in sorted(want.keys() | got.keys()) if want.get(key) != got.get(key)]
+
+
 def test_cli_artifacts_match_their_recorded_digests(tmp_path):
     recorded = json.loads(DIGESTS.read_text())
-    got, want = collect(tmp_path), recorded["digests"]
-    differ = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+    differ = differences(recorded["digests"], collect(tmp_path))
     assert not differ, (
-        f"{len(differ)} of {len(want)} digests differ; recorded on Python {recorded['python']}, NumPy "
-        f"{recorded['numpy']}; this is Python {VERSIONS['python']}, NumPy {VERSIONS['numpy']}:\n  "
-        + "\n  ".join(f"{key}: {'missing' if key not in got else 'new' if key not in want else 'changed'}"
-                      for key in differ))
+        f"{len(differ)} of {len(recorded['digests'])} digests differ; recorded on Python {recorded['python']}, "
+        f"NumPy {recorded['numpy']}; this is Python {VERSIONS['python']}, NumPy {VERSIONS['numpy']}:\n  "
+        + "\n  ".join(differ))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {**VERSIONS, "digests": collect(Path(tmp))}
-    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+        got = collect(Path(tmp))
+    # name every key that moves, so that a change can list them
+    for line in differences(json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}, got):
+        print(line)
+    DIGESTS.write_text(json.dumps({**VERSIONS, "digests": got}, indent=1, sort_keys=True) + "\n")

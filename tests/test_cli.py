@@ -516,6 +516,21 @@ class TestTuneCommand:
             b_final = float(data_lines(dispatch)[-1].split(",")[4])
             assert b_final >= 2.5 - 1e-9, name  # b_0 of a 5 kWh battery
 
+    def test_targets_that_differ_hash_apart(self, tmp_path, fixture_dir, capsys):
+        # 5.0000001 reads as 5 at six decimals; the hash takes the target as echoed
+        lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
+        scenario = tmp_path / "c1-3d.csv"
+        scenario.write_text("".join(lines[: 3 + 3 * 288]))
+        hashes = []
+        for target in ("5", "5.0000001"):
+            out = tmp_path / target
+            assert cli.main(["tune", str(scenario), "--battery", "5kwh-2c", "--target", target,
+                             "--out", str(out)]) == 0
+            dispatch = (out / "c1-3d-5kwh-2c-tuned-dispatch.csv").read_text()
+            hashes.append(next(line for line in dispatch.splitlines() if line.startswith("# config_hash: ")))
+        capsys.readouterr()
+        assert hashes[0] != hashes[1]
+
 
 FIFO = None  # a file entry of a failure row: make a FIFO there, with no writer
 

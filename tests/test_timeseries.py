@@ -1,8 +1,8 @@
 """Scenario ingestion, tariff lookup, contract tables, and baseline metrics.
 
 The baseline numbers for the four synthetic months are pinned against an
-in-test direct summation (plain Python floats, per-timestamp tariff
-lookup) so a regression in the vectorized path cannot hide.
+in-test direct summation (plain Python floats, per-timestamp lookup in the
+tariff's minute table) so a regression in the vectorized path cannot hide.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def direct_summation(scenario: ScenarioSeries) -> dict:
             waste += -z
         else:
             imported += z
-            cost += DEFAULT_TOU_TARIFF.prices([times[i]])[0] * z
+            cost += DEFAULT_TOU_TARIFF._minute_prices[times[i].hour * 60 + times[i].minute] * z
             peak = max(peak, z / scenario.h)
     ss = (total_load - imported) / total_load
     return dict(load=total_load, waste=waste, ss=ss, cost=cost, peak=peak)
@@ -305,8 +305,16 @@ def test_load_scenario_spacing_errors(second, third, message, tmp_path):
         (["timestamp,load_w,pv_w", "2019-03-31T00:55:00+00:00,100,0", "# switch",
           "2019-03-31T02:00:00+01:00,100,0", "2019-03-31T02:15:00+01:00,100,0"],
          "line 4: UTC offset changes from +00:00 to +01:00"),
+        # each row is checked as it is read, so the first faulty line in the file is named
+        (["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", "2019-06-01T00:05:00,100,0",
+          "2019-06-01T00:15:00,100,0", "2019-06-01T00:20:00,100,0", "2019-06-01T00:25:00,-5,0"],
+         "line 4: gap in measurements (0:10:00 vs expected 0:05:00)"),
+        (["timestamp,load_w,pv_w", "2019-06-01T00:00:00,100,0", "2019-06-01T00:05:00+00:00,100,0",
+          "oops,100,0"],
+         "line 3: timestamps mix naive and UTC-offset times"),
     ],
-    ids=["gap-after-comments", "mixed-after-comment", "duplicate-after-blank", "offset-change-after-comment"],
+    ids=["gap-after-comments", "mixed-after-comment", "duplicate-after-blank", "offset-change-after-comment",
+         "gap-before-negative", "mixed-before-bad-stamp"],
 )
 def test_load_scenario_errors_count_comment_and_blank_lines(rows, message, tmp_path):
     with pytest.raises(ScenarioError) as info:
@@ -362,30 +370,57 @@ def test_step_stamps_are_the_isoformat_of_each_step(start, h, n):
 # ----------------------------------------------------------------- tariff
 
 
+def _price_at(tariff: TariffSchedule, t: datetime) -> float:
+    """The price of one step that starts at t."""
+    return tariff.prices(t, timedelta(minutes=5), 1)[0]
+
+
 def test_default_tariff_boundaries():
     day = datetime(2019, 6, 1)
-    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=7, minute=59)])[0] == 0.185
-    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=8, minute=0)])[0] == 0.20
-    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=21, minute=59)])[0] == 0.20
-    assert DEFAULT_TOU_TARIFF.prices([day.replace(hour=22, minute=0)])[0] == 0.185
+    assert _price_at(DEFAULT_TOU_TARIFF, day.replace(hour=7, minute=59)) == 0.185
+    assert _price_at(DEFAULT_TOU_TARIFF, day.replace(hour=8, minute=0)) == 0.20
+    assert _price_at(DEFAULT_TOU_TARIFF, day.replace(hour=21, minute=59)) == 0.20
+    assert _price_at(DEFAULT_TOU_TARIFF, day.replace(hour=22, minute=0)) == 0.185
 
 
-def test_tariff_prices_vector_matches_scalar():
-    times = [datetime(2019, 6, 1) + i * timedelta(minutes=37) for i in range(80)]
-    vec = DEFAULT_TOU_TARIFF.prices(times)
-    assert list(vec) == [DEFAULT_TOU_TARIFF.prices([t])[0] for t in times]
+NIGHT_TARIFF = TariffSchedule(
+    periods=(TariffPeriod(start_minute=23 * 60, end_minute=6 * 60, price=0.10),),
+    fallback_price=0.30,
+)
+THREE_PERIODS = TariffSchedule(
+    periods=(TariffPeriod(22 * 60 + 1, 7 * 60 + 13, 0.05), TariffPeriod(8 * 60, 22 * 60, 0.25)),
+    fallback_price=0.15,
+)
+
+
+@pytest.mark.parametrize("tariff", [DEFAULT_TOU_TARIFF, NIGHT_TARIFF, THREE_PERIODS],
+                         ids=["default", "wraps-midnight", "one-of-two-wraps"])
+@pytest.mark.parametrize(
+    "start,step,n",
+    [
+        (datetime(2019, 6, 1, 7, 3), timedelta(minutes=7), 500),
+        (datetime(2019, 12, 31, 21, 58, 30, tzinfo=timezone(timedelta(hours=1))), timedelta(seconds=90), 2000),
+        (datetime(2019, 6, 1, 7, 59, 58, 123), timedelta(seconds=1.5, microseconds=7), 60_000),
+        (datetime(2019, 6, 1, 23, 59, 58, 123, tzinfo=timezone(-timedelta(hours=5, minutes=30))),
+         timedelta(seconds=1.5, microseconds=7), 60_000),
+        (datetime(2019, 6, 1, 21, 59, 59, 999_999), timedelta(minutes=5), 1),
+    ],
+    ids=["7-min", "90-s-offset-plus-01:00-over-year-end", "1.5-s-7-us", "1.5-s-7-us-offset-minus-05:30",
+         "one-step"],
+)
+def test_grid_prices_match_each_stamps_minute(tariff, start, step, n):
+    # no step divides a minute or a day; every window but the one-step one
+    # crosses midnight, 08:00 and 22:00
+    want = [tariff._minute_prices[t.hour * 60 + t.minute] for t in (start + i * step for i in range(n))]
+    assert tariff.prices(start, step, n).tolist() == want
 
 
 def test_tariff_wrap_across_midnight():
-    night = TariffSchedule(
-        periods=(TariffPeriod(start_minute=23 * 60, end_minute=6 * 60, price=0.10),),
-        fallback_price=0.30,
-    )
     day = datetime(2019, 6, 1)
-    assert night.prices([day.replace(hour=23, minute=30)])[0] == 0.10
-    assert night.prices([day.replace(hour=2, minute=0)])[0] == 0.10
-    assert night.prices([day.replace(hour=6, minute=0)])[0] == 0.30
-    assert night.prices([day.replace(hour=12, minute=0)])[0] == 0.30
+    assert _price_at(NIGHT_TARIFF, day.replace(hour=23, minute=30)) == 0.10
+    assert _price_at(NIGHT_TARIFF, day.replace(hour=2, minute=0)) == 0.10
+    assert _price_at(NIGHT_TARIFF, day.replace(hour=6, minute=0)) == 0.30
+    assert _price_at(NIGHT_TARIFF, day.replace(hour=12, minute=0)) == 0.30
 
 
 def test_tariff_rejects_overlap_and_empties():
@@ -427,8 +462,8 @@ def test_load_tariff_roundtrip(tmp_path):
         "fallback_price": 0.1,
     }))
     tariff = load_tariff(path)
-    assert tariff.prices([datetime(2019, 6, 1, 7, 59)])[0] == 0.1
-    assert tariff.prices([datetime(2019, 6, 1, 23, 59)])[0] == 0.3
+    assert _price_at(tariff, datetime(2019, 6, 1, 7, 59)) == 0.1
+    assert _price_at(tariff, datetime(2019, 6, 1, 23, 59)) == 0.3
 
 
 @pytest.mark.parametrize(
