@@ -27,6 +27,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .battery import BatterySpec, catalog_by_name, default_catalog, load_catalog
 from .errors import ConfigError, InfeasibleDispatchError, ScenarioError
@@ -376,7 +378,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # an overflow fails by name (check_finite), not as a NumPy warning
+            return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,3 @@ class InfeasibleDispatchError(RuntimeError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
-
-
-class SolverError(RuntimeError):
-    """The LP backend failed in a way that is not a clean status."""

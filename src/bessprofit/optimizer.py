@@ -24,10 +24,6 @@ is needed. By the count S of distinct cost slopes, the forward pass is a
 vectorised slope-domain scan when S is small, as under any time-of-use
 tariff, and a list DP of sorted slope lists otherwise (per-step prices).
 
-``build_lp`` states the same problem as a sparse linear program with
-variables (x_plus_i, x_minus_i, theta_i, b_i) per step; ``lp.solve``
-certifies its optimum. That LP is the reference the tests hold the
-dynamic program to, and only it needs SciPy.
 ``validate_dispatch`` re-derives every constraint from the returned
 arrays with plain numpy. ``select_ppc`` solves one problem at each
 candidate contract level.
@@ -38,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,14 +41,10 @@ from .battery import BatterySpec
 from .errors import InfeasibleDispatchError
 from .timeseries import PpcLevel, PpcSchedule, ScenarioSeries
 
-if TYPE_CHECKING:
-    from .lp import LinearProgram
-
 __all__ = [
     "DispatchProblem",
     "DispatchSolution",
     "PpcSelection",
-    "build_lp",
     "solve_dispatch",
     "select_ppc",
     "validate_dispatch",
@@ -115,108 +106,7 @@ class DispatchSolution:
         return self.x_plus - self.x_minus
 
 
-def _theta_upper_bounds(prob: DispatchProblem, z: np.ndarray) -> np.ndarray:
-    # theta never needs to exceed the largest possible billing RHS, and a
-    # finite box makes the LP's optimality certificate rigorous.
-    spec = prob.spec
-    h = prob.scenario.h
-    s_fric_hi = spec.delta_max_kw * h / (spec.eta_ch * prob.eta_fric)
-    return np.maximum(0.0, z + s_fric_hi)
-
-
-def build_lp(prob: DispatchProblem) -> LinearProgram:
-    """Assemble the dispatch LP.
-
-    Variable layout, n = step count: x_plus [0, n), x_minus [n, 2n),
-    theta [2n, 3n), b [3n, 4n). Objective Σ price_i·theta_i plus
-    epsilon·Σ(x_plus_i + x_minus_i). Rows: billing
-    theta_i >= z_i + s_fric_i; peak (z_i + s_i) <= p_max_set·h (skipped
-    when the cap is infinite); the SoC recursion as <=/>= pairs. Ramp
-    limits and SoC box are variable bounds. With terminal_soc the final
-    SoC must end at or above its initial value. Needs SciPy, which the
-    rest of the package does not.
-    """
-    import scipy.sparse as sp
-
-    from .lp import LinearProgram
-
-    scenario, spec = prob.scenario, prob.spec
-    n, h = scenario.n, scenario.h
-    z = scenario.z
-
-    xp = np.arange(n)
-    xm = n + xp
-    th = 2 * n + xp
-    bb = 3 * n + xp
-    n_vars = 4 * n
-
-    c = np.zeros(n_vars)
-    c[th] = scenario.price
-    c[xp] = prob.epsilon
-    c[xm] = prob.epsilon
-
-    bounds = np.empty((n_vars, 2))
-    bounds[xp] = [0.0, 0.0]
-    bounds[xp, 1] = spec.delta_max_kw * h
-    bounds[xm] = [0.0, 0.0]
-    bounds[xm, 1] = -spec.delta_min_kw * h
-    bounds[th, 0] = 0.0
-    bounds[th, 1] = _theta_upper_bounds(prob, z)
-    bounds[bb, 0] = spec.b_min
-    bounds[bb, 1] = spec.b_max
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
-    row_base = 0
-
-    def add_block(r, cl, dt, b_block):
-        nonlocal row_base
-        rows.append(np.asarray(r) + row_base)
-        cols.append(np.asarray(cl))
-        data.append(np.asarray(dt, dtype=float))
-        rhs.append(np.asarray(b_block, dtype=float))
-        row_base += len(b_block)
-
-    # billing: -theta_i + a_ch·x_plus_i - a_dis·x_minus_i <= -z_i
-    a_ch = 1.0 / (spec.eta_ch * prob.eta_fric)
-    a_dis = spec.eta_dis * prob.eta_fric
-    r = np.repeat(xp, 3)
-    add_block(
-        r,
-        np.column_stack((th, xp, xm)).ravel(),
-        np.tile([-1.0, a_ch, -a_dis], n),
-        -z,
-    )
-
-    # peak cap: x_plus_i/eta_ch - eta_dis·x_minus_i <= p_max_set·h - z_i
-    if np.isfinite(prob.p_max_set):
-        add_block(
-            np.repeat(xp, 2),
-            np.column_stack((xp, xm)).ravel(),
-            np.tile([1.0 / spec.eta_ch, -spec.eta_dis], n),
-            prob.p_max_set * h - z,
-        )
-
-    # SoC recursion b_i - b_{i-1} - x_plus_i + x_minus_i = (b_0 if i == 0 else 0),
-    # written as a <= pair per step; step 0 has no b_{-1} term (entry 3).
-    eq_rhs = np.zeros(n)
-    eq_rhs[0] = spec.b_0
-    ridx = np.delete(np.repeat(xp, 4), 3)
-    cidx = np.delete(np.column_stack((bb, xp, xm, bb - 1)).ravel(), 3)
-    vals = np.delete(np.tile([1.0, -1.0, 1.0, -1.0], n), 3)
-    add_block(ridx, cidx, vals, eq_rhs)
-    add_block(ridx, cidx, -vals, -eq_rhs)
-
-    if prob.terminal_soc:
-        add_block([0], [bb[-1]], [-1.0], [-spec.b_0])
-
-    a_ub = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_base, n_vars),
-    ).tocsr()
-    return LinearProgram(c=c, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds)
+def build_lp(prob): raise NotImplementedError("the dispatch LP is in tests/_reference.py")  # see bessprofit.lp
 
 
 def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:

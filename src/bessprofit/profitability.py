@@ -39,7 +39,7 @@ from .optimizer import (
     select_ppc,
     solve_dispatch,
 )
-from .timeseries import PpcSchedule, ScenarioSeries, baseline_metrics
+from .timeseries import PpcSchedule, ScenarioSeries, baseline_metrics, check_finite
 
 __all__ = [
     "Conventions",
@@ -172,6 +172,8 @@ def _score(selection: PpcSelection, dispatch: DispatchSolution, conventions: Con
     expb = _expected_payback_years(spec.b_cost, g_t, scenario.total_hours, conventions)
 
     with_batt = baseline_metrics(scenario, dispatch.s)
+    check_finite(f"battery {spec.name}", g_arb=g_arb, g_pd=g_pd, g_t=g_t, p_cyc=p_cyc, n_cyc_100=n_cyc,
+                 ss=with_batt.ss, waste=with_batt.waste)  # expb is inf when g_t <= 0
 
     profitable = p_cyc > 0 and expb < spec.calendar_life_years
     return ProfitabilityReport(

@@ -361,7 +361,16 @@ def baseline_metrics(s: ScenarioSeries, storage: np.ndarray | None = None) -> Ba
         raise DegenerateScenarioError("total load is zero; self-sufficiency undefined")
     ss = (total_load - grid_import) / total_load
     energy_cost = float(np.sum(s.price * np.maximum(0.0, z)))
+    if storage is None:  # a battery's numbers are checked where they are scored
+        check_finite("baseline", ss=ss, waste=waste, energy_cost=energy_cost)
     return BaselineMetrics(ss=ss, waste=waste, energy_cost=energy_cost)
+
+
+def check_finite(owner: str, **numbers: float) -> None:
+    """Raise ConfigError naming ``owner`` and the first of ``numbers`` that overflowed to inf or nan."""
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{owner}: {name} overflows to {value}")
 
 
 def _step_to(lineno: int, stamp: datetime, prev: datetime, first: datetime, spacing: timedelta | None) -> timedelta:

@@ -4,8 +4,8 @@ Everything here is deterministic: fixture-backed scenarios priced by the
 shipped tariff, a seeded noisy-price series used by the friction-tuning
 tests, the per-row fixture writer and NumPy-scalar AR(1) noise that the
 fixture generator is held to, a seeded generator of small dispatch
-instances, the two references the solver is held to (the LP solve and
-the grid dynamic-programming oracle), a list DP that merges every piece
+instances, the grid dynamic-programming oracle the solver is held to (the LP
+reference is in ``_reference``), a list DP that merges every piece
 before its clip, the block-major slope-domain scan, the billing
 recomputed from a dispatch's arrays, and the environment for running the
 CLI as a subprocess.
@@ -27,12 +27,12 @@ from unittest import mock
 import numpy as np
 
 import bessprofit
-from bessprofit import fixtures, lp
+from bessprofit import fixtures
 from bessprofit.battery import make_spec
 from bessprofit.cycles import count_cycles
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.fixtures import FIXTURE_NAMES, fixture_arrays
-from bessprofit.optimizer import _DUST, DispatchProblem, DispatchSolution, _distinct, _unreachable, build_lp
+from bessprofit.optimizer import _DUST, DispatchProblem, DispatchSolution, _distinct, _unreachable
 from bessprofit.timeseries import DEFAULT_TOU_TARIFF, ScenarioSeries, TariffPeriod, TariffSchedule
 
 H = 1.0 / 12.0  # fixture sample spacing, hours
@@ -369,26 +369,6 @@ def dp_oracle(prob: DispatchProblem, soc_grid_step: float) -> DpDispatch:
         b[i] = grid[nxt]
         state = nxt
     return DpDispatch(cost=float(value[start]), x=x, b=b)
-
-
-@dataclass(frozen=True)
-class LpReference:
-    """The dispatch LP's certified optimum: objective and SoC trajectory."""
-
-    objective: float  # frictioned bill plus the epsilon movement term, in €
-    soc: np.ndarray  # SoC including the initial state, length n + 1
-
-
-def lp_reference(prob: DispatchProblem) -> LpReference | None:
-    """Solve the dispatch as the LP of build_lp via lp.solve; None if infeasible."""
-    sol = lp.solve(build_lp(prob))
-    if sol.status == lp.INFEASIBLE:
-        return None
-    assert sol.status == lp.OPTIMAL, sol.status
-    n = prob.scenario.n
-    x = sol.v[:n] - sol.v[n : 2 * n]
-    b_0 = prob.spec.b_0
-    return LpReference(sol.objective, np.concatenate(([b_0], b_0 + np.cumsum(x))))
 
 
 def billed_cost(prob: DispatchProblem, dispatch: DispatchSolution) -> float:

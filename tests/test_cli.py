@@ -7,7 +7,10 @@ output headers, and byte-for-byte reproducibility of generated files.
 Every failure case is a row of one table, ``FAILURES``, run through
 ``cli.main`` in-process from a fresh directory, and each row checks the
 whole contract: the exit code, empty stdout, the last stderr line, exactly
-one ``error:`` line, no ``--out`` directory and no child process left. The
+one ``error:`` line, no NumPy warning, no ``--out`` directory and no child
+process left. A Hypothesis test runs ``cli.main`` on one day with edge
+values in the catalog, tariff and contract levels and holds each run to
+the same contract, or to finite output numbers when it succeeds. The
 sweep's fork-count and dying-worker checks also run in-process, so that
 they can wrap ``os.fork`` and stand in for ``_sweep_one`` in the forked
 workers. The success-path command tests run ``python -m bessprofit`` as a
@@ -16,20 +19,29 @@ is under test: ``--version`` exits the process, the runtime path must load
 no SciPy, a failed sweep must not hang its process, and one test runs a
 series of commands, a config error and an exit-2 run among them, both
 in-process and in fresh processes and compares their outcomes and files.
+Beside the runtime check, a parse of every module of the package finds no
+SciPy import.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import reference_fixture_texts, reference_smooth_noise, step_times, subprocess_env
 from bessprofit import cli, fixtures
@@ -70,11 +82,11 @@ def test_version_flag(tmp_path):
 
 
 def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
-    # SciPy is a test-only dependency: only the LP reference needs it, so
-    # evaluate, tune and a forked sweep all run with every SciPy import
-    # failing; none of them loads multiprocessing or concurrent.futures either.
-    # The LP module and the benchmark's tracer, which binds it, import
-    # without SciPy too: the LP loads it only to build or solve a program.
+    # SciPy is a test-only dependency: only the LP reference in
+    # tests/_reference.py needs it, so evaluate, tune and a forked sweep all
+    # run with every SciPy import failing; none of them loads multiprocessing
+    # or concurrent.futures either. The placeholder LP module and the
+    # benchmark's tracer, which binds it, import without SciPy too.
     # Nor does a run load numpy.ma, which np.unique imports on first use.
     c1 = str(fixture_dir / "c1.csv")
     perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -98,6 +110,22 @@ def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], None, []]
     assert (tmp_path / "sweep" / "c1-sweep.csv").is_file()
+
+
+def test_package_imports_no_scipy():
+    # the test above sees what a run loads; this one reads every module of the
+    # package, so no SciPy import can hide in a function that no run calls
+    found = []
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_in_process_runs_match_fresh_processes(tmp_path, fixture_dir, capsys):
@@ -628,6 +656,15 @@ FAILURES = [
          "times b_rated must be finite",
          {"bad.json": json.dumps({"batteries": [_battery_entry(b_rated_kwh=1e10, cost_per_kwh=1e300,
                                                                inverter_cost_per_kwh=0)]})}),
+    # finite numbers whose arithmetic overflows fail where the number is made: the
+    # contract saving, fee difference times 30 days, and the baseline bill
+    _row("overflowing-contract-saving", [*_EVALUATE, "--ppc", "big.json"],
+         "error: battery 2kwh-1c: g_pd overflows to inf",
+         {"big.json": json.dumps({"levels": [{"kva": kva, "eur_per_day": fee} for kva, fee in
+                                             ((3.45, 1e307), (4.6, 5e307), (5.75, 1e308), (30, 1.5e308))]})}),
+    _row("overflowing-baseline-bill", [*_EVALUATE, "--tariff", "big.json"],
+         "error: scenario file c1.csv: baseline: energy_cost overflows to inf",
+         {"big.json": json.dumps({"periods": [], "fallback_price": 1e308})}),
     _row("unreadable-tariff-file", [*_EVALUATE, "--tariff", "tariff.json"],
          "error: cannot read tariff file tariff.json: ...", {"tariff.json": "{not json"}),
     _row("non-utf8-tariff", [*_EVALUATE, "--tariff", "t.json"],
@@ -728,7 +765,8 @@ class TestFailureModes:
     def test_malformed_config_json_is_one_error_line(self, tmp_path, fixture_dir, monkeypatch, capsys,
                                                      argv, files, code, line):
         # every failure of the CLI, not only a malformed config, keeps the whole contract:
-        # its exit code, no stdout, one error: line, no --out directory and no child left
+        # its exit code, no stdout, one error: line and no NumPy warning, no --out directory
+        # and no child left
         for name in ("c1.csv", "c2.csv", "c3.csv", "c4.csv"):
             (tmp_path / name).symlink_to(fixture_dir / name)
         for name, text in files.items():
@@ -743,7 +781,9 @@ class TestFailureModes:
         handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the run blocked"))
         signal.alarm(20)
         try:
-            assert cli.main([*argv, "--out", "out"]) == code
+            with warnings.catch_warnings():  # a NumPy warning would be a second stderr line
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main([*argv, "--out", "out"]) == code
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, handler)
@@ -755,3 +795,70 @@ class TestFailureModes:
         assert not (tmp_path / "out").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+EDGES = (0.0, 1e-300, 1e300, 1e308, sys.float_info.max)
+
+# an ordinary one-battery run: its catalog entry, its tariff prices (day,
+# night) and its contract levels (kVA, €/day); each field an edge value may take
+USUAL = {
+    **{f"catalog.{key}": value for key, value in dict(
+        b_rated_kwh=2.0, charge_rate_c=1.0, discharge_rate_c=1.0, soc_min_frac=0.1, soc_init_frac=0.5,
+        soc_max_frac=1.0, eta_ch=0.95, eta_dis=0.95, cycle_life_100dod=4000.0, calendar_life_years=7.0,
+        cost_per_kwh=300.0, inverter_cost_per_kwh=100.0).items()},
+    "tariff.day": 0.3, "tariff.night": 0.08,
+    **{f"ppc.{k}.{part}": value for k, level in enumerate([(3.45, 0.16), (6.9, 0.33), (13.8, 0.6)])
+       for part, value in zip(("kva", "eur_per_day"), level)},
+}
+
+
+class TestEdgeValues:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["evaluate", "tune"]),
+           edges=st.dictionaries(st.sampled_from(sorted(USUAL)), st.sampled_from(EDGES), min_size=1, max_size=3))
+    def test_edge_values_give_finite_numbers_or_one_error_line(self, fixture_dir, command, edges):
+        # a run on one day with up to three catalog, tariff or contract-level
+        # numbers at an edge value ends one of three ways: exit 1 with one
+        # error: line and no --out, exit 2 for an unreachable cap, or exit 0
+        # with every number it writes finite, expb_years aside
+        value = {**USUAL, **edges}
+        lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
+        battery = {key[len("catalog."):]: v for key, v in value.items() if key.startswith("catalog.")}
+        # each column sorted, so the levels stay increasing unless two are equal
+        kvas, fees = (sorted(value[f"ppc.{k}.{part}"] for k in range(3)) for part in ("kva", "eur_per_day"))
+        configs = {
+            "c1.csv": "".join(lines[: 3 + 288]),
+            "catalog.json": json.dumps({"batteries": [{"name": "x", **battery}]}),
+            "tariff.json": json.dumps({"periods": [_period("08:00", "22:00", price=value["tariff.day"])],
+                                       "fallback_price": value["tariff.night"]}),
+            "ppc.json": json.dumps({"levels": [{"kva": k, "eur_per_day": f} for k, f in zip(kvas, fees)]}),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in configs.items():
+                (Path(tmp) / name).write_text(text)
+            paths = {name: str(Path(tmp) / name) for name in configs}
+            out, err = io.StringIO(), io.StringIO()
+            # a NumPy overflow warning would be a second stderr line; here it is an error
+            with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = cli.main([command, paths["c1.csv"], "--battery", "x", "--catalog", paths["catalog.json"],
+                                 "--tariff", paths["tariff.json"], "--ppc", paths["ppc.json"],
+                                 "--out", str(Path(tmp) / "out")])
+            err_lines = err.getvalue().splitlines()
+            if code in (1, 2):
+                assert [ln.startswith("error:") for ln in err_lines] == [True], err_lines
+                assert code == 1 or err_lines[0].startswith("error: dispatch infeasible: ")
+                assert not (Path(tmp) / "out").exists()
+                return
+            assert code == 0, err_lines
+            written = sorted((Path(tmp) / "out").glob("*.csv"))
+            assert len(written) == 2, written  # the report and the dispatch
+            for path in written:
+                rows = [row.split(",") for row in path.read_text().splitlines() if not row.startswith("#")]
+                for row in rows[1:]:
+                    for column, cell in zip(rows[0], row):
+                        try:
+                            number = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(number) or column == "expb_years", (path.name, column, cell)

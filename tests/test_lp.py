@@ -12,8 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bessprofit.errors import SolverError
-from bessprofit.lp import LinearProgram, solve
+from _reference import LinearProgram, SolverError, solve
 
 
 # ----------------------------------------------------------------- oracle

@@ -29,7 +29,6 @@ from bessprofit.optimizer import (
     _list_forward,
     _scan_forward,
     _solve,
-    build_lp,
     select_ppc,
     solve_dispatch,
     validate_dispatch,
@@ -38,6 +37,7 @@ from bessprofit.profitability import ETA_MIN, Conventions, evaluate
 from bessprofit.report import ReportHeader, render_csv
 from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, baseline_metrics
 
+from _reference import build_lp, lp_reference
 from _support import (
     DP_GRID,
     H,
@@ -46,7 +46,6 @@ from _support import (
     dp_gap_bound,
     dp_oracle,
     linear_cycles,
-    lp_reference,
     mini_scenario,
     noisy_price_slice,
     random_dispatch_instance,
