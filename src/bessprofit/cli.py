@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with np.errstate(all="ignore"):  # an overflow fails by name (check_finite), not as a NumPy warning
+        with np.errstate(over="ignore"):  # an overflow fails by name (check_finite), not as a NumPy warning
             return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

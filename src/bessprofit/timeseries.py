@@ -333,7 +333,9 @@ class ScenarioSeries:
     @cached_property
     def baseline(self) -> BaselineMetrics:
         """The no-battery ``baseline_metrics``, derived on first use."""
-        return baseline_metrics(self)
+        metrics = baseline_metrics(self)
+        check_finite("baseline", ss=metrics.ss, waste=metrics.waste, energy_cost=metrics.energy_cost)
+        return metrics
 
 
 @dataclass(frozen=True)
@@ -361,8 +363,6 @@ def baseline_metrics(s: ScenarioSeries, storage: np.ndarray | None = None) -> Ba
         raise DegenerateScenarioError("total load is zero; self-sufficiency undefined")
     ss = (total_load - grid_import) / total_load
     energy_cost = float(np.sum(s.price * np.maximum(0.0, z)))
-    if storage is None:  # a battery's numbers are checked where they are scored
-        check_finite("baseline", ss=ss, waste=waste, energy_cost=energy_cost)
     return BaselineMetrics(ss=ss, waste=waste, energy_cost=energy_cost)
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _support import reference_fixture_texts, reference_smooth_noise, step_times, subprocess_env
@@ -816,6 +816,9 @@ class TestEdgeValues:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(command=st.sampled_from(["evaluate", "tune"]),
            edges=st.dictionaries(st.sampled_from(sorted(USUAL)), st.sampled_from(EDGES), min_size=1, max_size=3))
+    # two runs that overflow in the dispatch's pieces, the charge slope and the cap's move, which the draw may miss
+    @example(command="evaluate", edges={"catalog.eta_ch": 1e-300, "tariff.day": 1e300})
+    @example(command="evaluate", edges={"catalog.eta_dis": 1e-300, "ppc.1.kva": 1e-300, "ppc.2.kva": 1e300})
     def test_edge_values_give_finite_numbers_or_one_error_line(self, fixture_dir, command, edges):
         # a run on one day with up to three catalog, tariff or contract-level
         # numbers at an edge value ends one of three ways: exit 1 with one

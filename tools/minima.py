@@ -1,14 +1,16 @@
-"""Per-problem minima of one or more source trees, timed in process and
-alternated round by round, to resolve changes of a few per cent.
+"""Per-problem minima of a parent and a change source tree, timed in
+process and alternated problem by problem, to resolve changes of a few
+per cent.
 
-    python3 tools/minima.py parent=/path/to/parent change=. --rounds 10 --reps 10 --out minima.json
+    python3 tools/minima.py /path/to/parent /path/to/change > minima.json
 
-Each round starts one child process per tree, one after the other, the
-trees in the given order in even rounds and in reverse order in odd ones.
-A child imports bessprofit from its tree's ``src/`` and uses its tree's
-``perfbench/workloads.py`` only to build the seed-2019 inputs. It makes
-``--reps`` passes over every problem of three sets and keeps each
-problem's least time:
+One child process per tree imports bessprofit from that tree's ``src/``
+and uses its ``perfbench/workloads.py`` only to build the seed-2019
+inputs. The tool then asks the two children for one problem at a time,
+one right after the other, the first of the two alternating round by
+round; the idle child waits on its pipe, so the two never run at once
+and a slow spell of the host falls on both. Each child times its own
+call. Every round goes once over every problem of three sets:
 
 - ``sweep``: ``evaluate_candidate`` on the 36 ``sweep-j1`` pairs (the four
   fixtures cut to 3 days, times the nine catalog batteries);
@@ -17,20 +19,16 @@ problem's least time:
 - ``sweep-30d``: ``evaluate_candidate`` on the 36 pairs of the full 30-day
   fixtures.
 
-A set's number for one child is the sum of its problems' least times.
-Each tree after the first is compared with the first two ways. The
-``change`` is the geometric mean of the per-round ratios, given with the
-standard error of its logarithm: the two trees ran back to back in a
-round, so the host's drift over the run cancels. The ``change_of_minima``
-is the ratio of the sums, over problems, of each problem's least time in
-the whole run. Each tree also gets its median round. The summary is
-printed as JSON; ``--out`` writes it as the ``minima`` section of that
-JSON file, keeping any other section there.
+A pair of children gives, for each set, the sum over its problems of
+each problem's least time in ``ROUNDS`` rounds, and the change's sum over
+the parent's, minus one. Two processes of one tree can read a per cent
+or more apart for their whole run, so this is done with ``PAIRS`` fresh
+pairs, and ``change`` is the median of their changes. The summary is
+printed as JSON.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -43,12 +41,14 @@ from pathlib import Path
 
 SEED = 2019
 SETS = ("sweep", "tune", "sweep-30d")
+ROUNDS = 10
+PAIRS = 6
 
 
-def child(tree: Path, reps: int) -> dict[str, list[float]]:
-    """Each problem's least wall time over ``reps`` passes, by set, timed on
-    ``tree``'s code. A pass goes through every set, so a slow spell of the
-    host is shared by the sets rather than falling on one."""
+def child(tree: Path) -> None:
+    """Build the inputs on ``tree``'s code, print each set's problem count,
+    then run problem ``k`` of set ``name`` for each ``name k`` line read
+    and print its wall time."""
     src = (tree / "src").resolve()
     sys.path[:0] = [str(src), str((tree / "perfbench").resolve())]
     import bessprofit
@@ -72,86 +72,68 @@ def child(tree: Path, reps: int) -> dict[str, list[float]]:
     calls = {name: [lambda s=s, b=b: evaluate_candidate(s, b, ppc) for s in scenarios[name]
                     for b in sliced.batteries] for name in scenarios}
     calls["tune"] = [lambda w=w, b=b: tune_friction(w, b, ppc) for w in noisy.noisy for b in noisy.batteries]
-    best = {name: [math.inf] * len(calls[name]) for name in SETS}
-    for _ in range(reps):
-        for name in SETS:
-            for k, call in enumerate(calls[name]):
-                start = time.perf_counter()
-                call()
-                best[name][k] = min(best[name][k], time.perf_counter() - start)
-    return best
+    print(json.dumps({name: len(calls[name]) for name in SETS}), flush=True)
+    for line in sys.stdin:
+        name, k = line.split()
+        call = calls[name][int(k)]
+        start = time.perf_counter()
+        call()
+        print(repr(time.perf_counter() - start), flush=True)
 
 
-def _run_child(path: Path, reps: int) -> dict[str, list[float]]:
+def _pair(env: dict[str, str], trees: dict[str, Path]) -> dict[str, dict[str, float]]:
+    """Each tree's sums of per-problem minima, by set, from one pair of children."""
+    procs = {name: subprocess.Popen([sys.executable, __file__, "--child", str(path)], env=env, text=True,
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE) for name, path in trees.items()}
+    try:
+        counts = {name: json.loads(proc.stdout.readline() or "null") for name, proc in procs.items()}
+        if counts["parent"] is None or counts["parent"] != counts["change"]:
+            raise SystemExit(f"minima: the children did not build the same problems: {counts}")
+        best = {name: {s: [math.inf] * counts["parent"][s] for s in SETS} for name in trees}
+        for r in range(ROUNDS):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for s in SETS:
+                for k in range(counts["parent"][s]):
+                    for name in order:
+                        procs[name].stdin.write(f"{s} {k}\n")
+                        procs[name].stdin.flush()
+                        best[name][s][k] = min(best[name][s][k], float(procs[name].stdout.readline()))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    return {name: {s: sum(best[name][s]) for s in SETS} for name in trees}
+
+
+def compare(parent: Path, change: Path) -> dict:
     # one string-hash seed for every child, so dict and set orders match
     env = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, "PYTHONHASHSEED": "0"}
-    proc = subprocess.run([sys.executable, __file__, "--child", str(path), "--reps", str(reps)],
-                          capture_output=True, text=True, env=env, check=False)
-    if proc.returncode != 0:
-        raise SystemExit(f"minima: the child for {path} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def compare(trees: list[tuple[str, Path]], rounds: int, reps: int) -> dict:
-    sums = {name: {s: [] for s in SETS} for name, _ in trees}  # each round's sum of minima
-    best = {name: {} for name, _ in trees}  # each problem's minimum over the whole run
-    for r in range(rounds):
-        for name, path in trees if r % 2 == 0 else trees[::-1]:
-            for s, minima in _run_child(path, reps).items():
-                sums[name][s].append(sum(minima))
-                best[name][s] = list(map(min, best[name].get(s, minima), minima))
-    summary = {
-        "what": (f"per-problem least wall times over {reps} passes in each of {rounds} rounds "
-                 f"that alternate the trees, seed {SEED}; tools/minima.py"),
+    pairs = [_pair(env, {"parent": parent, "change": change}) for _ in range(PAIRS)]
+    changes = {s: [pair["change"][s] / pair["parent"][s] - 1.0 for pair in pairs] for s in SETS}
+    return {
+        "what": (f"sums of per-problem least wall times over {ROUNDS} rounds in each of {PAIRS} pairs of "
+                 f"child processes, the parent and change trees alternated problem by problem, seed {SEED}; "
+                 "tools/minima.py"),
         "sets": {"sweep": "evaluate_candidate on the 36 sweep-j1 pairs, 3 days",
                  "tune": "tune_friction on the 27 tune-noisy tunings, 2-day windows",
                  "sweep-30d": "evaluate_candidate on the 36 sweep pairs, 30 days"},
-        "trees": {name: str(path) for name, path in trees},
-        "seconds": {name: {s: {"sum_of_minima": sum(best[name][s]), "round_median": statistics.median(v),
-                               "rounds": v}
-                           for s, v in per_set.items()} for name, per_set in sums.items()},
+        "trees": {"parent": str(parent), "change": str(change)},
+        "sum_of_minima_s": pairs,
+        "change_by_pair": changes,
+        "change": {s: statistics.median(changes[s]) for s in SETS},
     }
-    first = trees[0][0]
-    summary["change_vs_" + first] = {}
-    for name, _ in trees[1:]:
-        changes = {}
-        for s in SETS:
-            logs = [math.log(mine / theirs) for mine, theirs in zip(sums[name][s], sums[first][s])]
-            spread = statistics.stdev(logs) / math.sqrt(rounds) if rounds > 1 else None
-            changes[s] = {"change": math.exp(statistics.mean(logs)) - 1.0, "log_stderr": spread,
-                          "change_of_minima": sum(best[name][s]) / sum(best[first][s]) - 1.0}
-        summary["change_vs_" + first][name] = changes
-    return summary
 
 
-def _tree(text: str) -> tuple[str, Path]:
-    name, sep, path = text.partition("=")
-    if not (sep and name and (Path(path) / "src" / "bessprofit").is_dir()):
-        raise argparse.ArgumentTypeError(f"expected NAME=PATH to a tree with src/bessprofit, got {text!r}")
-    return name, Path(path)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trees", nargs="*", type=_tree, help="NAME=PATH of each source tree")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--reps", type=int, default=10, help="passes over every problem per child")
-    parser.add_argument("--out", type=Path, help="JSON file to write the minima section into")
-    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        print(json.dumps(child(args.child, args.reps)))
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"] and len(argv) == 2:
+        child(Path(argv[1]))
         return 0
-    if not args.trees or args.rounds < 1 or args.reps < 1:
-        parser.error("need at least one NAME=PATH, --rounds >= 1 and --reps >= 1")
-    summary = compare(args.trees, args.rounds, args.reps)
-    if args.out:
-        record = json.loads(args.out.read_text()) if args.out.is_file() else {}
-        record["minima"] = summary
-        args.out.write_text(json.dumps(record, indent=1) + "\n")
-    print(json.dumps(summary, indent=1))
+    if len(argv) != 2 or not all((Path(path) / "src" / "bessprofit").is_dir() for path in argv):
+        print(f"usage: {sys.argv[0]} PARENT_TREE CHANGE_TREE (each a tree with src/bessprofit)", file=sys.stderr)
+        return 2
+    print(json.dumps(compare(Path(argv[0]), Path(argv[1])), indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
