@@ -64,11 +64,10 @@ class _UsageError(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved inputs for one run, with the config paths the hash reads."""
+    """Resolved inputs for one run; ``hashed`` holds the tariff, PPC and catalog
+    bytes as read (``<default>`` when not given) and the conventions."""
 
-    tariff_path: str | None
-    ppc_path: str | None
-    catalog_path: str | None
+    hashed: bytes
     conventions: Conventions
     out_dir: Path
     tariff: TariffSchedule
@@ -78,8 +77,8 @@ class SweepConfig:
 
 def _require_file(kind: str, path: str) -> None:
     """Refuse a path that is missing or not a regular file, without opening it:
-    the config hash reads every input again after the solve, when a pipe is
-    drained, and a FIFO with no writer would block the run."""
+    the config hash reads every input a second time, when a pipe is drained,
+    and a FIFO with no writer would block the run."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -112,22 +111,16 @@ def _build_config(args, scenario_paths: list[str]) -> SweepConfig:
     catalog = tuple(load_catalog(args.catalog) if args.catalog else default_catalog())
     if not catalog:
         raise ConfigError("battery catalog is empty")
-    return SweepConfig(args.tariff, args.ppc, args.catalog, conventions, Path(args.out), tariff, ppc, catalog)
+    hashed = [Path(path).read_bytes() if path else b"<default>" for path in (args.tariff, args.ppc, args.catalog)]
+    hashed += [line.encode() for line in conventions.lines()]
+    return SweepConfig(b"".join(hashed), conventions, Path(args.out), tariff, ppc, catalog)
 
 
 def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
     """Hash of the inputs behind one scenario's files: the scenario's bytes,
-    the tariff, PPC and catalog bytes, the conventions and ``extra``."""
-    digest = hashlib.sha256()
-    digest.update(f"bessprofit {__version__}".encode())
-    digest.update(Path(path).read_bytes())
-    for blob in (config.tariff_path, config.ppc_path, config.catalog_path):
-        digest.update(Path(blob).read_bytes() if blob else b"<default>")
-    for line in config.conventions.lines():
-        digest.update(line.encode())
-    for item in extra:
-        digest.update(item.encode())
-    return digest.hexdigest()[:12]
+    ``config.hashed`` and ``extra``."""
+    blobs = [f"bessprofit {__version__}".encode(), Path(path).read_bytes(), config.hashed, *map(str.encode, extra)]
+    return hashlib.sha256(b"".join(blobs)).hexdigest()[:12]
 
 
 def _load(config: SweepConfig, path: str) -> ScenarioSeries:

@@ -75,6 +75,10 @@ class DispatchProblem:
     def __post_init__(self):
         if not (0 < self.eta_fric <= 1):
             raise ValueError("eta_fric must be in (0, 1]")
+        # _pieces divides by both products; one that underflows gives an inf or nan slope
+        spec, fric = self.spec, self.eta_fric
+        if not (spec.eta_ch * fric > 0 and 1.0 / (spec.eta_ch * fric) < math.inf and spec.eta_dis * fric > 0):
+            raise ValueError(f"eta_fric {fric:g} underflows eta_ch {spec.eta_ch:g} or eta_dis {spec.eta_dis:g}")
         if not self.p_max_set >= 0:
             raise ValueError("p_max_set must be >= 0")
         if not self.epsilon >= 0:
@@ -128,24 +132,28 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     The forward route depends only on S, the count of distinct slopes over
     all pieces. Up to _SCAN_MAX_SLOPES it is the slope-domain scan:
     G_i(σ) = clip(G_{i-1}(σ) + F_i(σ), L_i, b_max), with F_i(σ) = l plus the
-    length of f_i's pieces with slope below σ, for σ in {−∞, each slope, 0,
-    +∞}; clip maps compose associatively, so NumPy runs the n steps as a
-    blocked scan of about 2√n iterations. Above it (per-step prices) it is
-    the list DP, which keeps V_i as slope-sorted segment lists. A piece
-    that the same step's clip removes is never inserted there, and the
-    result is bit for bit that of merging it. The two routes round
-    differently: x may differ by about 1e-14 kWh.
+    length of f_i's pieces with slope below σ, for σ in each distinct slope,
+    where the q_j are read, and +∞, the top of the domain. No slope lies
+    between 0 and the least slope >= 0 (or +∞), so that column gives the
+    final SoC, G_n(0). Clip maps compose associatively, so NumPy runs the n
+    steps as a blocked scan of about 2√n iterations. Above it (per-step
+    prices) it is the list DP, which keeps V_i as slope-sorted segment
+    lists. A piece that the same step's clip removes is never inserted
+    there, and the result is bit for bit that of merging it. The two routes
+    round differently: x may differ by about 1e-14 kWh.
 
     Tie rule: the final SoC is the smallest minimiser of V_n on
     [L_n, b_max], and going backward each b_{i-1} is the smallest SoC from
     which reaching b_i stays optimal, so where a step's own move and an
     earlier one cost the same, the step's own move is taken.
 
-    Raises InfeasibleDispatchError naming the first step after which no SoC path
-    meets the peak cap. The returned energy_cost uses the true billing
-    Σ price·max(0, z + s). It never exceeds the no-battery baseline
-    cost when the no-battery plan meets the peak cap, since that plan is
-    then feasible; a cap below the baseline peak can force a dearer bill.
+    Raises InfeasibleDispatchError naming the first step after which no SoC
+    path meets the peak cap: by both routes, one with no move, or whose
+    domain top falls below the floor (the bottom never rises). The returned
+    energy_cost uses the true billing Σ price·max(0, z + s). It never
+    exceeds the no-battery baseline cost when the no-battery plan meets the
+    peak cap, since that plan is then feasible; a cap below the baseline
+    peak can force a dearer bill.
     """
     return _solve(prob)
 
@@ -362,7 +370,7 @@ def _list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
 
 
 def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slopes=None):
-    """The slope-domain scan: G_i(σ) for σ in {−∞, every slope, 0, +∞},
+    """The slope-domain scan: G_i(σ) for σ in every distinct slope and +∞,
     each column a clip-map recursion. ``slopes`` is _distinct(slope),
     when the caller has it. Returns the final SoC and the q_j of each
     piece, as in _pieces.
@@ -375,7 +383,7 @@ def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slope
     spec, n, b_0, b_max = prob.spec, prob.scenario.n, prob.spec.b_0, prob.spec.b_max
     if slopes is None:
         slopes = _distinct(slope)
-    cols = _distinct(np.concatenate((slopes, (-np.inf, 0.0, np.inf))))
+    cols = np.append(slopes, np.inf)
     c = cols.size
     size = max(1, math.isqrt(n // 2))
     blocks = -(-n // size)
@@ -428,17 +436,16 @@ def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slope
     np.maximum(g, bounds[:, 0], out=g)
     np.minimum(g, bounds[:, 1], out=g)
 
-    # G_{i-1} at σ = −∞, +∞ and at each piece's slope; step i is step
-    # i % size of block i // size
+    # step i is step i % size of block i // size; the top of step i's
+    # pre-clip domain is G_{i-1}(+∞) + f_i(+∞)
     at = (np.arange(size) * (c * blocks) + np.arange(blocks)[:, None]).ravel()[:n]
     prev = at[:-1]
-    g_prev = np.empty((2, n))
-    g_prev[:, 0] = b_0
-    g.take(prev, out=g_prev[0, 1:])
-    g.take(prev + (c - 1) * blocks, out=g_prev[1, 1:])
-    # the first step with no move, or whose pre-clip domain misses the box
-    bad = ((hi_x < lo_x - _DUST) | (g_prev[1] + f[-1, :n] < floor - _DUST)
-           | (g_prev[0] + f[0, :n] > b_max + _DUST))
+    top = np.empty(n)
+    top[0] = b_0
+    g.take(prev + (c - 1) * blocks, out=top[1:])
+    top += f[-1, :n]
+    # the first step with no move, or whose domain top misses the floor
+    bad = (hi_x < lo_x - _DUST) | (top < floor - _DUST)
     if bad.any():
         raise _unreachable(prob, int(bad.argmax()))
     q = np.empty((3, n))
@@ -584,8 +591,7 @@ def select_ppc(
         old = ppc.smallest_covering(peak_kw)
         if old is None:
             raise InfeasibleDispatchError(
-                f"baseline peak {peak_kw:.2f} kW exceeds the largest PPC level"
-            )
+                f"baseline peak {peak_kw:g} kW exceeds the largest PPC level, {ppc.levels[-1].kva:g} kVA")
 
     # the old level's dispatch is the fallback, and its infeasibility is final
     for level in [lv for lv in ppc.levels if lv.kva < old.kva] + [old]:

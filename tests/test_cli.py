@@ -9,8 +9,9 @@ Every failure case is a row of one table, ``FAILURES``, run through
 whole contract: the exit code, empty stdout, the last stderr line, exactly
 one ``error:`` line, no NumPy warning, no ``--out`` directory and no child
 process left. A Hypothesis test runs ``cli.main`` on one day with edge
-values in the catalog, tariff and contract levels and holds each run to
-the same contract, or to finite output numbers when it succeeds. The
+values in the catalog, tariff, contract levels, one step's load and PV
+and the friction and holds each run to the same contract, or to finite
+output numbers when it succeeds. The
 sweep's fork-count and dying-worker checks also run in-process, so that
 they can wrap ``os.fork`` and stand in for ``_sweep_one`` in the forked
 workers. The success-path command tests run ``python -m bessprofit`` as a
@@ -321,6 +322,28 @@ class TestEvaluateCommand:
         hashes = [next(line for line in head if line.startswith("# config_hash: ")) for head in heads]
         assert hashes[0] != hashes[1]
 
+    def test_config_hash_takes_each_config_file_as_it_was_read(self, tmp_path, fixture_dir, monkeypatch,
+                                                               capsys):
+        # a tariff file rewritten while the candidate is solved changes neither the
+        # dispatch, which was priced before, nor the config_hash of any file written
+        tariff = spread_tariff(tmp_path)
+        argv = ["evaluate", str(fixture_dir / "c1.csv"), "--battery", "2kwh-1c", "--tariff", str(tariff)]
+        assert cli.main([*argv, "--out", str(tmp_path / "calm")]) == 0
+        solve = cli.evaluate_candidate
+
+        def rewriting(*args, **kwargs):
+            tariff.write_text(json.dumps({"fallback_price": 0.5}))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_candidate", rewriting)
+        assert cli.main([*argv, "--out", str(tmp_path / "rewritten")]) == 0
+        capsys.readouterr()
+        assert json.loads(tariff.read_text()) == {"fallback_price": 0.5}
+        names = sorted(path.name for path in (tmp_path / "calm").iterdir())
+        assert len(names) == 3
+        for name in names:
+            assert (tmp_path / "rewritten" / name).read_bytes() == (tmp_path / "calm" / name).read_bytes(), name
+
 
 class TestSweepCommand:
     def test_parallel_output_is_byte_identical(self, tmp_path, fixture_dir):
@@ -592,6 +615,25 @@ def _battery_entry(**extra):
     return {"name": "x", "b_rated_kwh": 1, "charge_rate_c": 1, "discharge_rate_c": 1, **extra}
 
 
+def _underflow_row(id_, eta, eta_fric, line, tariff=None):
+    """An evaluate of c1 with battery x, whose efficiency ``eta`` is 1e-300, at
+    ``eta_fric``, under ``tariff`` when given."""
+    argv = ["evaluate", "c1.csv", "--battery", "x", "--catalog", "tiny.json", "--eta-fric", eta_fric]
+    files = {"tiny.json": json.dumps({"batteries": [_battery_entry(**{eta: 1e-300})]})}
+    if tariff:
+        argv += ["--tariff", "t.json"]
+        files["t.json"] = json.dumps(tariff)
+    return _row(id_, argv, line, files)
+
+
+def _load_step_row(id_, load_w, line):
+    """An evaluate of one day at 100 W whose step 100 draws ``load_w`` W, past every contract level."""
+    text = "".join(f"2019-06-01T{k // 12:02d}:{k % 12 * 5:02d}:00,{load_w if k == 100 else 100},0\n"
+                   for k in range(288))
+    return _row(id_, ["evaluate", "step.csv", "--battery", "2kwh-1c"], line,
+                {"step.csv": "timestamp,load_w,pv_w\n" + text}, code=2)
+
+
 _EVALUATE = ["evaluate", "c1.csv", "--battery", "2kwh-1c"]
 
 # The last stderr line of each row; one that ends in "..." is a prefix, as
@@ -722,6 +764,20 @@ FAILURES = [
     _row("unknown-subcommand", ["frobnicate"], "error: argument command: invalid choice: 'frobnicate' ..."),
     _row("step-minutes-mismatch", [*_EVALUATE, "--step-minutes", "15"],
          "error: scenario file c1.csv: requested step 15 min does not match file spacing 5 min"),
+    _load_step_row("load-past-every-level", "30000",
+                   "error: dispatch infeasible: baseline peak 30 kW exceeds the largest PPC level, 20.7 kVA"),
+    # the peak is printed in %g form, not as 306 digits
+    _load_step_row("overflowing-load-past-every-level", "1e308",
+                   "error: dispatch infeasible: baseline peak 1e+305 kW exceeds the largest PPC level, 20.7 kVA"),
+    # friction times an efficiency that underflows: a charge factor of 1/0, an inf
+    # charge factor that a zero price turns into a nan slope, and a discharge factor of 0
+    _underflow_row("charge-factor-divides-by-zero", "eta_ch", "1e-30",
+                   "error: eta_fric 1e-30 underflows eta_ch 1e-300 or eta_dis 0.95"),
+    _underflow_row("charge-factor-overflows", "eta_ch", "1e-10",
+                   "error: eta_fric 1e-10 underflows eta_ch 1e-300 or eta_dis 0.95",
+                   {"periods": [_period("03:00", "03:05", price=0)], "fallback_price": 0.185}),
+    _underflow_row("discharge-factor-underflows", "eta_dis", "1e-30",
+                   "error: eta_fric 1e-30 underflows eta_ch 0.95 or eta_dis 1e-300"),
     _row("unreachable-peak-cap-is-exit-two",
          ["evaluate", "c3.csv", "--battery", "1kwh-0.25c", "--contracted-kva", "3.45"],
          "error: dispatch infeasible: peak cap 3.45 kW unreachable at step 246", code=2),
@@ -800,8 +856,12 @@ class TestFailureModes:
 EDGES = (0.0, 1e-300, 1e300, 1e308, sys.float_info.max)
 
 # an ordinary one-battery run: its catalog entry, its tariff prices (day,
-# night) and its contract levels (kVA, €/day); each field an edge value may take
+# night), its contract levels (kVA, €/day), the load and PV (W) of step
+# EDGE_STEP of its scenario and, for evaluate, its friction; each field an
+# edge value may take
+EDGE_STEP = 100
 USUAL = {
+    "scenario.load_w": 500.0, "scenario.pv_w": 200.0, "eta_fric": 1.0,
     **{f"catalog.{key}": value for key, value in dict(
         b_rated_kwh=2.0, charge_rate_c=1.0, discharge_rate_c=1.0, soc_min_frac=0.1, soc_init_frac=0.5,
         soc_max_frac=1.0, eta_ch=0.95, eta_dis=0.95, cycle_life_100dod=4000.0, calendar_life_years=7.0,
@@ -816,21 +876,26 @@ class TestEdgeValues:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(command=st.sampled_from(["evaluate", "tune"]),
            edges=st.dictionaries(st.sampled_from(sorted(USUAL)), st.sampled_from(EDGES), min_size=1, max_size=3))
-    # two runs that overflow in the dispatch's pieces, the charge slope and the cap's move, which the draw may miss
+    # two runs that overflow in the dispatch's pieces, the charge slope and the cap's move, a
+    # baseline peak past every level, and a charge factor that underflows, which the draw may miss
     @example(command="evaluate", edges={"catalog.eta_ch": 1e-300, "tariff.day": 1e300})
     @example(command="evaluate", edges={"catalog.eta_dis": 1e-300, "ppc.1.kva": 1e-300, "ppc.2.kva": 1e300})
+    @example(command="evaluate", edges={"scenario.load_w": 1e308})
+    @example(command="evaluate", edges={"catalog.eta_ch": 1e-300, "eta_fric": 1e-300})
     def test_edge_values_give_finite_numbers_or_one_error_line(self, fixture_dir, command, edges):
-        # a run on one day with up to three catalog, tariff or contract-level
-        # numbers at an edge value ends one of three ways: exit 1 with one
+        # a run on one day with up to three catalog, tariff, contract-level,
+        # scenario or friction numbers at an edge value ends one of three ways: exit 1 with one
         # error: line and no --out, exit 2 for an unreachable cap, or exit 0
         # with every number it writes finite, expb_years aside
         value = {**USUAL, **edges}
-        lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
+        lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)[: 3 + 288]
+        stamp = lines[3 + EDGE_STEP].split(",")[0]
+        lines[3 + EDGE_STEP] = f"{stamp},{value['scenario.load_w']!r},{value['scenario.pv_w']!r}\n"
         battery = {key[len("catalog."):]: v for key, v in value.items() if key.startswith("catalog.")}
         # each column sorted, so the levels stay increasing unless two are equal
         kvas, fees = (sorted(value[f"ppc.{k}.{part}"] for k in range(3)) for part in ("kva", "eur_per_day"))
         configs = {
-            "c1.csv": "".join(lines[: 3 + 288]),
+            "c1.csv": "".join(lines),
             "catalog.json": json.dumps({"batteries": [{"name": "x", **battery}]}),
             "tariff.json": json.dumps({"periods": [_period("08:00", "22:00", price=value["tariff.day"])],
                                        "fallback_price": value["tariff.night"]}),
@@ -846,7 +911,8 @@ class TestEdgeValues:
                 warnings.simplefilter("error")
                 code = cli.main([command, paths["c1.csv"], "--battery", "x", "--catalog", paths["catalog.json"],
                                  "--tariff", paths["tariff.json"], "--ppc", paths["ppc.json"],
-                                 "--out", str(Path(tmp) / "out")])
+                                 "--out", str(Path(tmp) / "out"),
+                                 *(["--eta-fric", repr(value["eta_fric"])] if command == "evaluate" else [])])
             err_lines = err.getvalue().splitlines()
             if code in (1, 2):
                 assert [ln.startswith("error:") for ln in err_lines] == [True], err_lines

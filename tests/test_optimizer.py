@@ -24,6 +24,7 @@ from bessprofit import optimizer
 from bessprofit.battery import default_catalog, make_spec
 from bessprofit.errors import InfeasibleDispatchError
 from bessprofit.optimizer import (
+    DEFAULT_EPSILON,
     DispatchProblem,
     DispatchSolution,
     _list_forward,
@@ -230,9 +231,12 @@ def test_scan_matches_its_reference_bit_for_bit():
     # as drawn, under terminal_soc, at eps = 0, with a zero SoC floor and a
     # zero discharge rate (so that -0.0 meets +0.0), and at two caps: one
     # that takes away 60-120 % of the discharge power from the baseline
-    # peak, of which about half fail, and a zero cap. Every other window is
-    # cut or tiled to 1, 2, 3 or 7 steps or to a length that leaves the
-    # last block short.
+    # peak, of which about half fail, and a zero cap. It also runs with the
+    # first third of its steps at a zero price, at eps = 0, where 0 is
+    # itself a slope, and at the default eps, where the least slope >= 0
+    # is eps; the scan reads the final SoC from that column. Every other
+    # window is cut or tiled to 1, 2, 3 or 7 steps or to a length that
+    # leaves the last block short.
     def outcome(forward, prob):
         try:
             return forward(prob, *optimizer._pieces(prob))
@@ -254,6 +258,8 @@ def test_scan_matches_its_reference_bit_for_bit():
         spec = prob.spec
         peak = float(np.max(prob.scenario.z)) / prob.scenario.h
         cap = max(0.0, peak + spec.delta_min_kw * float(rng.uniform(0.6, 1.2)))
+        free = np.where(np.arange(n) < -(-n // 3), 0.0, prob.scenario.price)
+        free = replace(prob.scenario, price=free)
         probs += [prob] + [replace(prob, **changes) for changes in (
             {"terminal_soc": True},
             {"epsilon": 0.0},
@@ -261,10 +267,13 @@ def test_scan_matches_its_reference_bit_for_bit():
             {"spec": replace(spec, b_min=0.0), "terminal_soc": True},
             {"p_max_set": cap},
             {"p_max_set": 0.0},
+            {"scenario": free, "epsilon": 0.0},
+            {"scenario": free, "epsilon": DEFAULT_EPSILON},
         )]
     failed = 0
     for k, prob in enumerate(probs):
-        assert optimizer._distinct(prob.scenario.price).size <= 2
+        price = prob.scenario.price
+        assert optimizer._distinct(price[price > 0]).size <= 2
         want = outcome(reference_scan_forward, prob)
         assert outcome(_scan_forward, prob) == want, k
         failed += isinstance(want[0], str)
