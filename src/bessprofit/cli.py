@@ -116,21 +116,26 @@ def _build_config(args, scenario_paths: list[str]) -> SweepConfig:
     return SweepConfig(b"".join(hashed), conventions, Path(args.out), tariff, ppc, catalog)
 
 
-def _config_hash(config: SweepConfig, path: str, *extra: str) -> str:
-    """Hash of the inputs behind one scenario's files: the scenario's bytes,
-    ``config.hashed`` and ``extra``."""
-    blobs = [f"bessprofit {__version__}".encode(), Path(path).read_bytes(), config.hashed, *map(str.encode, extra)]
-    return hashlib.sha256(b"".join(blobs)).hexdigest()[:12]
+def _config_hash(config: SweepConfig, scenario_hash: hashlib._Hash, *extra: str) -> str:
+    """Hash of the inputs behind one scenario's files: ``scenario_hash`` (see
+    ``_load``) fed ``config.hashed`` and ``extra``."""
+    digest = scenario_hash.copy()
+    digest.update(b"".join([config.hashed, *map(str.encode, extra)]))
+    return digest.hexdigest()[:12]
 
 
-def _load(config: SweepConfig, path: str) -> ScenarioSeries:
+def _load(config: SweepConfig, path: str) -> tuple[ScenarioSeries, hashlib._Hash]:
+    """The scenario, and a SHA-256 fed the version line and the file's bytes,
+    read right after it is parsed and before any solve."""
     h = None if config.conventions.step_minutes is None else config.conventions.step_minutes / 60.0
     try:
         scenario = load_scenario(path, h=h, tariff=config.tariff)
         scenario.baseline  # a file with no defined baseline fails here, named, before any solve
     except ValueError as exc:
         raise ScenarioError(f"scenario file {path}: {exc}") from exc
-    return scenario
+    digest = hashlib.sha256(f"bessprofit {__version__}".encode())
+    digest.update(Path(path).read_bytes())
+    return scenario, digest
 
 
 def _battery(config: SweepConfig, name: str) -> BatterySpec:
@@ -138,14 +143,18 @@ def _battery(config: SweepConfig, name: str) -> BatterySpec:
     if name not in by_name:
         known = ", ".join(spec.name for spec in config.catalog)
         raise ConfigError(f"unknown battery {name!r}; catalog has: {known}")
+    # evaluate and tune name their output files after the battery
+    if "/" in name or "\0" in name:
+        raise ConfigError(f"battery name {name!r} cannot be part of a file name: it holds '/' or NUL")
     return by_name[name]
 
 
-def _write_tables(config: SweepConfig, path: str, scenario: ScenarioSeries, reports: list[ProfitabilityReport],
-                  stem: str, *hash_extra: str, tail: str = "") -> tuple[ReportHeader, str]:
+def _write_tables(config: SweepConfig, scenario_hash: hashlib._Hash, scenario: ScenarioSeries,
+                  reports: list[ProfitabilityReport], stem: str, *hash_extra: str,
+                  tail: str = "") -> tuple[ReportHeader, str]:
     """Write the report table of ``reports`` to ``{stem}.csv`` and, with ``tail``
     after it, to ``{stem}.txt``; return the header and the text."""
-    header = ReportHeader(scenario.name, _config_hash(config, path, *hash_extra), config.conventions.lines())
+    header = ReportHeader(scenario.name, _config_hash(config, scenario_hash, *hash_extra), config.conventions.lines())
     text = render_table(header, scenario.baseline, reports) + tail
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_report(config.out_dir / f"{stem}.csv", header, scenario.baseline, reports)
@@ -154,11 +163,11 @@ def _write_tables(config: SweepConfig, path: str, scenario: ScenarioSeries, repo
 
 
 def _write_candidate(config: SweepConfig, scenario: ScenarioSeries, report: ProfitabilityReport,
-                     dispatch: DispatchSolution, path: str, infix: str, *hash_extra: str) -> str:
+                     dispatch: DispatchSolution, scenario_hash: hashlib._Hash, infix: str, *hash_extra: str) -> str:
     """Write ``{scenario}-{battery}-{infix}`` + ``report.txt``, ``report.csv`` and
     ``dispatch.csv``; return the table."""
     stem = f"{scenario.name}-{report.battery.name}-{infix}"
-    header, text = _write_tables(config, path, scenario, [report], f"{stem}report", *hash_extra)
+    header, text = _write_tables(config, scenario_hash, scenario, [report], f"{stem}report", *hash_extra)
     lines = header.lines()
     lines.append("timestamp,z_kwh,x_kwh,s_kwh,b_kwh,theta_kwh,price")
     # Python floats format exactly as np.float64 does; b is the SoC after each step
@@ -171,10 +180,10 @@ def _write_candidate(config: SweepConfig, scenario: ScenarioSeries, report: Prof
 
 def cmd_evaluate(args) -> int:
     config = _build_config(args, [args.scenario])
-    scenario = _load(config, args.scenario)
+    scenario, scenario_hash = _load(config, args.scenario)
     spec = _battery(config, args.battery)
     report, selection = evaluate_candidate(scenario, spec, config.ppc, config.conventions)
-    print(_write_candidate(config, scenario, report, selection.dispatch, args.scenario, "",
+    print(_write_candidate(config, scenario, report, selection.dispatch, scenario_hash, "",
                            "evaluate", spec.name), end="")
     return 0
 
@@ -249,18 +258,18 @@ def cmd_sweep(args) -> int:
         by_stem[stem] = path
     config = _build_config(args, args.scenarios)
     # every scenario is read and validated before the first solve
-    scenarios = [_load(config, path) for path in args.scenarios]
+    scenarios, scenario_hashes = zip(*(_load(config, path) for path in args.scenarios))
     tasks = [(config, scenario, spec) for scenario in scenarios for spec in config.catalog]
     workers = min(args.jobs, len(tasks))
     outcomes = (list(map(_sweep_one, tasks)) if workers == 1
                 else _forked_map(_sweep_one, tasks, workers))
     n = len(config.catalog)
-    for k, (path, scenario) in enumerate(zip(args.scenarios, scenarios)):
+    for k, (scenario_hash, scenario) in enumerate(zip(scenario_hashes, scenarios)):
         mine = outcomes[k * n:(k + 1) * n]
         # only the text lists the failures; the CSV has the candidates that solved
         failures = sorted(failure for _, failure in mine if failure is not None)
         tail = "".join(f"# failed: {name}: {msg}\n" for name, msg in failures)
-        _, text = _write_tables(config, path, scenario, [report for report, _ in mine if report is not None],
+        _, text = _write_tables(config, scenario_hash, scenario, [report for report, _ in mine if report is not None],
                                 f"{scenario.name}-sweep", "sweep", tail=tail)
         print(text, end="")
     return 0
@@ -270,10 +279,10 @@ def cmd_tune(args) -> int:
     if args.target is not None and not (math.isfinite(args.target) and args.target > 0):
         raise _UsageError(f"--target must be > 0 and finite, got {args.target:g}")
     config = _build_config(args, [args.scenario])
-    scenario = _load(config, args.scenario)
+    scenario, scenario_hash = _load(config, args.scenario)
     spec = _battery(config, args.battery)
     result = tune_friction(scenario, spec, config.ppc, config.conventions, target_cycles=args.target)
-    _write_candidate(config, scenario, result.report, result.dispatch, args.scenario, "tuned-",
+    _write_candidate(config, scenario, result.report, result.dispatch, scenario_hash, "tuned-",
                      "tune", spec.name, _echo(result.target_cycles))
 
     if result.eta_fric == 1.0:

@@ -113,11 +113,10 @@ def test_runtime_path_loads_no_scipy(tmp_path, fixture_dir):
     assert (tmp_path / "sweep" / "c1-sweep.csv").is_file()
 
 
-def test_package_imports_no_scipy():
-    # the test above sees what a run loads; this one reads every module of the
-    # package, so no SciPy import can hide in a function that no run calls
+def scipy_imports(paths) -> list[str]:
+    """``file:line: module`` of every SciPy import in the Python files ``paths``."""
     found = []
-    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -126,7 +125,19 @@ def test_package_imports_no_scipy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
-    assert found == []
+    return found
+
+
+def test_package_imports_no_scipy():
+    # the test above sees what a run loads; this one reads every module of the
+    # package, so no SciPy import can hide in a function that no run calls
+    assert scipy_imports(Path(cli.__file__).parent.rglob("*.py")) == []
+
+
+def test_only_the_lp_reference_imports_scipy_among_the_tests():
+    # the rest of the suite runs without SciPy, as README says
+    found = scipy_imports(Path(__file__).parent.glob("*.py"))
+    assert {entry.split(":")[0] for entry in found} == {"_reference.py"}, found
 
 
 def test_in_process_runs_match_fresh_processes(tmp_path, fixture_dir, capsys):
@@ -341,6 +352,31 @@ class TestEvaluateCommand:
         assert json.loads(tariff.read_text()) == {"fallback_price": 0.5}
         names = sorted(path.name for path in (tmp_path / "calm").iterdir())
         assert len(names) == 3
+        for name in names:
+            assert (tmp_path / "rewritten" / name).read_bytes() == (tmp_path / "calm" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", [["evaluate", "--battery", "2kwh-1c"], ["sweep", "--jobs", "1"]],
+                             ids=["evaluate", "sweep"])
+    def test_config_hash_takes_the_scenario_as_it_was_read(self, tmp_path, fixture_dir, monkeypatch, capsys,
+                                                           command):
+        # a scenario file rewritten while it is solved changes no file written:
+        # the dispatch and the config_hash both take the bytes read before
+        lines = (fixture_dir / "c1.csv").read_text().splitlines(keepends=True)
+        scenario = tmp_path / "c1.csv"
+        scenario.write_text("".join(lines[: 3 + 288]))
+        argv = [command[0], str(scenario), *command[1:]]
+        assert cli.main([*argv, "--out", str(tmp_path / "calm")]) == 0
+        solve = cli.evaluate_candidate
+
+        def rewriting(*args, **kwargs):
+            scenario.write_text("".join(lines[: 3 + 2 * 288]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_candidate", rewriting)
+        assert cli.main([*argv, "--out", str(tmp_path / "rewritten")]) == 0
+        capsys.readouterr()
+        names = sorted(path.name for path in (tmp_path / "calm").iterdir())
+        assert len(names) == (3 if command[0] == "evaluate" else 2)
         for name in names:
             assert (tmp_path / "rewritten" / name).read_bytes() == (tmp_path / "calm" / name).read_bytes(), name
 
@@ -759,6 +795,14 @@ FAILURES = [
                 "unknown key 'soc_min_fraction' in entry {'name': 'x', 'b_rated_kwh': 1, "
                 "'charge_rate_c': 1, 'discharge_rate_c': 1, 'soc_min_fraction': 0.5}"),
     _config_row("numeric-name", "--catalog", {"batteries": [_battery_entry(name=7)]}, "bad name 7"),
+    # evaluate and tune name their files after the battery, so a name holding '/' or
+    # NUL fails before any solve; sweep only prints the names
+    _row("battery-name-with-slash", ["evaluate", "c1.csv", "--battery", "a/b", "--catalog", "slash.json"],
+         "error: battery name 'a/b' cannot be part of a file name: it holds '/' or NUL",
+         {"slash.json": json.dumps({"batteries": [_battery_entry(name="a/b")]})}),
+    _row("battery-name-with-nul", ["tune", "c1.csv", "--battery", "a\0b", "--catalog", "nul.json"],
+         "error: battery name 'a\\x00b' cannot be part of a file name: it holds '/' or NUL",
+         {"nul.json": json.dumps({"batteries": [_battery_entry(name="a\0b")]})}),
     _row("missing-required-battery-flag", ["evaluate", "c1.csv"],
          "error: the following arguments are required: --battery"),
     _row("unknown-subcommand", ["frobnicate"], "error: argument command: invalid choice: 'frobnicate' ..."),

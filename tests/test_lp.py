@@ -1,37 +1,32 @@
-"""Solver tests anchored to an exhaustive vertex-enumeration oracle.
+"""The LP reference held to an exhaustive vertex-enumeration oracle.
 
 The oracle enumerates every candidate basic point of a box-bounded LP
 (k active inequality rows plus n-k variables pinned at a bound), so on
-small instances it is a complete, solver-free source of truth.
+the LP of a one-step dispatch problem (4 variables, at most 5 rows) it
+is a complete, solver-free source of truth: a bounded LP with no
+feasible vertex has no feasible point.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _reference import LinearProgram, SolverError, solve
+from bessprofit.battery import make_spec
+from bessprofit.optimizer import DispatchProblem
+
+from _reference import build_lp, certify, lp_reference
+from _support import mini_scenario, random_dispatch_instance
 
 
-# ----------------------------------------------------------------- oracle
-
-
-def brute_force_min(lp: LinearProgram, tol: float = 1e-8) -> tuple[float, np.ndarray]:
-    """Complete enumeration of basic feasible points; returns (min, argmin).
-
-    Every vertex of {A v <= b, lo <= v <= hi} satisfies n linearly
-    independent active constraints: k inequality rows plus n-k bounds.
-    For each such combination the free coordinates solve a k x k system.
-    """
-    n, m = lp.n_vars, lp.n_rows
-    a = lp.A_ub.toarray()
-    b = np.asarray(lp.b_ub, dtype=float)
-    lo, hi = lp.bounds[:, 0], lp.bounds[:, 1]
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("oracle needs finite bounds")
-    best, best_v = np.inf, None
+def brute_force_min(lp, tol: float = 1e-8) -> float | None:
+    """The least c·v over every basic feasible point; None when there is none."""
+    a, b, (lo, hi) = lp.A_ub.toarray(), lp.b_ub, lp.bounds.T
+    m, n = a.shape
+    best = np.inf
     for k in range(min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             ar, br = a[list(rows)], b[list(rows)]
@@ -40,182 +35,51 @@ def brute_force_min(lp: LinearProgram, tol: float = 1e-8) -> tuple[float, np.nda
                 sub = ar[:, list(free)]
                 if k and abs(np.linalg.det(sub)) < 1e-12:
                     continue
-                for pattern in itertools.product((0, 1), repeat=n - k):
+                for pattern in itertools.product((False, True), repeat=n - k):
                     v = np.empty(n)
-                    for j, p in zip(fixed, pattern):
-                        v[j] = hi[j] if p else lo[j]
+                    v[fixed] = np.where(pattern, hi[fixed], lo[fixed])
                     if k:
-                        rhs = br - ar[:, fixed] @ v[fixed] if fixed else br
-                        v[list(free)] = np.linalg.solve(sub, rhs)
-                    if np.any(v < lo - tol) or np.any(v > hi + tol):
-                        continue
-                    if m and np.any(a @ v > b + tol):
-                        continue
-                    obj = float(lp.c @ v)
-                    if obj < best:
-                        best, best_v = obj, v.copy()
-    if best_v is None:
-        raise ValueError("no feasible vertex found")
-    return best, best_v
-
-
-def random_lp(rng: np.random.Generator, n_max: int = 6, m_max: int = 3) -> LinearProgram:
-    """Random bounded LP, strictly feasible by construction."""
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(0, m_max + 1))
-    c = rng.uniform(-1.0, 1.0, n)
-    corners = rng.uniform(-1.0, 1.0, (n, 2))
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1) + rng.uniform(0.5, 2.0, n)
-    mat = rng.uniform(-1.0, 1.0, (m, n))
-    mid = (lo + hi) / 2.0
-    b = mat @ mid + rng.uniform(0.05, 1.0, m)
-    return LinearProgram(c=c, A_ub=mat, b_ub=b, bounds=np.column_stack([lo, hi]))
-
-
-# ------------------------------------------------------------ hand cases
-
-
-def test_single_variable_box_minimum():
-    lp = LinearProgram(
-        c=np.array([1.0]),
-        A_ub=np.zeros((0, 1)),
-        b_ub=np.zeros(0),
-        bounds=np.array([[2.0, 5.0]]),
-    )
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(2.0, abs=1e-9)
-    assert sol.v[0] == pytest.approx(2.0, abs=1e-9)
-
-
-def test_two_variable_budget_row():
-    lp = LinearProgram(
-        c=np.array([-1.0, -1.0]),
-        A_ub=np.array([[1.0, 1.0]]),
-        b_ub=np.array([1.0]),
-        bounds=np.array([[0.0, 2.0], [0.0, 2.0]]),
-    )
-    sol = solve(lp)
-    assert sol.objective == pytest.approx(-1.0, abs=1e-9)
-    assert sol.v.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_infeasible_status():
-    lp = LinearProgram(
-        c=np.array([1.0]),
-        A_ub=np.array([[1.0]]),
-        b_ub=np.array([1.0]),
-        bounds=np.array([[2.0, 5.0]]),
-    )
-    assert solve(lp).status == "infeasible"
-
-
-def test_unbounded_status():
-    lp = LinearProgram(
-        c=np.array([-1.0]),
-        A_ub=np.zeros((0, 1)),
-        b_ub=np.zeros(0),
-        bounds=np.array([[0.0, np.inf]]),
-    )
-    assert solve(lp).status == "unbounded"
-
-
-# ------------------------------------------------- oracle cross-checks
+                        v[list(free)] = np.linalg.solve(sub, br - ar[:, fixed] @ v[fixed])
+                    if np.all(v >= lo - tol) and np.all(v <= hi + tol) and np.all(a @ v <= b + tol):
+                        best = min(best, float(lp.c @ v))
+    return None if best == np.inf else best
 
 
 def test_matches_vertex_enumeration_small():
+    # one step under a cap from above the baseline peak to past the battery's
+    # reach, so that some draws are infeasible, each under every epsilon and
+    # with and without the terminal SoC rule
     rng = np.random.default_rng(20240817)
-    for k in range(40):
-        lp = random_lp(rng)
-        sol = solve(lp)
-        ref, _ = brute_force_min(lp)
-        assert sol.status == "optimal"
-        assert abs(sol.objective - ref) <= 1e-6 * (1.0 + abs(ref)), f"case {k}"
-        # the solver's point must itself be feasible
-        assert np.all(lp.A_ub @ sol.v <= lp.b_ub + 1e-9), f"case {k}"
-        assert np.all(sol.v >= lp.bounds[:, 0] - 1e-9), f"case {k}"
-        assert np.all(sol.v <= lp.bounds[:, 1] + 1e-9), f"case {k}"
+    outcomes = []
+    for k in range(20):
+        h = float(rng.choice([1.0 / 12.0, 0.25, 1.0]))
+        rate = float(rng.choice([0.25, 1.0, 2.0]))
+        spec = make_spec("one", float(rng.choice([0.5, 1.0, 2.0])), rate, rate)
+        z = float(rng.uniform(-0.5, 1.0)) * spec.b_rated
+        reach = -spec.delta_min_kw * spec.eta_dis * float(rng.uniform(-0.2, 1.5))
+        cap = np.inf if rng.random() < 0.2 else max(0.0, z / h - reach)
+        base = DispatchProblem(mini_scenario([z], [float(rng.uniform(0.0, 0.5))], h=h), spec, p_max_set=cap,
+                               eta_fric=float(rng.choice([1.0, 0.8])))
+        for epsilon, terminal_soc in itertools.product((0.0, 1e-6, 1e-3), (False, True)):
+            prob = replace(base, epsilon=epsilon, terminal_soc=terminal_soc)
+            ref, oracle = lp_reference(prob), brute_force_min(build_lp(prob))
+            where = f"case {k}, epsilon={epsilon}, terminal_soc={terminal_soc}"
+            assert (ref is None) == (oracle is None), where
+            if ref is not None:
+                assert abs(ref.objective - oracle) <= 1e-6 * (1.0 + abs(oracle)), where
+            outcomes.append(ref is None)
+    assert 0 < sum(outcomes) < len(outcomes) / 2
 
 
-def test_matches_vertex_enumeration_ten_variables():
-    rng = np.random.default_rng(99)
-    lp = random_lp(rng, n_max=10, m_max=3)
-    while lp.n_vars < 10 or lp.n_rows < 2:
-        lp = random_lp(rng, n_max=10, m_max=3)
-    sol = solve(lp)
-    ref, _ = brute_force_min(lp)
-    assert abs(sol.objective - ref) <= 1e-6 * (1.0 + abs(ref))
-
-
-def test_redundant_duplicate_row_changes_nothing():
-    rng = np.random.default_rng(3)
-    lp = random_lp(rng, n_max=5, m_max=3)
-    while lp.n_rows == 0:
-        lp = random_lp(rng, n_max=5, m_max=3)
-    a = lp.A_ub.toarray()
-    doubled = LinearProgram(
-        c=lp.c,
-        A_ub=np.vstack([a, a[:1]]),
-        b_ub=np.concatenate([lp.b_ub, lp.b_ub[:1]]),
-        bounds=lp.bounds,
-    )
-    assert solve(doubled).objective == pytest.approx(solve(lp).objective, abs=1e-8)
-
-
-def test_dual_multiplier_scales_inversely_with_row():
-    # scaling a row by alpha leaves the optimum alone and divides its dual by alpha
-    rng = np.random.default_rng(0)
-    lp = random_lp(rng, n_max=5, m_max=3)
-    sol = solve(lp)
-    assert sol.dual_ineq is not None and sol.dual_ineq[0] > 0.05  # row 0 is active
-    alpha = 4.0
-    a2 = lp.A_ub.toarray()
-    b2 = lp.b_ub.copy()
-    a2[0] *= alpha
-    b2[0] *= alpha
-    sol2 = solve(LinearProgram(c=lp.c, A_ub=a2, b_ub=b2, bounds=lp.bounds))
-    assert sol2.objective == pytest.approx(sol.objective, abs=1e-7 * (1 + abs(sol.objective)))
-    assert alpha * sol2.dual_ineq[0] == pytest.approx(sol.dual_ineq[0], rel=1e-5)
-
-
-# --------------------------------------------------------- re-certification
-
-
-def test_solve_certifies_gap_and_feasibility():
+def test_certificate_fails_a_feasible_non_optimal_point():
+    # the idle dispatch meets every row and bound, but zero multipliers
+    # prove nothing about its cost
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        lp = random_lp(rng)
-        sol = solve(lp)
-        assert sol.status == "optimal"
-        assert sol.duality_gap_bound <= 1e-7 * (1.0 + abs(sol.objective))
-        assert sol.duality_gap_bound >= -1e-12
-
-
-# ------------------------------------------------------------- validation
-
-
-def test_rejects_non_finite_entries():
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.array([np.nan]), A_ub=np.zeros((0, 1)), b_ub=np.zeros(0),
-                      bounds=np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.array([1.0]), A_ub=np.array([[np.inf]]), b_ub=np.array([1.0]),
-                      bounds=np.array([[0.0, 1.0]]))
-
-
-def test_rejects_inverted_bounds_and_bad_shapes():
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.array([1.0]), A_ub=np.zeros((0, 1)), b_ub=np.zeros(0),
-                      bounds=np.array([[2.0, 1.0]]))
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.array([1.0]), A_ub=np.zeros((2, 3)), b_ub=np.zeros(2),
-                      bounds=np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.array([1.0]), A_ub=np.zeros((2, 1)), b_ub=np.zeros(3),
-                      bounds=np.array([[0.0, 1.0]]))
-
-
-def test_solver_error_type_exists():
-    # the certification failure path raises a dedicated error type
-    assert issubclass(SolverError, RuntimeError)
+    for k in range(5):
+        prob = replace(random_dispatch_instance(rng), p_max_set=np.inf)
+        lp, n, z = build_lp(prob), prob.scenario.n, prob.scenario.z
+        idle = np.concatenate((np.zeros(2 * n), np.maximum(0.0, z), np.full(n, prob.spec.b_0)))
+        assert lp_reference(prob).objective < float(lp.c @ idle), f"case {k}"
+        zero = np.zeros_like(idle)
+        with pytest.raises(AssertionError, match="optimality certificate failed"):
+            certify(lp, idle, np.zeros(lp.A_ub.shape[0]), zero, zero)
