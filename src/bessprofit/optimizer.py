@@ -21,8 +21,9 @@ dynamic program over convex piecewise-linear value functions of the
 state of charge, one per step, and recovers the dispatch in one shared
 backward pass of O(1) work per step; the SoC is the only state, so no LP
 is needed. By the count S of distinct cost slopes, the forward pass is a
-vectorised slope-domain scan when S is small, as under any time-of-use
-tariff, and a list DP of sorted slope lists otherwise (per-step prices).
+vectorised slope-domain scan when S is small, as under a time-of-use
+tariff of a few prices, and a list DP of sorted slope lists otherwise
+(per-step prices, or a tariff of many prices).
 
 ``validate_dispatch`` re-derives every constraint from the returned
 arrays with plain numpy. ``select_ppc`` solves one problem at each

@@ -220,6 +220,9 @@ class TuningResult:
     untuned_report: ProfitabilityReport
     target_cycles: float
     warning: str | None
+    # dispatch solves, the untuned one included: one per sample, so a search
+    # that hits before it needs the floor ETA_MIN skips that solve, and an
+    # unreachable budget takes three (untuned, 0.5005, ETA_MIN)
     n_solves: int
 
 
@@ -237,17 +240,25 @@ def tune_friction(
     candidate as ``evaluate_candidate`` scores it at eta_fric = 1 (so
     ``conventions.eta_fric`` is not used); if that dispatch is already
     inside the budget, its report is returned unchanged. Otherwise it
-    samples ETA_MIN, then bisects (ETA_MIN, 1] while the bracket is wider
-    than INTERVAL_TOL, assuming cycles non-decreasing in eta_fric, then
-    scans five interior points of the last bracket, and returns the first
-    sample within CYCLE_TOL of the budget. When ETA_MIN is already over
+    bisects (ETA_MIN, 1] while the bracket is wider than INTERVAL_TOL,
+    assuming cycles non-decreasing in eta_fric, then scans five interior
+    points of the last bracket, and returns the first sample within
+    CYCLE_TOL of the budget. The floor ETA_MIN is sampled right after the
+    first bisection point (0.5005) if that one is over budget, and
+    otherwise only when no other sample hits, last. When ETA_MIN is over
     budget, it is returned with a warning. When no sample hits, the
     under-budget sample with the most cycles (the largest eta_fric among
     ties) is returned with a warning, which also says the cycle count was
     not monotone when some sample has more than CYCLE_TOL cycles above a
-    sample at a larger eta_fric. The contract level is selected once at
-    eta_fric = 1, and every re-solve is that selection's capped problem
-    (with the conventions' epsilon and terminal_soc) at another eta_fric.
+    sample at a larger eta_fric. Compared with sampling ETA_MIN first, the
+    answer differs only where the count at ETA_MIN is >= budget - CYCLE_TOL
+    and the count at 0.5005 is <= budget + CYCLE_TOL: with counts
+    non-decreasing, both meet the budget and 0.5005 is returned. A search
+    that hits without the floor takes one solve fewer; an unreachable
+    budget takes one more (0.5005, then ETA_MIN). The contract level is
+    selected once at eta_fric = 1, and every re-solve is that selection's
+    capped problem (with the conventions' epsilon and terminal_soc) at
+    another eta_fric.
     """
     if target_cycles is None:
         target_cycles = break_even_cycles(
@@ -278,15 +289,23 @@ def tune_friction(
         return result(1.0, selection.dispatch, untuned_report.n_cyc_100, None, untuned_report)
 
     lo, hi = ETA_MIN, 1.0
-    best: tuple[float, DispatchSolution, float] | None = None  # most cycles under budget
+    # most cycles under budget, the largest eta_fric among ties
+    best: tuple[float, DispatchSolution, float] | None = None
 
     def etas():
-        # reads lo and hi as the loop below narrows them; the scan points
-        # come from the bracket the bisection left
-        yield ETA_MIN
+        # reads lo, hi and best as the loop below updates them; the scan
+        # points come from the bracket the bisection left. The floor is
+        # needed at once only after an over-budget first sample, so it
+        # comes second then, and otherwise last, if nothing hit.
+        yield 0.5 * (lo + hi)
+        floor_second = best is None
+        if floor_second:
+            yield ETA_MIN
         while hi - lo > INTERVAL_TOL:
             yield 0.5 * (lo + hi)
         yield from map(float, np.linspace(lo, hi, 7)[1:-1])
+        if not floor_second:
+            yield ETA_MIN
 
     for eta in etas():
         dispatch = solve_dispatch(replace(selection.problem, eta_fric=eta))
@@ -295,13 +314,13 @@ def tune_friction(
         if abs(cycles - target_cycles) <= CYCLE_TOL:
             return result(eta, dispatch, cycles, None)
         if cycles > target_cycles:
-            if best is None:
+            if eta == ETA_MIN:
                 return result(eta, dispatch, cycles, f"cycle budget {target_cycles:.2f} unreachable: "
                                                      f"{cycles:.2f} cycles at eta_fric = {eta}")
             hi = eta
         else:
-            lo = eta
-            if best is None or cycles >= best[2]:
+            lo = eta  # at the floor: lo is ETA_MIN already, or read no more
+            if best is None or (cycles, eta) > (best[2], best[0]):
                 best = (eta, dispatch, cycles)
 
     eta, dispatch, cycles = best

@@ -6,10 +6,11 @@ with variables (x_plus_i, x_minus_i, theta_i, b_i) per step,
     min c·v   subject to   A_ub·v <= b_ub,   lo <= v <= hi,
 
 with A_ub a scipy.sparse CSR matrix and every bound finite.
-``lp_reference`` hands it to HiGHS via scipy and certifies the answer
-itself: ``certify`` recomputes the primal residuals and a duality-gap
-bound from the returned multipliers rather than trusting the backend,
-and an answer that fails either fails the test that asked for it.
+``lp_reference`` hands it to HiGHS via scipy (``highs_optimum``) and
+certifies the answer itself: ``certify`` recomputes the primal
+residuals and a duality-gap bound from the returned multipliers rather
+than trusting the backend, and an answer that fails either fails the
+test that asked for it.
 
 The package ships no LP and needs no SciPy. Among the tests only this
 module imports SciPy (``test_cli.py`` parses them all to check), and
@@ -170,10 +171,10 @@ class LpReference:
     soc: np.ndarray  # SoC including the initial state, length n + 1
 
 
-def lp_reference(prob: DispatchProblem) -> LpReference | None:
-    """Solve the LP of build_lp with HiGHS and certify the optimum; None if
-    HiGHS finds it infeasible. Any other failure fails an assertion."""
-    lp = build_lp(prob)
+def highs_optimum(lp: DispatchLp) -> tuple[np.ndarray, ...] | None:
+    """HiGHS's optimum of ``lp`` and its multipliers, uncertified, as
+    ``certify`` takes them: (v, lam, mu_lo, mu_hi). None if HiGHS finds it
+    infeasible; any other failure fails an assertion."""
     res = linprog(
         lp.c,
         A_ub=lp.A_ub,
@@ -188,7 +189,17 @@ def lp_reference(prob: DispatchProblem) -> LpReference | None:
     if res.status == 2:
         return None
     assert res.status == 0, f"HiGHS status {res.status}: {res.message}"
-    objective = certify(lp, res.x, -res.ineqlin.marginals, res.lower.marginals, -res.upper.marginals)
+    return res.x, -res.ineqlin.marginals, res.lower.marginals, -res.upper.marginals
+
+
+def lp_reference(prob: DispatchProblem) -> LpReference | None:
+    """Solve the LP of build_lp with HiGHS and certify the optimum; None if
+    HiGHS finds it infeasible. Any other failure fails an assertion."""
+    lp = build_lp(prob)
+    opt = highs_optimum(lp)
+    if opt is None:
+        return None
+    objective, v = certify(lp, *opt), opt[0]
     n, b_0 = prob.scenario.n, prob.spec.b_0
-    x = res.x[:n] - res.x[n : 2 * n]
+    x = v[:n] - v[n : 2 * n]
     return LpReference(objective, np.concatenate(([b_0], b_0 + np.cumsum(x))))

@@ -27,6 +27,16 @@ from bessprofit import cli
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
+HALF_HOURLY = "half-hourly-tariff.json"
+
+
+def _half_hourly_tariff() -> str:
+    """48 half-hour periods, each at its own price: a problem under it has
+    more than 48 distinct slopes, so its dispatch takes the list DP."""
+    periods = [{"start": f"{k // 2:02d}:{k % 2 * 30:02d}",
+                "end": "24:00" if k == 47 else f"{(k + 1) // 2:02d}:{(k + 1) % 2 * 30:02d}",
+                "price": round(0.10 + 0.002 * (7 * k % 48), 3)} for k in range(48)]
+    return json.dumps({"periods": periods, "fallback_price": 0.15})
 
 
 def _runs(root: Path) -> list[list[str]]:
@@ -41,6 +51,11 @@ def _runs(root: Path) -> list[list[str]]:
     runs.append(["sweep", csvs[2], "--contracted-kva", "3.45", "--out", str(root / "sweep-3.45")])
     runs.append(["evaluate", csvs[2], "--battery", "1kwh-0.25c", "--contracted-kva", "3.45",
                  "--out", str(root / "evaluate-3.45")])  # exit 2
+    # list-DP runs: 48.8 cycles untuned and 4.0 at eta_fric 0.5005, so the
+    # search bisects up from there, hits nothing and solves the floor last
+    tariff = ["--battery", "5kwh-2c", "--tariff", str(root / HALF_HOURLY)]
+    runs.append(["evaluate", csvs[0], *tariff, "--out", str(root / "evaluate-half-hourly")])
+    runs.append(["tune", csvs[0], *tariff, "--target", "8", "--out", str(root / "tune-half-hourly")])
     return runs
 
 
@@ -50,6 +65,7 @@ def collect(root: Path) -> dict[str, object]:
         return hashlib.sha256(data).hexdigest()
 
     digests: dict[str, object] = {}
+    (root / HALF_HOURLY).write_text(_half_hourly_tariff())
     for argv in _runs(root):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -574,7 +574,7 @@ class TestTuneCommand:
         scenario = load_scenario(fixture_dir / "c2.csv", tariff=load_tariff(spread_tariff(tmp_path)))
         spec = catalog_by_name(default_catalog())["1kwh-0.25c"]
         res = tune_friction(scenario, spec, DEFAULT_PPC_SCHEDULE, target_cycles=3.0)
-        assert res.n_solves == 21  # untuned, ETA_MIN, 14 bisection steps, 5 scan points
+        assert res.n_solves == 21  # untuned, 14 bisection steps, 5 scan points, then ETA_MIN
         assert res.warning.startswith("bisection finished")
         assert res.report.n_cyc_100 < 3.0
 

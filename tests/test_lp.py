@@ -18,7 +18,7 @@ import pytest
 from bessprofit.battery import make_spec
 from bessprofit.optimizer import DispatchProblem
 
-from _reference import build_lp, certify, lp_reference
+from _reference import build_lp, certify, highs_optimum, lp_reference
 from _support import mini_scenario, random_dispatch_instance
 
 
@@ -71,15 +71,30 @@ def test_matches_vertex_enumeration_small():
     assert 0 < sum(outcomes) < len(outcomes) / 2
 
 
-def test_certificate_fails_a_feasible_non_optimal_point():
-    # the idle dispatch meets every row and bound, but zero multipliers
-    # prove nothing about its cost
+def idle_points(count: int):
+    """(lp, idle point) of ``count`` random instances without a cap, so that
+    the idle dispatch meets every row and bound, and HiGHS beats it."""
     rng = np.random.default_rng(21)
-    for k in range(5):
+    for k in range(count):
         prob = replace(random_dispatch_instance(rng), p_max_set=np.inf)
         lp, n, z = build_lp(prob), prob.scenario.n, prob.scenario.z
         idle = np.concatenate((np.zeros(2 * n), np.maximum(0.0, z), np.full(n, prob.spec.b_0)))
         assert lp_reference(prob).objective < float(lp.c @ idle), f"case {k}"
+        yield lp, idle
+
+
+def test_certificate_fails_a_feasible_non_optimal_point():
+    # zero multipliers prove nothing about the idle dispatch's cost
+    for lp, idle in idle_points(5):
         zero = np.zeros_like(idle)
         with pytest.raises(AssertionError, match="optimality certificate failed"):
             certify(lp, idle, np.zeros(lp.A_ub.shape[0]), zero, zero)
+
+
+def test_certificate_charges_the_duality_gap():
+    # the optimum's multipliers leave no stationarity residual to speak of,
+    # so only the gap between the idle point's cost and their dual bound fails it
+    for lp, idle in idle_points(5):
+        _, lam, mu_lo, mu_hi = highs_optimum(lp)
+        with pytest.raises(AssertionError, match="optimality certificate failed"):
+            certify(lp, idle, lam, mu_lo, mu_hi)

@@ -256,7 +256,7 @@ class TestFrictionTuning:
         assert un.n_cyc_100 >= res.target_cycles + 10.0  # genuinely over budget
         assert res.warning is None
         assert res.eta_fric == approx(0.625375, abs=1e-9)  # frozen bisection path
-        assert res.n_solves == 5
+        assert res.n_solves == 4  # untuned, 0.5005, 0.75025, 0.625375: the floor is not solved
         assert rep.n_cyc_100 == approx(15.95, abs=0.01)
         assert abs(rep.n_cyc_100 - res.target_cycles) <= 0.5
         assert rep.n_cyc_100 <= un.n_cyc_100  # tuning never adds cycles
@@ -315,7 +315,7 @@ class TestFrictionTuning:
             noisy, by_name["2kwh-1c"], target_cycles=0.2, ppc=DEFAULT_PPC_SCHEDULE,
         )
         assert res.eta_fric == ETA_MIN == 1e-3
-        assert res.n_solves == 2
+        assert res.n_solves == 3  # untuned, 0.5005 over budget, then the floor
         assert res.warning is not None
         assert res.warning.startswith("cycle budget 0.20 unreachable")
         assert res.report.n_cyc_100 == approx(0.92, abs=0.01)
@@ -330,8 +330,13 @@ class TestFrictionTuning:
             # between any two neighbouring samples
             (lambda eta: 30.0 if eta > 0.4 else 2.0 + 1.8 * (0.4 - eta),
              (ETA_MIN - 1e-12, ETA_MIN), False),
+            # 0.5005 is under budget, so the floor is solved last: it ties
+            # with every sample under the jump and loses, then wins with more
+            (lambda eta: 30.0 if eta > 0.6 else 2.0, (0.6 - 1e-4, 0.6), True),
+            (lambda eta: 5.0 if eta < 0.2 else 2.0 if eta <= 0.6 else 30.0,
+             (ETA_MIN - 1e-12, ETA_MIN), False),
         ],
-        ids=["step", "non-monotone", "spread-descent"],
+        ids=["step", "non-monotone", "spread-descent", "step-floor-last", "non-monotone-floor-last"],
     )
     def test_fallback_keeps_the_largest_coefficient_on_ties(
         self, monkeypatch, cycles_at, eta_range, monotone
@@ -348,10 +353,48 @@ class TestFrictionTuning:
         res = tune_friction(scenario, make_spec("1kwh-1c", 1.0, 1.0, 1.0),
                             DEFAULT_PPC_SCHEDULE, target_cycles=15.0)
         assert eta_range[0] < res.eta_fric <= eta_range[1]
-        assert res.n_solves == 21  # untuned, ETA_MIN, 14 bisection steps, 5 scan points
+        # untuned, 14 bisection steps, 5 scan points and ETA_MIN, which comes
+        # right after the first step when that one is over budget, else last
+        assert res.n_solves == 21
         assert len(counted) == 21  # the fallback is scored with its sampled count
         assert res.warning.startswith("bisection finished")
         assert res.warning.endswith("cycle count was not monotone in eta_fric") != monotone
+
+    @pytest.mark.parametrize(
+        "cycles_at, eta, n_solves",
+        [
+            # both within CYCLE_TOL of 15: the first sample ends the search
+            # and the floor is never solved
+            (lambda eta: 30.0 if eta > 0.6 else 15.2, 0.5005, 2),
+            # the floor is over budget but 0.5005 is not, so the bisection
+            # goes on and 0.75025 hits
+            (lambda eta: 30.0 if eta < 0.01 or eta >= 0.8 else 15.0 if eta >= 0.7 else 2.0, 0.75025, 3),
+        ],
+        ids=["first-sample-hits", "floor-over-later-hit"],
+    )
+    def test_a_hit_before_the_floor_ends_the_search(self, monkeypatch, cycles_at, eta, n_solves):
+        monkeypatch.setattr(profitability, "_cycles_of",
+                            lambda dispatch, spec, conventions: cycles_at(dispatch.eta_fric))
+        scenario = mini_scenario(np.full(24, 0.5), np.full(24, 0.2), name="stub")
+        res = tune_friction(scenario, make_spec("1kwh-1c", 1.0, 1.0, 1.0),
+                            DEFAULT_PPC_SCHEDULE, target_cycles=15.0)
+        assert res.eta_fric == approx(eta, rel=1e-12)
+        assert res.n_solves == n_solves
+        assert res.warning is None
+
+    @pytest.mark.parametrize(
+        "target, etas",
+        # the first list is the floor-first search's without its leading 1e-3
+        [(None, [0.5005, 0.75025, 0.625375]), (0.2, [0.5005, ETA_MIN])],
+        ids=["budget-met", "unreachable"],
+    )
+    def test_the_floor_is_solved_only_when_it_can_decide(self, monkeypatch, noisy, by_name, target, etas):
+        solved = []
+        solve = profitability.solve_dispatch
+        monkeypatch.setattr(profitability, "solve_dispatch",
+                            lambda prob: solved.append(prob.eta_fric) or solve(prob))
+        tune_friction(noisy, by_name["2kwh-1c"], DEFAULT_PPC_SCHEDULE, target_cycles=target)
+        assert solved == approx(etas, rel=1e-12)
 
     def test_each_solve_counts_its_cycles_once(self, monkeypatch, noisy, by_name):
         # a budget met, one unreachable and one already kept: the returned
@@ -359,7 +402,7 @@ class TestFrictionTuning:
         calls = []
         monkeypatch.setattr(profitability, "count_cycles",
                             lambda *args: calls.append(args) or count_cycles(*args))
-        for target, solves in ((None, 5), (0.2, 2), (40.0, 1)):
+        for target, solves in ((None, 4), (0.2, 3), (40.0, 1)):
             calls.clear()
             res = tune_friction(noisy, by_name["2kwh-1c"], DEFAULT_PPC_SCHEDULE, target_cycles=target)
             assert res.n_solves == len(calls) == solves, target

@@ -19,12 +19,14 @@ call. Every round goes once over every problem of three sets:
 - ``sweep-30d``: ``evaluate_candidate`` on the 36 pairs of the full 30-day
   fixtures.
 
-A pair of children gives, for each set, the sum over its problems of
-each problem's least time in ``ROUNDS`` rounds, and the change's sum over
-the parent's, minus one. Two processes of one tree can read a per cent
-or more apart for their whole run, so this is done with ``PAIRS`` fresh
-pairs, and ``change`` is the median of their changes. The summary is
-printed as JSON.
+Before any timing each child runs every problem once, untimed, with
+``optimizer._solve`` wrapped to count the dispatch solves of each set;
+the summary reports those counts per tree. A pair of children gives, for
+each set, the sum over its problems of each problem's least time in
+``ROUNDS`` rounds, and the change's sum over the parent's, minus one.
+Two processes of one tree can read a per cent or more apart for their
+whole run, so this is done with ``PAIRS`` fresh pairs, and ``change`` is
+the median of their changes. The summary is printed as JSON.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ PAIRS = 6
 
 
 def child(tree: Path) -> None:
-    """Build the inputs on ``tree``'s code, print each set's problem count,
-    then run problem ``k`` of set ``name`` for each ``name k`` line read
-    and print its wall time."""
+    """Build the inputs on ``tree``'s code, count each set's solves in one
+    untimed pass, print each set's problem and solve counts, then run
+    problem ``k`` of set ``name`` for each ``name k`` line read and print
+    its wall time."""
     src = (tree / "src").resolve()
     sys.path[:0] = [str(src), str((tree / "perfbench").resolve())]
     import bessprofit
@@ -56,6 +59,7 @@ def child(tree: Path) -> None:
     if Path(bessprofit.__file__).resolve().parent.parent != src:
         raise SystemExit(f"minima: bessprofit was imported from {bessprofit.__file__}, not {src}")
     import workloads
+    from bessprofit import optimizer
     from bessprofit.fixtures import gen_fixtures
     from bessprofit.profitability import evaluate_candidate, tune_friction
     from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, load_scenario
@@ -72,7 +76,16 @@ def child(tree: Path) -> None:
     calls = {name: [lambda s=s, b=b: evaluate_candidate(s, b, ppc) for s in scenarios[name]
                     for b in sliced.batteries] for name in scenarios}
     calls["tune"] = [lambda w=w, b=b: tune_friction(w, b, ppc) for w in noisy.noisy for b in noisy.batteries]
-    print(json.dumps({name: len(calls[name]) for name in SETS}), flush=True)
+    solved, solve = [], optimizer._solve
+    optimizer._solve = lambda *args, **kwargs: solved.append(None) or solve(*args, **kwargs)
+    solves = {}
+    for name in SETS:
+        solved.clear()
+        for call in calls[name]:
+            call()
+        solves[name] = len(solved)
+    optimizer._solve = solve
+    print(json.dumps({"problems": {name: len(calls[name]) for name in SETS}, "solves": solves}), flush=True)
     for line in sys.stdin:
         name, k = line.split()
         call = calls[name][int(k)]
@@ -81,12 +94,14 @@ def child(tree: Path) -> None:
         print(repr(time.perf_counter() - start), flush=True)
 
 
-def _pair(env: dict[str, str], trees: dict[str, Path]) -> dict[str, dict[str, float]]:
-    """Each tree's sums of per-problem minima, by set, from one pair of children."""
+def _pair(env: dict[str, str], trees: dict[str, Path]) -> tuple[dict, dict]:
+    """Each tree's sums of per-problem minima and its solve counts, by set,
+    from one pair of children."""
     procs = {name: subprocess.Popen([sys.executable, __file__, "--child", str(path)], env=env, text=True,
                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE) for name, path in trees.items()}
     try:
-        counts = {name: json.loads(proc.stdout.readline() or "null") for name, proc in procs.items()}
+        heads = {name: json.loads(proc.stdout.readline() or "null") for name, proc in procs.items()}
+        counts = {name: head and head["problems"] for name, head in heads.items()}
         if counts["parent"] is None or counts["parent"] != counts["change"]:
             raise SystemExit(f"minima: the children did not build the same problems: {counts}")
         best = {name: {s: [math.inf] * counts["parent"][s] for s in SETS} for name in trees}
@@ -102,13 +117,14 @@ def _pair(env: dict[str, str], trees: dict[str, Path]) -> dict[str, dict[str, fl
         for proc in procs.values():
             proc.stdin.close()
             proc.wait()
-    return {name: {s: sum(best[name][s]) for s in SETS} for name in trees}
+    return ({name: {s: sum(best[name][s]) for s in SETS} for name in trees},
+            {name: heads[name]["solves"] for name in trees})
 
 
 def compare(parent: Path, change: Path) -> dict:
     # one string-hash seed for every child, so dict and set orders match
     env = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, "PYTHONHASHSEED": "0"}
-    pairs = [_pair(env, {"parent": parent, "change": change}) for _ in range(PAIRS)]
+    pairs, solves = zip(*(_pair(env, {"parent": parent, "change": change}) for _ in range(PAIRS)))
     changes = {s: [pair["change"][s] / pair["parent"][s] - 1.0 for pair in pairs] for s in SETS}
     return {
         "what": (f"sums of per-problem least wall times over {ROUNDS} rounds in each of {PAIRS} pairs of "
@@ -118,6 +134,7 @@ def compare(parent: Path, change: Path) -> dict:
                  "tune": "tune_friction on the 27 tune-noisy tunings, 2-day windows",
                  "sweep-30d": "evaluate_candidate on the 36 sweep pairs, 30 days"},
         "trees": {"parent": str(parent), "change": str(change)},
+        "solves": solves[0],  # dispatch solves of one untimed pass, by tree and set
         "sum_of_minima_s": pairs,
         "change_by_pair": changes,
         "change": {s: statistics.median(changes[s]) for s in SETS},
