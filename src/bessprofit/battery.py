@@ -78,6 +78,8 @@ class BatterySpec:
         # and so can the costs: two costs of 1e308 €/kWh sum to inf
         if not (math.isfinite(self.c_cyc) and math.isfinite(self.b_cost)):
             raise ConfigError("costs per cycle and times b_rated must be finite")
+        if not 1.0 / self.eta_ch < math.inf:  # eta_ch = 1e-320 is in (0, 1]
+            raise ConfigError(f"1/eta_ch must be finite, got eta_ch {self.eta_ch:g}")
 
     @property
     def delta_max_kw(self) -> float:

@@ -26,8 +26,8 @@ tariff of a few prices, and a list DP of sorted slope lists otherwise
 (per-step prices, or a tariff of many prices).
 
 ``validate_dispatch`` re-derives every constraint from the returned
-arrays with plain numpy. ``select_ppc`` solves one problem at each
-candidate contract level.
+arrays with plain numpy. ``select_ppc`` solves contract levels from the
+lowest one that its screen keeps upward, up to the first feasible one.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ def build_lp(prob): raise NotImplementedError("the dispatch LP is in tests/_refe
 
 
 def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
-    """Solve the dispatch exactly and re-express it with true efficiencies.
+    """Solve the dispatch exactly and re-express it with true efficiencies;
+    the only way into the solver.
 
     With epsilon > 0 an optimum never charges and discharges in the same
     step, so step i costs f_i(x) = price_i·max(0, z_i + s_fric(x)) +
@@ -132,16 +133,17 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
 
     The forward route depends only on S, the count of distinct slopes over
     all pieces. Up to _SCAN_MAX_SLOPES it is the slope-domain scan:
-    G_i(σ) = clip(G_{i-1}(σ) + F_i(σ), L_i, b_max), with F_i(σ) = l plus the
-    length of f_i's pieces with slope below σ, for σ in each distinct slope,
-    where the q_j are read, and +∞, the top of the domain. No slope lies
-    between 0 and the least slope >= 0 (or +∞), so that column gives the
-    final SoC, G_n(0). Clip maps compose associatively, so NumPy runs the n
-    steps as a blocked scan of about 2√n iterations. Above it (per-step
-    prices) it is the list DP, which keeps V_i as slope-sorted segment
-    lists. A piece that the same step's clip removes is never inserted
-    there, and the result is bit for bit that of merging it. The two routes
-    round differently: x may differ by about 1e-14 kWh.
+    G_i(σ) = clip(G_{i-1}(σ) + F_i(σ), b_min, b_max), with F_i(σ) = l plus
+    the length of f_i's pieces with slope below σ, for σ in each distinct
+    slope, where the q_j are read, and +∞, the top of the domain. No slope
+    lies between 0 and the least slope >= 0 (or +∞), so that column gives
+    the final SoC, G_n(0), raised to b_0 under terminal_soc. Clip maps
+    compose associatively, so NumPy runs the n steps as a blocked scan of
+    about 2√n iterations. Above it (per-step prices) it is the list DP,
+    which keeps V_i as slope-sorted segment lists. A piece that the same
+    step's clip removes is never inserted there, and the result is bit for
+    bit that of merging it. The two routes round differently: x may differ
+    by about 1e-14 kWh.
 
     Tie rule: the final SoC is the smallest minimiser of V_n on
     [L_n, b_max], and going backward each b_{i-1} is the smallest SoC from
@@ -156,18 +158,13 @@ def solve_dispatch(prob: DispatchProblem) -> DispatchSolution:
     peak cap, since that plan is then feasible; a cap below the baseline
     peak can force a dearer bill.
     """
-    return _solve(prob)
-
-
-def _solve(prob: DispatchProblem, forward=None) -> DispatchSolution:
-    """solve_dispatch with its forward route, when given, forced."""
     scenario, spec = prob.scenario, prob.spec
     n, z = scenario.n, scenario.z
     lo_x, hi_x, start, length, slope = steps = _pieces(prob)
-    if forward is None and (slopes := _distinct(slope)).size <= _SCAN_MAX_SLOPES:
+    if (slopes := _distinct(slope)).size <= _SCAN_MAX_SLOPES:
         b_i, q = _scan_forward(prob, *steps, slopes)
     else:
-        b_i, q = (forward or _list_forward)(prob, *steps)
+        b_i, q = _list_forward(prob, *steps)
 
     # x_i = l + Σ_j clip(b_i − q_j, 0, len_j), the top, mid and bottom
     # pieces in that order
@@ -370,11 +367,12 @@ def _list_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope):
     return lo + sum(lens[: bisect_left(slopes, 0.0)]), q
 
 
-def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slopes=None):
-    """The slope-domain scan: G_i(σ) for σ in every distinct slope and +∞,
-    each column a clip-map recursion. ``slopes`` is _distinct(slope),
-    when the caller has it. Returns the final SoC and the q_j of each
-    piece, as in _pieces.
+def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slopes):
+    """The slope-domain scan: G_i(σ) for σ in every distinct slope,
+    ``slopes``, and +∞, each column a clip-map recursion on [b_min, b_max].
+    Returns the final SoC, raised to b_0 under terminal_soc, and the q_j
+    of each piece, as in _pieces; max(clip(y, b_min, b_max), b_0) is
+    clip(y, b_0, b_max) exactly, and no q_j or domain top reads G_n.
 
     The steps run in blocks of about √(n/2), the last one padded. The
     increments f_i(σ) are stored step-major: a[k] is the contiguous
@@ -382,8 +380,6 @@ def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slope
     and writes whole slabs. Every element sees the float operations of a
     block-major scan, in the same order."""
     spec, n, b_0, b_max = prob.spec, prob.scenario.n, prob.spec.b_0, prob.spec.b_max
-    if slopes is None:
-        slopes = _distinct(slope)
     cols = np.append(slopes, np.inf)
     c = cols.size
     size = max(1, math.isqrt(n // 2))
@@ -407,22 +403,19 @@ def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slope
     f += term
     f += lo_x
     floor = np.full(n, spec.b_min)
-    floor[-1] = b_0 if prob.terminal_soc else spec.b_min
+    floor[-1] = b_end = b_0 if prob.terminal_soc else spec.b_min
 
     # The map y ↦ clip(y + a, lo, hi) followed by (a2, l2, u2) is
     # (a + a2, clip(lo + a2, l2, u2), clip(hi + a2, l2, u2)). Compose the
     # prefix maps within the blocks, carry the SoC across the blocks in
     # turn, then apply every prefix map to its block's entry.
     a = f.reshape(c, blocks, size).transpose(2, 0, 1).copy()  # a[k, σ, block]
-    lows = [spec.b_min] * size  # the floor of step k of every block
-    if prob.terminal_soc:
-        lows[(n - 1) % size] = np.where(np.arange(blocks) < blocks - 1, spec.b_min, b_0)
     bounds = np.empty((size, 2, c, blocks))  # lo and hi of each prefix map
-    bounds[0, 0], bounds[0, 1] = lows[0], b_max
+    bounds[0, 0], bounds[0, 1] = spec.b_min, b_max
     steps = list(a)
-    for lo_hi, cur, a_prev, a_k, low in zip(bounds, bounds[1:], steps, steps[1:], lows[1:]):
+    for lo_hi, cur, a_prev, a_k in zip(bounds, bounds[1:], steps, steps[1:]):
         np.add(lo_hi, a_k, out=cur)
-        np.maximum(cur, low, out=cur)
+        np.maximum(cur, spec.b_min, out=cur)
         np.minimum(cur, b_max, out=cur)
         np.add(a_k, a_prev, out=a_k)
     entry = np.empty((blocks, c))
@@ -453,7 +446,7 @@ def _scan_forward(prob: DispatchProblem, lo_x, hi_x, start, length, slope, slope
     q[:, 0] = b_0
     g.take(prev + np.searchsorted(cols, slope[:, 1:]) * blocks, out=q[:, 1:])
     q += start
-    return float(g.take(at[-1] + np.searchsorted(cols, 0.0) * blocks)), q.tolist()
+    return max(float(g.take(at[-1] + np.searchsorted(cols, 0.0) * blocks)), b_end), q.tolist()
 
 
 def _unreachable(prob: DispatchProblem, step: int) -> InfeasibleDispatchError:

@@ -166,8 +166,10 @@ def _score(selection: PpcSelection, dispatch: DispatchSolution, conventions: Con
     g_pd = selection.g_pd
     g_t = g_arb + g_pd
 
-    # gain per cycle per kWh (0 without cycles) minus the cost of one
-    p_cyc = (g_t / (n_cyc * spec.b_rated) if n_cyc > 0 else 0.0) - spec.c_cyc
+    # gain per cycle per kWh (0 without cycles) minus the cost of one; where
+    # n_cyc·b_rated underflows to 0, dividing in turn gives inf, or 0 at g_t = 0
+    per_kwh = n_cyc * spec.b_rated
+    p_cyc = (g_t / per_kwh if per_kwh > 0 else (g_t / n_cyc / spec.b_rated if n_cyc > 0 else 0.0)) - spec.c_cyc
 
     expb = _expected_payback_years(spec.b_cost, g_t, scenario.total_hours, conventions)
 

@@ -734,6 +734,16 @@ FAILURES = [
          "times b_rated must be finite",
          {"bad.json": json.dumps({"batteries": [_battery_entry(b_rated_kwh=1e10, cost_per_kwh=1e300,
                                                                inverter_cost_per_kwh=0)]})}),
+    # an eta_ch in (0, 1] whose 1/eta_ch overflows is the battery's fault, not the friction's
+    _row("overflowing-battery-charge-factor", ["sweep", "c1.csv", "--catalog", "bad.json"],
+         "error: bad catalog entry {'name': 'x', 'b_rated_kwh': 1, 'charge_rate_c': 1, 'discharge_rate_c': 1, "
+         "'eta_ch': 1e-320}: 1/eta_ch must be finite, got eta_ch 9.99989e-321",
+         {"bad.json": json.dumps({"batteries": [_battery_entry(eta_ch=1e-320)]})}),
+    # 1.03e-318 cycles of 1e-6 kWh: n_cyc > 0, but n_cyc times b_rated underflows to 0
+    _row("underflowing-cycle-divisor", ["evaluate", "c1.csv", "--battery", "x", "--catalog", "micro.json",
+                                        "--damage-exp", "6981.69689372976"],
+         "error: battery x: p_cyc overflows to inf",
+         {"micro.json": json.dumps({"batteries": [_battery_entry(b_rated_kwh=1e-6)]})}),
     # finite numbers whose arithmetic overflows fail where the number is made: the
     # contract saving, fee difference times 30 days, and the baseline bill
     _row("overflowing-contract-saving", [*_EVALUATE, "--ppc", "big.json"],

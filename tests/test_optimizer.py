@@ -29,7 +29,6 @@ from bessprofit.optimizer import (
     DispatchSolution,
     _list_forward,
     _scan_forward,
-    _solve,
     select_ppc,
     solve_dispatch,
     validate_dispatch,
@@ -56,7 +55,23 @@ from _support import (
     tariff_priced,
 )
 
-FORWARD_ROUTES = {"scan": _scan_forward, "list DP": _list_forward}
+ROUTES = {"scan": np.inf, "list DP": -1}
+
+
+def solve_by(route: str, prob: DispatchProblem) -> DispatchSolution:
+    """solve_dispatch(prob) with its forward route forced by the route rule's
+    limit, ROUTES[route]: every slope count is at most inf and above −1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_SCAN_MAX_SLOPES", ROUTES[route])
+        return solve_dispatch(prob)
+
+
+def outcome(forward, prob: DispatchProblem, *args):
+    """forward's final SoC and q_j, or its failure's message and step."""
+    try:
+        return forward(prob, *args)
+    except InfeasibleDispatchError as exc:
+        return str(exc), exc.step
 
 
 # --------------------------------------------------- solver vs LP vs grid DP
@@ -79,9 +94,9 @@ def assert_routes_agree(prob: DispatchProblem, label: str) -> bool:
     """
     ref = lp_reference(prob)
     outcomes = {}
-    for route, forward in FORWARD_ROUTES.items():
+    for route in ROUTES:
         try:
-            outcomes[route] = _solve(prob, forward)
+            outcomes[route] = solve_by(route, prob)
         except InfeasibleDispatchError as exc:
             outcomes[route] = (str(exc), exc.step)
     if ref is None:
@@ -162,7 +177,8 @@ def test_tariff_priced_instances_agree_across_routes():
 
 def test_per_step_prices_take_the_list_dp(monkeypatch):
     # one tariff-priced day has 6 distinct slopes; the same day with
-    # per-step noisy prices has hundreds
+    # per-step noisy prices has hundreds. solve_by sends each of them down
+    # the other route too.
     taken = []
     for name in ("_scan_forward", "_list_forward"):
         def spy(*args, name=name, forward=getattr(optimizer, name)):
@@ -174,9 +190,12 @@ def test_per_step_prices_take_the_list_dp(monkeypatch):
     tariff_day = scenario_from_fixture("c1")
     tariff_day = replace(tariff_day, load=tariff_day.load[:288], pv=tariff_day.pv[:288],
                          price=tariff_day.price[:288])
-    solve_dispatch(DispatchProblem(tariff_day, spec))
-    solve_dispatch(DispatchProblem(noisy_price_slice(days=1), spec))
-    assert taken == ["_scan_forward", "_list_forward"]
+    tariff, noisy = DispatchProblem(tariff_day, spec), DispatchProblem(noisy_price_slice(days=1), spec)
+    solve_dispatch(tariff)
+    solve_dispatch(noisy)
+    solve_by("list DP", tariff)
+    solve_by("scan", noisy)
+    assert taken == ["_scan_forward", "_list_forward", "_list_forward", "_scan_forward"]
 
 
 def test_list_dp_matches_its_reference_bit_for_bit():
@@ -189,12 +208,6 @@ def test_list_dp_matches_its_reference_bit_for_bit():
     # cuts into the bottom piece; take its charge away too, so that the
     # terminal floor takes the whole domain; pin its box to one SoC; and
     # set a zero cap, which leaves some steps no move at all.
-    def outcome(forward, prob):
-        try:
-            return forward(prob, *optimizer._pieces(prob))
-        except InfeasibleDispatchError as exc:
-            return str(exc), exc.step
-
     rng = np.random.default_rng(2503)
     probs = []
     for _ in range(150):
@@ -218,8 +231,9 @@ def test_list_dp_matches_its_reference_bit_for_bit():
                       DispatchProblem(day, spec, p_max_set=cap, eta_fric=eta, terminal_soc=True)]
     failed = 0
     for k, prob in enumerate(probs):
-        want = outcome(reference_list_forward, prob)
-        assert outcome(_list_forward, prob) == want, k
+        steps = optimizer._pieces(prob)
+        want = outcome(reference_list_forward, prob, *steps)
+        assert outcome(_list_forward, prob, *steps) == want, k
         failed += isinstance(want[0], str)
     assert 0 < failed < len(probs) / 4
 
@@ -237,12 +251,6 @@ def test_scan_matches_its_reference_bit_for_bit():
     # is eps; the scan reads the final SoC from that column. Every other
     # window is cut or tiled to 1, 2, 3 or 7 steps or to a length that
     # leaves the last block short.
-    def outcome(forward, prob):
-        try:
-            return forward(prob, *optimizer._pieces(prob))
-        except InfeasibleDispatchError as exc:
-            return str(exc), exc.step
-
     def resized(prob, n):
         scenario = prob.scenario
         reps = -(-n // scenario.n)
@@ -274,8 +282,9 @@ def test_scan_matches_its_reference_bit_for_bit():
     for k, prob in enumerate(probs):
         price = prob.scenario.price
         assert optimizer._distinct(price[price > 0]).size <= 2
-        want = outcome(reference_scan_forward, prob)
-        assert outcome(_scan_forward, prob) == want, k
+        steps = optimizer._pieces(prob)
+        want = outcome(reference_scan_forward, prob, *steps)
+        assert outcome(_scan_forward, prob, *steps, optimizer._distinct(steps[-1])) == want, k
         failed += isinstance(want[0], str)
     assert 0 < failed < len(probs) / 2
 
@@ -292,7 +301,7 @@ def test_panel_routes_print_the_same_reports(panel):
     skipped = 0
     for (case, name), entry in panel.items():
         prob = entry.selection.problem
-        routes = [_solve(prob, forward) for forward in FORWARD_ROUTES.values()]
+        routes = [solve_by(route, prob) for route in ROUTES]
         np.testing.assert_allclose(routes[0].x, routes[1].x, rtol=0, atol=1e-12, err_msg=str((case, name)))
         csvs = {render_csv(header, baseline_metrics(entry.scenario),
                            [evaluate(entry.selection, d, conventions)])
@@ -307,9 +316,9 @@ def test_panel_routes_print_the_same_reports(panel):
             if lower.kva < entry.selection.old_level.kva and optimizer._unholdable(
                     entry.scenario, entry.spec, lower.kva, z_peak):
                 failures = []
-                for forward in FORWARD_ROUTES.values():
+                for route in ROUTES:
                     with pytest.raises(InfeasibleDispatchError) as exc_info:
-                        _solve(replace(prob, p_max_set=lower.kva), forward)
+                        solve_by(route, replace(prob, p_max_set=lower.kva))
                     failures.append((str(exc_info.value), exc_info.value.step))
                 assert failures[0] == failures[1], (case, name, lower.kva)
                 skipped += 1
@@ -810,9 +819,9 @@ def test_the_screen_skips_only_caps_the_solver_rejects():
             assert screened >= bool(np.any(hi_x < lo_x - optimizer._DUST))
             assert screened >= (cap < reach - optimizer._DUST / scenario.h)
             if screened:
-                for forward in FORWARD_ROUTES.values():
+                for route in ROUTES:
                     with pytest.raises(InfeasibleDispatchError):
-                        _solve(capped, forward)
+                        solve_by(route, capped)
             counts[screened] += 1
     assert min(counts.values()) > 200
 

@@ -20,13 +20,15 @@ call. Every round goes once over every problem of three sets:
   fixtures.
 
 Before any timing each child runs every problem once, untimed, with
-``optimizer._solve`` wrapped to count the dispatch solves of each set;
-the summary reports those counts per tree. A pair of children gives, for
-each set, the sum over its problems of each problem's least time in
-``ROUNDS`` rounds, and the change's sum over the parent's, minus one.
-Two processes of one tree can read a per cent or more apart for their
-whole run, so this is done with ``PAIRS`` fresh pairs, and ``change`` is
-the median of their changes. The summary is printed as JSON.
+``solve_dispatch`` wrapped where it is bound, in ``optimizer`` for
+``select_ppc`` and in ``profitability`` for ``tune_friction``, to count
+the dispatch solves of each set; the summary reports those counts per
+tree. A pair of children gives, for each set, the sum over its problems
+of each problem's least time in ``ROUNDS`` rounds, and the change's sum
+over the parent's, minus one. Two processes of one tree can read a per
+cent or more apart for their whole run, so this is done with ``PAIRS``
+fresh pairs, and ``change`` is the median of their changes. The summary
+is printed as JSON.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def child(tree: Path) -> None:
     if Path(bessprofit.__file__).resolve().parent.parent != src:
         raise SystemExit(f"minima: bessprofit was imported from {bessprofit.__file__}, not {src}")
     import workloads
-    from bessprofit import optimizer
+    from bessprofit import optimizer, profitability
     from bessprofit.fixtures import gen_fixtures
     from bessprofit.profitability import evaluate_candidate, tune_friction
     from bessprofit.timeseries import DEFAULT_PPC_SCHEDULE, load_scenario
@@ -76,15 +78,15 @@ def child(tree: Path) -> None:
     calls = {name: [lambda s=s, b=b: evaluate_candidate(s, b, ppc) for s in scenarios[name]
                     for b in sliced.batteries] for name in scenarios}
     calls["tune"] = [lambda w=w, b=b: tune_friction(w, b, ppc) for w in noisy.noisy for b in noisy.batteries]
-    solved, solve = [], optimizer._solve
-    optimizer._solve = lambda *args, **kwargs: solved.append(None) or solve(*args, **kwargs)
+    solved, solve = [], optimizer.solve_dispatch
+    optimizer.solve_dispatch = profitability.solve_dispatch = lambda prob: solved.append(None) or solve(prob)
     solves = {}
     for name in SETS:
         solved.clear()
         for call in calls[name]:
             call()
         solves[name] = len(solved)
-    optimizer._solve = solve
+    optimizer.solve_dispatch = profitability.solve_dispatch = solve
     print(json.dumps({"problems": {name: len(calls[name]) for name in SETS}, "solves": solves}), flush=True)
     for line in sys.stdin:
         name, k = line.split()
